@@ -5,11 +5,12 @@ spaces at every vertex of a truncated b-ary tree, extends each copy by
 peripheral points (one per incident tree edge slot), glues copies along
 tree edges at matching peripheral points, removes the glued points, and
 adds one synthetic end point per leaf at the leaf's deepest unused slot.
-Distances are the shortest-path closure through the gluing points.
 
-Every glued point is a cut point between the two sides of its tree edge,
-so distances inside a single copy are never shortened: each copy embeds
-isometrically at its scale, which is what the condition checks rely on.
+Every glued point is a cut point between the two sides of its tree edge.
+So the distance between points of two copies is the sum of the legs
+through the gluing points on the tree path between them, and distances
+inside a single copy are never shortened: each copy embeds isometrically
+at its scale, which is what the condition checks rely on.
 """
 
 import json
@@ -18,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import floyd_warshall
 from .metric import (
     FiniteMetricSpace,
     disjoint_union,
@@ -221,7 +221,7 @@ def _vertex_sort_key(v):
 
 def build_approx(xs, depth: int, branching: int, scale: float,
                  *, _skip_scale_check=False) -> AmalgamApprox:
-    """Assemble the glued tree of scaled copies and close the metric.
+    """Assemble the glued tree of scaled copies.
 
     scale is the per-level shrink factor lambda in (0, 1/2]; the test hook
     _skip_scale_check admits out-of-range values so checks can be shown to
@@ -277,33 +277,21 @@ def build_approx(xs, depth: int, branching: int, scale: float,
         # internal sizing: one slot per incident edge plus the spare for ends
         assert len(copies[t].peripheral) == n_slots(t)
 
-    # scaffold: every copy's extended model, infinite across copies
-    scaffold = []
-    index = {}
-    for t in order:
-        for ci, p in union.points:
-            index[("b", t, ci, p)] = len(scaffold)
-            scaffold.append(("b", t, ci, p))
-        for s in range(1, n_slots(t) + 1):
-            index[("s", t, s)] = len(scaffold)
-            scaffold.append(("s", t, s))
-    n = len(scaffold)
-    big = np.full((n, n), np.inf)
-    np.fill_diagonal(big, 0.0)
-    for t in order:
-        model = copies[t].as_space()
-        base = index[("b", t) + union.points[0]]
-        big[base:base + len(model), base:base + len(model)] = model.dist
-    for t in order:
+    # leaves first: glue each child's subtree onto its parent copy's model
+    # at the child port and the child's parent port (slot 1)
+    nb = len(union.points)
+    glued = {}  # vertex -> (subtree matrix, first row of each copy's model)
+    for t in reversed(order):
+        mat, start = copies[t].as_space().dist, {t: 0}
         for i in range(branching):
             c = f"{t}.{i}"
             if c not in tree_parent:
                 break
-            p = index[("s", t, slot_toward_child(t, i))]
-            q = index[("s", c, 1)]
-            big[p, q] = big[q, p] = 0.0
-
-    closed = floyd_warshall(big)
+            sub, sub_start = glued.pop(c)
+            start.update((v, len(mat) + r) for v, r in sub_start.items())
+            mat = _wedge(mat, nb + slot_toward_child(t, i) - 1, sub, nb)
+        glued[t] = (mat, start)
+    dist, start = glued[ROOT]
 
     # keep copy base points and one end per leaf (its deepest slot)
     kept = []
@@ -311,8 +299,8 @@ def build_approx(xs, depth: int, branching: int, scale: float,
     labels = {}
     ends = {}
     for t in order:
-        for ci, p in union.points:
-            kept.append(index[("b", t, ci, p)])
+        for row, (ci, p) in enumerate(union.points):
+            kept.append(start[t] + row)
             name = f"{t}|{ci}|{p}"
             names.append(name)
             labels[name] = {"kind": "copy", "tree_vertex": t, "class": ci,
@@ -320,13 +308,13 @@ def build_approx(xs, depth: int, branching: int, scale: float,
     for t in order:
         if any(f"{t}.{i}" in tree_parent for i in range(branching)):
             continue
-        kept.append(index[("s", t, n_slots(t))])
+        kept.append(start[t] + nb + n_slots(t) - 1)
         name = f"end|{t}"
         names.append(name)
         labels[name] = {"kind": "end", "leaf": t}
         ends[t] = name
 
-    final = closed[np.ix_(kept, kept)]
+    final = dist[np.ix_(kept, kept)]
     assert np.all(np.isfinite(final)), "tree gluing left the space disconnected"
     assert float((final + np.eye(len(kept))).min()) > 0, \
         "gluing collapsed two surviving points"
@@ -334,6 +322,14 @@ def build_approx(xs, depth: int, branching: int, scale: float,
     return AmalgamApprox(source_spaces=xs, depth=depth, branching=branching,
                          scale=scale, r0=r0, mu=mu, tree_parent=tree_parent,
                          space=space, labels=labels, ends=ends)
+
+
+def _wedge(x, p, y, q):
+    """Glue metric matrices x and y at zero distance between x's point p and
+    y's point q; the glued pair is a cut point, so every path across it
+    runs through it."""
+    cross = x[:, p, None] + y[None, q, :]
+    return np.block([[x, cross], [cross.T, y]])
 
 
 # ---------------------------------------------------------------------------

@@ -293,7 +293,14 @@ def check_regularity(s: RegularStructure, tol: ConditionTolerances = None) -> Co
 
 def _linkage_components(s: RegularStructure, eps: float):
     """Single-linkage components at scale eps, with subsets pre-merged."""
-    n = len(s.space)
+    members = ((int(idx[0]), int(other)) for idx in s._idx for other in idx[1:])
+    close = ((int(x), int(y)) for x, y in np.argwhere(s.space.dist <= eps)
+             if x < y)
+    return _components(len(s.space), itertools.chain(members, close))
+
+
+def _components(n, pairs):
+    """Union-find over range(n): each element's root after joining pairs."""
     parent = list(range(n))
 
     def find(x):
@@ -302,18 +309,10 @@ def _linkage_components(s: RegularStructure, eps: float):
             x = parent[x]
         return x
 
-    def union(x, y):
+    for x, y in pairs:
         rx, ry = find(x), find(y)
         if rx != ry:
             parent[ry] = rx
-
-    for idx in s._idx:
-        for other in idx[1:]:
-            union(int(idx[0]), int(other))
-    close = np.argwhere(s.space.dist <= eps)
-    for x, y in close:
-        if x < y:
-            union(int(x), int(y))
     return [find(x) for x in range(n)]
 
 
@@ -409,23 +408,11 @@ def quotient_profile(s: RegularStructure, eps: float) -> dict:
               "max_nearest": float(nearest[at]), "worst_atom": atoms[at]}
 
     # cuts with gap >= eps exist exactly between components linked by < eps
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if quot[i, j] < eps:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
+    comp = _components(n, ((i, j) for i in range(n) for j in range(i + 1, n)
+                           if quot[i, j] < eps))
     violations = [[atoms[i], atoms[j], float(quot[i, j])]
                   for i in range(n) for j in range(i + 1, n)
-                  if quot[i, j] > eps and find(i) == find(j)]
+                  if quot[i, j] > eps and comp[i] == comp[j]]
     c1 = {"verdict": "pass" if not violations else "fail",
           "violations": violations[:10], "violation_count": len(violations)}
 
@@ -671,6 +658,12 @@ def verify_labelling(l: TLabelling, s: RegularStructure,
             raise ValueError(f"labelling tree has a dangling vertex {v!r}")
         if v != l.root and v not in l.partitions:
             raise ValueError(f"labelling has no region for vertex {v!r}")
+        if not 0 <= l.assignment.get(v, -1) < len(s):
+            raise ValueError(f"vertex {v!r} has assignment {l.assignment.get(v)}, "
+                             f"not a subset index of the family of {len(s)}")
+        if v != l.root and not l.partitions[v] <= s.space.index.keys():
+            raise ValueError(f"region of vertex {v!r} holds points outside "
+                             "the space")
 
     # (L1): the assignment is a bijection onto the family
     values = [l.assignment[v] for v in vertices]

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from denseamalgam._kernels import floyd_warshall
 from denseamalgam.approx import (
     AmalgamApprox,
     ConditionTolerances,
@@ -27,6 +28,59 @@ def circle_net(n=5):
     return FiniteMetricSpace(
         [f"c{i}" for i in range(n)],
         [[min(abs(i - j), n - abs(i - j)) for j in range(n)] for i in range(n)])
+
+
+def closure_oracle(xs, depth, branching, scale):
+    """The glued metric by Floyd-Warshall over every copy's extended model.
+
+    Copies start infinitely far apart, each child's parent port (slot 1) is
+    joined to its parent's port toward it at distance 0, and the closure
+    finds every distance; no cut-point structure is assumed.  Returns
+    (names, labels, ends, matrix) of the kept points.
+    """
+    union = disjoint_union(xs)
+    diam = union.diam()
+    r0 = diam / 2 if diam > 0 else 0.5
+    order, parent = ["t"], {"t": None}
+    for v in order:
+        if v.count(".") < depth:
+            for i in range(branching):
+                order.append(f"{v}.{i}")
+                parent[f"{v}.{i}"] = v
+    index, models = {}, {}
+    for t in order:
+        j = t.count(".")
+        slots = branching if t == "t" else branching + 1
+        scaled = FiniteMetricSpace(union.points, scale ** j * union.dist,
+                                   _check=False)
+        models[t] = peripheral_extension(scaled, slots, r0 * scale ** j,
+                                         0.5).as_space()
+        for p in models[t].points:
+            index[(t, p)] = len(index)
+    big = np.full((len(index), len(index)), np.inf)
+    for t in order:
+        rows = [index[(t, p)] for p in models[t].points]
+        big[np.ix_(rows, rows)] = models[t].dist
+    for c in order[1:]:
+        t = parent[c]
+        port = int(c.rsplit(".", 1)[1]) + (1 if t == "t" else 2)
+        big[index[(t, ("p", port))], index[(c, ("p", 1))]] = 0.0
+        big[index[(c, ("p", 1))], index[(t, ("p", port))]] = 0.0
+    closed = floyd_warshall(big)
+    kept, names, labels, ends = [], [], {}, {}
+    for t in order:
+        for ci, p in union.points:
+            kept.append(index[(t, (ci, p))])
+            names.append(f"{t}|{ci}|{p}")
+            labels[names[-1]] = {"kind": "copy", "tree_vertex": t,
+                                 "class": ci, "source_point": p}
+    for t in order:
+        if t.count(".") == depth:
+            kept.append(index[(t, models[t].points[-1])])
+            names.append(f"end|{t}")
+            labels[names[-1]] = {"kind": "end", "leaf": t}
+            ends[t] = names[-1]
+    return names, labels, ends, closed[np.ix_(kept, kept)]
 
 
 class TestPeripheralExtension:
@@ -142,6 +196,20 @@ class TestBuildApprox:
         d_root_child = a.space.distance("t|0|o", "t.0|0|o")
         # root slot radius 0.5*0.5, child parent-slot radius 0.5*0.5*0.5
         assert d_root_child == pytest.approx(0.25 + 0.125)
+
+    @pytest.mark.parametrize("xs, depth, branching, scale, skip", [
+        ([TWO], 3, 3, 1 / 3, False),
+        ([circle_net()], 3, 3, 1 / 3, False),
+        ([TWO], 3, 3, 1.0, True),
+        ([circle_net(), TWO], 2, 3, 1 / 3, False),
+    ], ids=["two-point", "circle5", "unscaled-control", "circle5+two"])
+    def test_matches_closure_oracle(self, xs, depth, branching, scale, skip):
+        a = build_approx(xs, depth, branching, scale, _skip_scale_check=skip)
+        names, labels, ends, dist = closure_oracle(xs, depth, branching, scale)
+        assert list(a.space.points) == names
+        assert a.labels == labels
+        assert a.ends == ends
+        assert float(np.abs(a.space.dist - dist).max()) <= 1e-12
 
 
 @pytest.fixture(scope="module")

@@ -257,6 +257,29 @@ class TestPipelines:
                         "--tol-separation", "1e9")
         assert code == 1
 
+    @pytest.mark.parametrize("tamper, message", [
+        (lambda doc: doc["assignment"].update({"r.0": 3}), "assignment 3"),
+        (lambda doc: doc["assignment"].update({"r.0": -1}), "assignment -1"),
+        (lambda doc: doc["partitions"]["r.0"].append("nowhere"),
+         "outside the space"),
+    ], ids=["index-past-family", "negative-index", "foreign-region-point"])
+    def test_label_verify_refuses_foreign_labelling(self, tmp_path, capsys,
+                                                    tamper, message):
+        matrix, meta = build_structure_files(tmp_path, [TWO_SPACE], 1, 2,
+                                             1 / 3)
+        lab_path = str(tmp_path / "lab.json")
+        code, _ = run(capsys, "label", "build", matrix, meta,
+                      "--max-depth", "2", "--out", lab_path)
+        assert code == 0
+        doc = json.loads((tmp_path / "lab.json").read_text())
+        tamper(doc)
+        bad_path = write(tmp_path, "bad.json", json.dumps(doc))
+        code, out = run(capsys, "label", "verify", matrix, meta, bad_path)
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert error["type"] == "ValueError"
+        assert message in error["message"]
+
     def test_nerve_decompose_factors(self, tmp_path, capsys):
         c = SimplicialComplex("abcd", [("a", "b"), ("b", "c"), ("c", "d"),
                                        ("d", "a")])
