@@ -1,8 +1,12 @@
 """Benchmark the hot metric kernels: numba against the pure-numpy fallback.
 
-The numba path is what normal installs run; DENSEAMALGAM_DISABLE_NUMBA=1
-selects the numpy path.  This script times both on the same inputs without
-touching the environment, by calling the implementation functions directly.
+The numba path runs only where numba can be imported; without it, or with
+DENSEAMALGAM_DISABLE_NUMBA=1, the package runs the numpy path, and this
+script times that path alone.  Where both exist it times them on the same
+inputs without touching the environment, by calling the implementation
+functions directly.  Two inputs per size: a random premetric, and the
+leading n x n block of a tree-composed `build_approx` matrix, the shape
+the CLI chain loads.
 
 Usage: python benchmarks/bench_kernels.py [--sizes 64 128 256] [--repeats 5]
 """
@@ -14,6 +18,8 @@ import time
 import numpy as np
 
 from denseamalgam import _kernels
+from denseamalgam.approx import build_approx
+from denseamalgam.metric import FiniteMetricSpace
 
 
 def random_premetric(rng, n):
@@ -22,6 +28,20 @@ def random_premetric(rng, n):
     dist = raw + raw.T
     np.fill_diagonal(dist, 0.0)
     return dist
+
+
+def tree_composed(n):
+    # 9-point circle nets glued along a 3-ary tree; a block of a metric is
+    # a metric
+    circle = FiniteMetricSpace(
+        [f"c{i}" for i in range(9)],
+        [[min(abs(i - j), 9 - abs(i - j)) for j in range(9)] for i in range(9)])
+    depth = 0
+    while True:
+        dist = build_approx([circle], depth, 3, 1 / 3).space.dist
+        if len(dist) >= n:
+            return np.array(dist[:n, :n])
+        depth += 1
 
 
 def time_call(fn, arg, repeats):
@@ -51,23 +71,24 @@ def main(argv=None) -> int:
              ("max_triangle_violation", _kernels.max_triangle_violation_numpy,
               getattr(_kernels, "_max_triangle_violation_jit", None))]
 
-    header = f"{'kernel':<24} {'n':>5} {'numpy':>12} {'numba':>12} {'speedup':>8}"
+    header = (f"{'kernel':<24} {'input':<6} {'n':>5} {'numpy':>12} "
+              f"{'numba':>12} {'speedup':>8}")
     print(header)
     print("-" * len(header))
     for name, numpy_fn, jit_fn in pairs:
         if jit_fn is not None:
             jit_fn(random_premetric(rng, 8).copy())  # compile outside timing
         for n in args.sizes:
-            dist = random_premetric(rng, n)
-            np_best, _ = time_call(numpy_fn, dist, args.repeats)
-            if jit_fn is None:
-                print(f"{name:<24} {n:>5} {np_best * 1e3:>10.2f}ms "
-                      f"{'-':>12} {'-':>8}")
-                continue
-            jit_best, _ = time_call(jit_fn, dist, args.repeats)
-            speedup = np_best / jit_best if jit_best > 0 else float("inf")
-            print(f"{name:<24} {n:>5} {np_best * 1e3:>10.2f}ms "
-                  f"{jit_best * 1e3:>10.2f}ms {speedup:>7.1f}x")
+            for kind, dist in (("random", random_premetric(rng, n)),
+                               ("tree", tree_composed(n))):
+                np_best, _ = time_call(numpy_fn, dist, args.repeats)
+                row = f"{name:<24} {kind:<6} {n:>5} {np_best * 1e3:>10.2f}ms"
+                if jit_fn is None:
+                    print(f"{row} {'-':>12} {'-':>8}")
+                    continue
+                jit_best, _ = time_call(jit_fn, dist, args.repeats)
+                speedup = np_best / jit_best if jit_best > 0 else float("inf")
+                print(f"{row} {jit_best * 1e3:>10.2f}ms {speedup:>7.1f}x")
     return 0
 
 

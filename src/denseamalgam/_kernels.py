@@ -36,15 +36,23 @@ def max_triangle_violation_numpy(dist):
 
     Assumes a zero diagonal, so the result is always >= 0; at most 0 (up to
     slack) means the matrix is a metric.
+
+    Keeps the running min-plus square best = min_k (d[:, k] + d[k, :]) in
+    one buffer, updated in place through a second, and subtracts once at
+    the end.  Rounding is monotone, so fl(a - b) never grows with b and
+    max_k fl(a - b_k) = fl(a - min_k b_k): the result is bit-identical to
+    taking the maximum per k, with no n x n temporaries allocated per k.
     """
     n = dist.shape[0]
     if n == 0:
         return 0.0
-    worst = -np.inf
-    for k in range(n):
-        slack = dist - (dist[:, k:k + 1] + dist[k:k + 1, :])
-        worst = max(worst, float(slack.max()))
-    return worst
+    best = dist[:, 0:1] + dist[0:1, :]
+    scratch = np.empty_like(best)
+    for k in range(1, n):
+        np.add(dist[:, k:k + 1], dist[k:k + 1, :], out=scratch)
+        np.minimum(best, scratch, out=best)
+    np.subtract(dist, best, out=scratch)
+    return float(scratch.max())
 
 
 if njit is not None:

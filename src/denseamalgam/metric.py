@@ -1,6 +1,7 @@
 """Finite metric spaces: validated construction, unions, and file formats."""
 
 import csv
+import itertools
 import json
 
 import numpy as np
@@ -14,8 +15,10 @@ class FiniteMetricSpace:
     """Ordered point set with a symmetric positive distance matrix.
 
     Construction checks zero diagonal, exact symmetry, positivity off the
-    diagonal, and the triangle inequality within a 1e-12 slack.  Internal
-    constructors that guarantee the axioms skip the cubic check.
+    diagonal, and the triangle inequality within a slack of 1e-12 times
+    max(1, diameter): rounding in d(i,k) + d(k,j) grows with the size of the
+    distances.  Internal constructors that guarantee the axioms skip the
+    cubic check.
     """
 
     def __init__(self, points, dist, _check=True):
@@ -39,7 +42,7 @@ class FiniteMetricSpace:
             if np.any(mat + np.eye(n) <= 0.0):
                 raise ValueError("distinct points need positive distance")
             worst = max_triangle_violation(mat)
-            if worst > TRIANGLE_SLACK:
+            if worst > TRIANGLE_SLACK * max(1.0, float(mat.max())):
                 raise ValueError(f"triangle inequality violated by {worst:.3e}")
         mat.setflags(write=False)
         self.dist = mat
@@ -125,16 +128,47 @@ def space_from_json(text: str) -> FiniteMetricSpace:
 
 
 def write_matrix_csv(x: FiniteMetricSpace, path):
-    """Labelled square table: header row and leading column hold point names."""
+    """Labelled square table: header row and leading column hold point names.
+
+    Cells hold ``repr(float(v))``, the shortest text that reads back to the
+    same float.  Each distinct value is formatted once, keyed on its
+    float64 bit pattern so that -0.0 and 0.0 keep their own text, and rows
+    are filled by table lookup: a tree-composed matrix repeats a few
+    hundred values over its n^2 cells.  The bytes are those of
+    ``csv.writer`` writing every cell.
+    """
     _require_str_points(x)
+    bits = x.dist.view(np.uint64)
+    codes, inverse = np.unique(bits, return_inverse=True)
+    text = np.array([repr(v) for v in codes.view(np.float64).tolist()],
+                    dtype=object)
+    rows = text[inverse.reshape(bits.shape)].tolist()
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([""] + list(x.points))
-        for p, row in zip(x.points, x.dist):
-            writer.writerow([p] + [repr(float(v)) for v in row])
+        csv.writer(fh).writerow([""] + list(x.points))
+        # a float's repr never needs quoting; the label goes through csv,
+        # written with its trailing comma as one cell of a two-cell row
+        label = csv.writer(fh, lineterminator="")
+        for p, cells in zip(x.points, rows):
+            label.writerow([p, ""])
+            fh.write(",".join(cells) + "\r\n")
+
+
+class _Floats(dict):
+    """Cell text -> float, parsing each distinct text once."""
+
+    def __missing__(self, text):
+        value = self[text] = float(text)
+        return value
 
 
 def read_matrix_csv(path) -> FiniteMetricSpace:
+    """Read a `write_matrix_csv` table back as a fully checked space.
+
+    Every row's label and length is checked first.  Then each distinct cell
+    text is parsed once with `float` and the matrix is filled in one pass.
+    The matrix goes through the complete `FiniteMetricSpace` check, the
+    O(n^3) triangle scan included.
+    """
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows or rows[0][:1] != [""]:
@@ -143,11 +177,14 @@ def read_matrix_csv(path) -> FiniteMetricSpace:
     body = rows[1:]
     if len(body) != len(points):
         raise ValueError("matrix CSV row count does not match header")
-    mat = []
     for p, row in zip(points, body):
-        if row[0] != p:
-            raise ValueError(f"row label {row[0]!r} does not match header {p!r}")
+        if row[:1] != [p]:
+            raise ValueError(f"row label {row[0] if row else ''!r} "
+                             f"does not match header {p!r}")
         if len(row) != len(points) + 1:
             raise ValueError(f"row {p!r} has wrong length")
-        mat.append([float(v) for v in row[1:]])
-    return FiniteMetricSpace(points, mat)
+    n = len(points)
+    cells = itertools.chain.from_iterable(row[1:] for row in body)
+    mat = np.fromiter(map(_Floats().__getitem__, cells), dtype=np.float64,
+                      count=n * n)
+    return FiniteMetricSpace(points, mat.reshape(n, n))

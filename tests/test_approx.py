@@ -328,6 +328,18 @@ class TestBundle:
         r2 = check_conditions(b).to_dict()
         assert r1 == r2
 
+    @pytest.mark.parametrize("scale", [1e3, 1e6])
+    def test_round_trip_at_large_scale(self, tmp_path, scale):
+        # rounding in the glued sums grows with the distances; the load
+        # check's slack must grow with them
+        big = circle_net()
+        big = FiniteMetricSpace(big.points, scale * big.dist)
+        a = build_approx([big], 3, 3, 1 / 3)
+        save_bundle(a, tmp_path / "m.csv", tmp_path / "side.json")
+        b = load_bundle(tmp_path / "m.csv", tmp_path / "side.json")
+        assert b.space == a.space
+        assert check_conditions(b).all_pass()
+
     def test_tamper_detection(self, tmp_path):
         a = build_approx([TWO], 1, 2, 1 / 3)
         save_bundle(a, tmp_path / "m.csv", tmp_path / "side.json")

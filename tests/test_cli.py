@@ -208,6 +208,19 @@ class TestPipelines:
         assert report["config"]["version"]
         assert set(report["conditions"]) == {"a1", "a2", "a3", "a4", "a5"}
 
+    @pytest.mark.parametrize("scale", [1e3, 1e6])
+    def test_large_scale_build_checks_back(self, tmp_path, capsys, scale):
+        n = 5
+        dist = [[scale * min(abs(i - j), n - abs(i - j)) for j in range(n)]
+                for i in range(n)]
+        source = json.dumps({"points": [f"c{i}" for i in range(n)],
+                             "dist": dist})
+        matrix, meta = build_bundle(tmp_path, [source], 3, 3, 1 / 3)
+        capsys.readouterr()
+        code, out = run(capsys, "approx", "check", matrix, meta)
+        assert code == 0
+        assert out.rstrip().endswith("overall: pass")
+
     def test_regular_check_names_offending_subsets(self, tmp_path, capsys):
         matrix, meta = build_structure_files(tmp_path, [TWO_SPACE], 1, 2,
                                              1 / 3)

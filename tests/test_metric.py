@@ -1,5 +1,6 @@
 """Metric space container, disjoint unions, file formats, and kernels."""
 
+import csv
 import math
 import os
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from denseamalgam import _kernels
+from denseamalgam.approx import build_approx
 from denseamalgam.metric import (
     FiniteMetricSpace,
     disjoint_union,
@@ -19,6 +21,38 @@ from denseamalgam.metric import (
 )
 
 TWO = FiniteMetricSpace(["a", "b"], [[0, 1], [1, 0]])
+
+
+def circle_net(n=5):
+    return FiniteMetricSpace(
+        [f"c{i}" for i in range(n)],
+        [[min(abs(i - j), n - abs(i - j)) for j in range(n)] for i in range(n)])
+
+
+# tree-composed matrices: the criterion-7 builds and a two-class build
+BUILDS = {
+    "two-point": ([TWO], 3, 3, 1 / 3),
+    "circle5": ([circle_net()], 3, 3, 1 / 3),
+    "circle5+two": ([circle_net(), TWO], 2, 3, 1 / 3),
+}
+
+
+def triangle_oracle(dist):
+    """The per-k triangle scan: worst slack over each k, maximised."""
+    worst = -np.inf
+    for k in range(dist.shape[0]):
+        slack = dist - (dist[:, k:k + 1] + dist[k:k + 1, :])
+        worst = max(worst, float(slack.max()))
+    return worst
+
+
+def write_oracle(x, path):
+    """The cell-by-cell writer: repr of every cell through csv.writer."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([""] + list(x.points))
+        for p, row in zip(x.points, x.dist):
+            writer.writerow([p] + [repr(float(v)) for v in row])
 
 
 def euclidean_space(coords):
@@ -86,6 +120,18 @@ class TestConstruction:
         with pytest.raises(ValueError, match="triangle"):
             FiniteMetricSpace(["a", "b", "c"],
                               [[0, 1, bad], [1, 0, 1], [bad, 1, 0]])
+
+    @pytest.mark.parametrize("scale", [1e3, 1e6])
+    def test_triangle_slack_scales_with_diameter(self, scale):
+        # rounding of 1e-13 relative passes at any scale, 1e-9 never does
+        d = scale * (2 + 1e-13)
+        FiniteMetricSpace(["a", "b", "c"],
+                          [[0, scale, d], [scale, 0, scale], [d, scale, 0]])
+        bad = scale * (2 + 1e-9)
+        with pytest.raises(ValueError, match="triangle"):
+            FiniteMetricSpace(["a", "b", "c"], [[0, scale, bad],
+                                                [scale, 0, scale],
+                                                [bad, scale, 0]])
 
     def test_infinite_entry(self):
         with pytest.raises(ValueError, match="finite"):
@@ -193,6 +239,34 @@ class TestKernels:
             assert _kernels.numba_enabled()
             assert np.array_equal(_kernels.floyd_warshall(mat), out)
 
+    def test_triangle_scan_matches_oracle_on_premetrics(self):
+        rng = np.random.default_rng(2)
+        for n in (1, 2, 3, 7, 30, 64):
+            raw = rng.random((n, n))
+            mat = raw + raw.T
+            np.fill_diagonal(mat, 0.0)
+            assert _kernels.max_triangle_violation(mat) == triangle_oracle(mat)
+            assert _kernels.max_triangle_violation_numpy(mat) \
+                == triangle_oracle(mat)
+        # the only shortcut runs through hub k, whichever point that is
+        for k in range(6):
+            mat = np.full((6, 6), 2.0)
+            mat[k, :] = mat[:, k] = 0.5
+            np.fill_diagonal(mat, 0.0)
+            assert _kernels.max_triangle_violation(mat) == 1.0
+
+    @pytest.mark.parametrize("name", sorted(BUILDS))
+    def test_triangle_scan_matches_oracle_on_builds(self, name):
+        mat = np.array(build_approx(*BUILDS[name]).space.dist)
+        assert _kernels.max_triangle_violation(mat) == triangle_oracle(mat)
+        rng = np.random.default_rng(3)
+        for _ in range(3):
+            i, j = rng.integers(0, len(mat), 2)
+            bumped = mat.copy()
+            bumped[i, j] *= 1.0 + rng.choice([-1e-3, 1e-3, 1e-14])
+            assert _kernels.max_triangle_violation(bumped) \
+                == triangle_oracle(bumped)
+
     def test_metric_matrix_is_fixed_point(self):
         closed = _kernels.floyd_warshall(TWO.dist)
         assert np.array_equal(closed, TWO.dist)
@@ -239,6 +313,39 @@ class TestSerialization:
         path.write_text(",a,b\nz,0,1\nb,1,0\n")
         with pytest.raises(ValueError, match="row label"):
             read_matrix_csv(path)
+        path.write_text(",a,b\na,0,1\nb,x,0\n")
+        with pytest.raises(ValueError, match="could not convert"):
+            read_matrix_csv(path)
+        path.write_text(",a,b\na,0,1\nb,1\n")
+        with pytest.raises(ValueError, match="'b' has wrong length"):
+            read_matrix_csv(path)
+        path.write_text(",a\n\n")
+        with pytest.raises(ValueError, match="row label"):
+            read_matrix_csv(path)
+
+    @pytest.mark.parametrize("name", sorted(BUILDS))
+    def test_csv_bytes_match_oracle_on_builds(self, tmp_path, name):
+        x = build_approx(*BUILDS[name]).space
+        write_matrix_csv(x, tmp_path / "new.csv")
+        write_oracle(x, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() \
+            == (tmp_path / "old.csv").read_bytes()
+        again = read_matrix_csv(tmp_path / "new.csv")
+        assert again.points == x.points
+        assert np.array_equal(again.dist, x.dist)
+
+    def test_csv_keeps_negative_zero_and_quoted_labels(self, tmp_path):
+        x = FiniteMetricSpace(["", "a,b", 'q"x'], [[-0.0, 1.0, 0.5],
+                                                 [1.0, 0.0, 0.5],
+                                                 [0.5, 0.5, 0.0]])
+        write_matrix_csv(x, tmp_path / "new.csv")
+        write_oracle(x, tmp_path / "old.csv")
+        text = (tmp_path / "new.csv").read_bytes()
+        assert text == (tmp_path / "old.csv").read_bytes()
+        assert b",-0.0," in text and b'"a,b",' in text
+        again = read_matrix_csv(tmp_path / "new.csv")
+        assert again.points == x.points
+        assert np.signbit(again.dist[0, 0]) and not np.signbit(again.dist[1, 1])
 
     def test_non_string_points_rejected(self):
         un = disjoint_union([TWO])
