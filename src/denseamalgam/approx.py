@@ -11,6 +11,11 @@ So the distance between points of two copies is the sum of the legs
 through the gluing points on the tree path between them, and distances
 inside a single copy are never shortened: each copy embeds isometrically
 at its scale, which is what the condition checks rely on.
+
+The tree is a `RootedTree`: names such as "t.0.2" appear only in point
+names, labels and the sidecar, and depths, children and subtrees are read
+from the tree.  The same cut points let (a5) scan the tree's edges rather
+than all pairs of vertices.
 """
 
 import json
@@ -25,6 +30,7 @@ from .metric import (
     read_matrix_csv,
     write_matrix_csv,
 )
+from .tree import RootedTree
 
 ROOT = "t"
 
@@ -106,33 +112,28 @@ class AmalgamApprox:
 
     labels maps every final point to {"kind": "copy", "tree_vertex", "class",
     "source_point"} or {"kind": "end", "leaf"}; ends maps each leaf to its
-    end point's name.
+    end point's name; tree is a named RootedTree.
     """
 
     def __init__(self, *, source_spaces, depth, branching, scale, r0, mu,
-                 tree_parent, space, labels, ends):
+                 tree, space, labels, ends):
         self.source_spaces = list(source_spaces)
         self.depth = depth
         self.branching = branching
         self.scale = scale
         self.r0 = r0
         self.mu = mu
-        self.tree_parent = dict(tree_parent)
         self.space = space
         self.labels = dict(labels)
         self.ends = dict(ends)
-
-        self.vertices = tuple(sorted(self.tree_parent, key=_vertex_sort_key))
-        self.tree_children = {v: [] for v in self.vertices}
-        for v, parent in self.tree_parent.items():
-            if parent is not None:
-                self.tree_children[parent].append(v)
-        for v in self.tree_children:
-            self.tree_children[v].sort(key=_vertex_sort_key)
+        self.tree = tree
+        self.vertices = self.tree.names
 
         self._class_points = {}
-        self._copy_points = {v: [] for v in self.vertices}
         for name, label in self.labels.items():
+            if self.location(name) not in self.tree.index:
+                raise ValueError(f"point {name!r} lies at {self.location(name)!r}, "
+                                 "which is not a tree vertex")
             if label["kind"] == "copy":
                 key = (label["tree_vertex"], label["class"])
                 self._class_points.setdefault(key, []).append(name)
@@ -140,48 +141,43 @@ class AmalgamApprox:
         for (v, ci), names in self._class_points.items():
             order = {p: i for i, p in enumerate(self.source_spaces[ci].points)}
             names.sort(key=lambda nm: order[self.labels[nm]["source_point"]])
-        for v in self.vertices:
-            for ci in range(len(self.source_spaces)):
-                self._copy_points[v].extend(self._class_points.get((v, ci), []))
+        self._copy_points = [[p for ci in range(len(self.source_spaces))
+                              for p in self._class_points.get((t, ci), [])]
+                             for t in self.vertices]
 
     # -- tree helpers --------------------------------------------------------
-    def vertex_depth(self, t) -> int:
-        return t.count(".")
+    @property
+    def tree_parent(self):
+        return self.tree.parent_names()
+
+    def _id(self, t):
+        if t not in self.tree.index:
+            raise ValueError(f"unknown tree vertex {t!r}")
+        return self.tree.index[t]
 
     def children(self, t):
-        return tuple(self.tree_children[t])
+        return tuple(self.vertices[c] for c in self.tree.children[self._id(t)])
 
     def is_leaf(self, t) -> bool:
-        return not self.tree_children[t]
+        return not self.tree.children[self._id(t)]
 
     def edges(self):
-        return [(self.tree_parent[v], v) for v in self.vertices
-                if self.tree_parent[v] is not None]
-
-    def subtree(self, t):
-        out = [t]
-        stack = [t]
-        while stack:
-            for c in self.tree_children[stack.pop()]:
-                out.append(c)
-                stack.append(c)
-        return out
+        names, parent = self.vertices, self.tree.parent
+        return [(names[parent[v]], names[v]) for v in range(1, len(names))]
 
     # -- point bookkeeping ---------------------------------------------------
     def copy_points(self, t):
-        if t not in self.tree_parent:
-            raise ValueError(f"unknown tree vertex {t!r}")
-        return list(self._copy_points[t])
+        return list(self._copy_points[self._id(t)])
 
     def class_points(self, t, ci):
         return list(self._class_points.get((t, ci), []))
 
     def subtree_points(self, t):
         pts = set()
-        for s in self.subtree(t):
-            pts.update(self._copy_points[s])
-            if s in self.ends:
-                pts.add(self.ends[s])
+        for v in self.tree.subtree(self._id(t)):
+            pts.update(self._copy_points[v])
+            if self.vertices[v] in self.ends:
+                pts.add(self.ends[self.vertices[v]])
         return pts
 
     def all_points(self):
@@ -189,11 +185,10 @@ class AmalgamApprox:
 
     def slot_tokens(self, t):
         """Selectable directions of copy t's extended model."""
-        tokens = []
-        if self.tree_parent[t] is not None:
-            tokens.append("slot:parent")
-        tokens.extend(f"slot:child:{i}" for i in range(len(self.tree_children[t])))
-        if self.is_leaf(t):
+        v = self._id(t)
+        tokens = ["slot:parent"] if v else []
+        tokens.extend(f"slot:child:{i}" for i in range(len(self.tree.children[v])))
+        if not self.tree.children[v]:
             tokens.append("slot:end")
         return tokens
 
@@ -202,18 +197,11 @@ class AmalgamApprox:
         return self.copy_points(t) + self.slot_tokens(t)
 
     def point_depth(self, name) -> int:
-        label = self.labels[name]
-        t = label["tree_vertex"] if label["kind"] == "copy" else label["leaf"]
-        return self.vertex_depth(t)
+        return self.tree.depth[self.tree.index[self.location(name)]]
 
     def location(self, name) -> str:
         label = self.labels[name]
         return label["tree_vertex"] if label["kind"] == "copy" else label["leaf"]
-
-
-def _vertex_sort_key(v):
-    parts = v.split(".")
-    return (len(parts),) + tuple(int(p) for p in parts[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -247,68 +235,57 @@ def build_approx(xs, depth: int, branching: int, scale: float,
     r0 = diam / 2 if diam > 0 else 0.5
     mu = 0.5
 
-    # truncated branching-ary tree, root "t", children "<v>.<i>"
-    tree_parent = {ROOT: None}
-    order = [ROOT]
-    frontier = [ROOT]
-    for _ in range(depth):
-        nxt = []
-        for v in frontier:
-            for i in range(branching):
-                c = f"{v}.{i}"
-                tree_parent[c] = v
-                order.append(c)
-                nxt.append(c)
-        frontier = nxt
+    # truncated branching-ary tree, breadth first: root "t", children "<v>.<i>"
+    n_vertices = sum(branching ** j for j in range(depth + 1))
+    parent = [-1] + [(v - 1) // branching for v in range(1, n_vertices)]
+    vertex = [ROOT]
+    for v in range(1, n_vertices):
+        vertex.append(f"{vertex[parent[v]]}.{(v - 1) % branching}")
+    tree = RootedTree(parent, vertex)
 
-    def n_slots(t):
-        return branching if t == ROOT else branching + 1
+    def n_slots(v):
+        # one slot per incident edge, plus the spare a leaf's end takes
+        return branching + (v > 0)
 
-    def slot_toward_child(t, i):
-        # 1-based slot position in the peripheral list
-        return i + 1 if t == ROOT else i + 2
-
-    copies = {}
-    for t in order:
-        j = t.count(".")
+    copies = []
+    for v in range(n_vertices):
+        j = tree.depth[v]
         scaled = FiniteMetricSpace(union.points, scale ** j * union.dist,
                                    _check=False)
-        copies[t] = peripheral_extension(scaled, n_slots(t), r0 * scale ** j, mu)
-        # internal sizing: one slot per incident edge plus the spare for ends
-        assert len(copies[t].peripheral) == n_slots(t)
+        copies.append(peripheral_extension(scaled, n_slots(v),
+                                           r0 * scale ** j, mu))
+        assert len(copies[v].peripheral) == n_slots(v)
 
     # leaves first: glue each child's subtree onto its parent copy's model
     # at the child port and the child's parent port (slot 1)
     nb = len(union.points)
     glued = {}  # vertex -> (subtree matrix, first row of each copy's model)
-    for t in reversed(order):
-        mat, start = copies[t].as_space().dist, {t: 0}
-        for i in range(branching):
-            c = f"{t}.{i}"
-            if c not in tree_parent:
-                break
+    for v in reversed(range(n_vertices)):
+        mat, start = copies[v].as_space().dist, {v: 0}
+        for i, c in enumerate(tree.children[v]):
             sub, sub_start = glued.pop(c)
-            start.update((v, len(mat) + r) for v, r in sub_start.items())
-            mat = _wedge(mat, nb + slot_toward_child(t, i) - 1, sub, nb)
-        glued[t] = (mat, start)
-    dist, start = glued[ROOT]
+            start.update((u, len(mat) + r) for u, r in sub_start.items())
+            # the child port is 0-based slot i, after the parent slot if any
+            mat = _wedge(mat, nb + i + (v > 0), sub, nb)
+        glued[v] = (mat, start)
+    dist, start = glued[0]
 
     # keep copy base points and one end per leaf (its deepest slot)
     kept = []
     names = []
     labels = {}
     ends = {}
-    for t in order:
+    for v, t in enumerate(vertex):
         for row, (ci, p) in enumerate(union.points):
-            kept.append(start[t] + row)
+            kept.append(start[v] + row)
             name = f"{t}|{ci}|{p}"
             names.append(name)
             labels[name] = {"kind": "copy", "tree_vertex": t, "class": ci,
                             "source_point": p}
-    for t in order:
-        if any(f"{t}.{i}" in tree_parent for i in range(branching)):
+    for v, t in enumerate(vertex):
+        if tree.children[v]:
             continue
-        kept.append(start[t] + nb + n_slots(t) - 1)
+        kept.append(start[v] + nb + n_slots(v) - 1)
         name = f"end|{t}"
         names.append(name)
         labels[name] = {"kind": "end", "leaf": t}
@@ -320,7 +297,7 @@ def build_approx(xs, depth: int, branching: int, scale: float,
         "gluing collapsed two surviving points"
     space = FiniteMetricSpace(names, final, _check=False)
     return AmalgamApprox(source_spaces=xs, depth=depth, branching=branching,
-                         scale=scale, r0=r0, mu=mu, tree_parent=tree_parent,
+                         scale=scale, r0=r0, mu=mu, tree=tree,
                          space=space, labels=labels, ends=ends)
 
 
@@ -342,8 +319,6 @@ def basic_open_set(a: AmalgamApprox, t, u) -> set:
     outside t's subtree; a child slot selects that child's whole subtree
     (ends included); a leaf's end slot selects its end point.
     """
-    if t not in a.tree_parent:
-        raise ValueError(f"unknown tree vertex {t!r}")
     copy_pts = set(a.copy_points(t))
     valid_tokens = set(a.slot_tokens(t))
     out = set()
@@ -365,12 +340,14 @@ def basic_open_set(a: AmalgamApprox, t, u) -> set:
 
 def half_space(a: AmalgamApprox, head, tail) -> set:
     """The head's side of the tree edge {head, tail}."""
-    if head not in a.tree_parent or tail not in a.tree_parent:
+    index, parent = a.tree.index, a.tree.parent
+    if head not in index or tail not in index:
         raise ValueError("half_space needs two tree vertices")
-    if a.tree_parent[head] == tail:
+    h, t = index[head], index[tail]
+    if parent[h] == t:
         away = "slot:parent"
-    elif a.tree_parent[tail] == head:
-        away = f"slot:child:{a.children(head).index(tail)}"
+    elif parent[t] == h:
+        away = f"slot:child:{a.tree.children[h].index(t)}"
     else:
         raise ValueError(f"({head!r}, {tail!r}) is not a tree edge")
     selection = [m for m in a.model_selection(head) if m != away]
@@ -432,12 +409,14 @@ def check_conditions(a: AmalgamApprox, tol: ConditionTolerances = None) -> Condi
     dist = a.space.dist
     idx = a.space.index
     scale, depth = a.scale, a.depth
+    tree = a.tree
+    level = dict(zip(tree.names, tree.depth))
     conditions = {}
 
     # (a1): each labelled subset is the source space at its vertex's scale
     worst_dev = 0.0
     for (t, ci), names in sorted(a._class_points.items()):
-        expected = scale ** a.vertex_depth(t) * a.source_spaces[ci].dist
+        expected = scale ** level[t] * a.source_spaces[ci].dist
         got = a.space.submatrix(names)
         worst_dev = max(worst_dev, float(np.abs(got - expected).max()))
     conditions["a1"] = {
@@ -449,7 +428,7 @@ def check_conditions(a: AmalgamApprox, tol: ConditionTolerances = None) -> Condi
     level_diams = []
     for j in range(depth + 1):
         diams = [a.space.submatrix(a.copy_points(t)).max()
-                 for t in a.vertices if a.vertex_depth(t) == j]
+                 for t in a.vertices if level[t] == j]
         level_diams.append(float(max(diams)))
     bound_ok = all(d <= scale ** j * union_diam + _EXACT_SLACK
                    for j, d in enumerate(level_diams))
@@ -471,7 +450,7 @@ def check_conditions(a: AmalgamApprox, tol: ConditionTolerances = None) -> Condi
         rows = [idx[p] for p in pts]
         cols = [idx[p] for p in outside]
         gaps = dist[np.ix_(rows, cols)].min(axis=1)
-        eff = boundary_gap * scale ** (a.vertex_depth(t) - depth)
+        eff = boundary_gap * scale ** (level[t] - depth)
         ratio = float(gaps.max()) / eff
         if ratio > worst_ratio:
             worst_ratio, worst_point = ratio, pts[int(gaps.argmax())]
@@ -499,29 +478,26 @@ def check_conditions(a: AmalgamApprox, tol: ConditionTolerances = None) -> Condi
         "worst_case": worst,
     }
 
-    # (a5): pairs at different tree locations are separated by a half-space
-    edge_gap = {}
-    for parent, child in a.edges():
-        inside = sorted(a.subtree_points(child))
-        outside = sorted(a.all_points() - a.subtree_points(child))
-        rows = [idx[p] for p in inside]
-        cols = [idx[p] for p in outside]
-        edge_gap[(parent, child)] = float(dist[np.ix_(rows, cols)].min())
+    # (a5): pairs at different tree locations are separated by a half-space.
+    # A pair's best half-space is the widest edge gap on its tree path, with
+    # the tolerance of the vertex where the path turns; the path's edge just
+    # below that vertex scores no better alone, so with positive tolerances
+    # the first worst pair in vertex order is a tree edge, parent first.
+    n_pairs = len(tree) * (len(tree) - 1) // 2
+    if n_pairs and not (separation_gap > 0 and scale > 0):
+        raise ValueError("a5 needs a positive separation gap and scale, got "
+                         f"{separation_gap!r} and {scale!r}")
     worst_pair_ratio = math.inf
     worst_pair = None
-    n_pairs = 0
-    for i, t1 in enumerate(a.vertices):
-        for t2 in a.vertices[i + 1:]:
-            path = _tree_path_edges(a, t1, t2)
-            if not path:
-                continue
-            n_pairs += 1
-            shallowest = min(a.vertex_depth(p) for p, _ in path)
-            eff = separation_gap * scale ** (shallowest - depth)
-            best = max(edge_gap[e] for e in path)
-            ratio = best / eff
-            if ratio < worst_pair_ratio:
-                worst_pair_ratio, worst_pair = ratio, (t1, t2)
+    for child, t in enumerate(a.vertices[1:], 1):
+        inside = a.subtree_points(t)
+        rows = [idx[p] for p in sorted(inside)]
+        cols = [idx[p] for p in sorted(a.all_points() - inside)]
+        gap = float(dist[np.ix_(rows, cols)].min())
+        parent = tree.parent[child]
+        ratio = gap / (separation_gap * scale ** (tree.depth[parent] - depth))
+        if ratio < worst_pair_ratio:
+            worst_pair_ratio, worst_pair = ratio, (a.vertices[parent], t)
     conditions["a5"] = {
         "verdict": ("pass" if n_pairs == 0
                     or worst_pair_ratio >= 1 - _EXACT_SLACK else "fail"),
@@ -539,25 +515,6 @@ def check_conditions(a: AmalgamApprox, tol: ConditionTolerances = None) -> Condi
     })
 
 
-def _tree_path_edges(a: AmalgamApprox, t1, t2):
-    """Edges (parent, child) on the tree path between two vertices."""
-    anc1 = [t1]
-    while a.tree_parent[anc1[-1]] is not None:
-        anc1.append(a.tree_parent[anc1[-1]])
-    anc1_set = set(anc1)
-    up2 = []
-    v = t2
-    while v not in anc1_set:
-        up2.append((a.tree_parent[v], v))
-        v = a.tree_parent[v]
-    up1 = []
-    w = t1
-    while w != v:
-        up1.append((a.tree_parent[w], w))
-        w = a.tree_parent[w]
-    return up1 + up2
-
-
 # ---------------------------------------------------------------------------
 # Bundle serialization: CSV matrix + JSON sidecar.
 
@@ -570,7 +527,7 @@ def save_bundle(a: AmalgamApprox, matrix_path, sidecar_path):
         "scale": a.scale,
         "r0": a.r0,
         "mu": a.mu,
-        "tree": {v: a.tree_parent[v] for v in a.vertices},
+        "tree": a.tree_parent,
         "labels": a.labels,
         "ends": a.ends,
         "source_spaces": [
@@ -588,20 +545,15 @@ def load_bundle(matrix_path, sidecar_path) -> AmalgamApprox:
         sidecar = json.load(fh)
     if sidecar.get("kind") != "amalgam-approx":
         raise ValueError("sidecar is not an amalgam-approx bundle")
-    labels = sidecar["labels"]
-    if set(labels) != set(space.points):
+    try:
+        fields = {key: sidecar[key] for key in (
+            "depth", "branching", "scale", "r0", "mu", "labels", "ends")}
+        tree_parent = sidecar["tree"]
+        sources = [FiniteMetricSpace(s["points"], s["dist"])
+                   for s in sidecar["source_spaces"]]
+    except KeyError as missing:
+        raise ValueError(f"sidecar lacks field {missing}") from None
+    if set(fields["labels"]) != set(space.points):
         raise ValueError("sidecar labels do not cover the matrix points")
-    sources = [FiniteMetricSpace(s["points"], s["dist"])
-               for s in sidecar["source_spaces"]]
-    return AmalgamApprox(
-        source_spaces=sources,
-        depth=sidecar["depth"],
-        branching=sidecar["branching"],
-        scale=sidecar["scale"],
-        r0=sidecar["r0"],
-        mu=sidecar["mu"],
-        tree_parent=sidecar["tree"],
-        space=space,
-        labels=labels,
-        ends=sidecar["ends"],
-    )
+    return AmalgamApprox(source_spaces=sources, space=space, **fields,
+                         tree=RootedTree.from_parents(dict(tree_parent)))

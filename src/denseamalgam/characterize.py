@@ -5,7 +5,9 @@ of disjoint point subsets, each tagged with a class index.  This module
 checks the five regularity conditions against such a structure, merges a
 multi-class family into a single-class one, profiles how much the quotient
 by the family resembles a Cantor set at a given scale, and runs the greedy
-tree-labelling construction with its (L1)-(L6) verification.
+tree-labelling construction with its (L1)-(L6) verification.  A labelling's
+tree is the `RootedTree` of its parent map, so levels and subtrees follow
+the parent chain whatever the vertices are named.
 """
 
 import itertools
@@ -16,8 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels import floyd_warshall
-from .approx import AmalgamApprox, ConditionReport, ConditionTolerances, _vertex_sort_key
+from .approx import AmalgamApprox, ConditionReport, ConditionTolerances
 from .metric import FiniteMetricSpace, read_matrix_csv, write_matrix_csv
+from .tree import RootedTree
 
 MATCH_LIMIT = 8  # largest subset size for the exact shape-matching search
 
@@ -136,9 +139,8 @@ def _resolve_tolerances(s: RegularStructure, tol) -> dict:
         tol = ConditionTolerances()
     max_diam = max(s.subset_diam(i) for i in range(len(s)))
     base = 2 * max_diam if max_diam > 0 else s.space.diam()
-    cross = [s.set_distance(i, j)
-             for i, j in itertools.combinations(range(len(s)), 2)]
-    sep_default = min(cross) / 2 if cross else 0.0
+    between = _block_min(s.space.dist, s._idx)[np.triu_indices(len(s), 1)]
+    sep_default = float(between.min()) / 2 if len(s) > 1 else 0.0
     return {
         "iso": tol.iso,
         "null": tol.null if tol.null is not None else max_diam,
@@ -147,6 +149,13 @@ def _resolve_tolerances(s: RegularStructure, tol) -> dict:
         "separation_gap": (tol.separation_gap if tol.separation_gap is not None
                            else sep_default),
     }
+
+
+def _block_min(dist, blocks) -> np.ndarray:
+    """out[i, j] is the least distance between index blocks i and j, the
+    set distance of RegularStructure.set_distance, for all pairs at once."""
+    rows = np.array([dist[b].min(axis=0) for b in blocks])
+    return np.array([rows[:, b].min(axis=1) for b in blocks]).T
 
 
 def _normalized(block: np.ndarray) -> np.ndarray:
@@ -391,11 +400,8 @@ def quotient_profile(s: RegularStructure, eps: float) -> dict:
         atoms.append(f"point:{p}")
         blocks.append(np.array([s.space.index[p]], dtype=np.intp))
     n = len(atoms)
-    quot = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = float(s.space.dist[np.ix_(blocks[i], blocks[j])].min())
-            quot[i, j] = quot[j, i] = d
+    quot = _block_min(s.space.dist, blocks)
+    np.fill_diagonal(quot, 0.0)
     quot = floyd_warshall(quot)
 
     if n == 1:
@@ -440,32 +446,18 @@ class TLabelling:
     partitions: dict
     radii: dict
 
+    def tree(self) -> RootedTree:
+        """The tree of the current parent map; ValueError when it is not a
+        tree rooted at root."""
+        tree = RootedTree.from_parents(self.parent)
+        if tree.names[0] != self.root:
+            raise ValueError(f"labelling tree is rooted at {tree.names[0]!r}, "
+                             f"not at its root {self.root!r}")
+        return tree
+
     def children(self, t):
-        return sorted((v for v, p in self.parent.items() if p == t),
-                      key=_vertex_sort_key)
-
-    def depth(self, t) -> int:
-        return t.count(".")
-
-    def levels(self):
-        by_level = {}
-        for v in self.parent:
-            by_level.setdefault(self.depth(v), []).append(v)
-        return [sorted(by_level[d], key=_vertex_sort_key)
-                for d in sorted(by_level)]
-
-    def subtree(self, t):
-        out = [t]
-        for v in sorted(self.parent, key=_vertex_sort_key):
-            if v != t and any(a == t for a in self._ancestors(v)):
-                out.append(v)
-        return out
-
-    def _ancestors(self, t):
-        a = self.parent[t]
-        while a is not None:
-            yield a
-            a = self.parent[a]
+        tree = self.tree()
+        return [tree.names[c] for c in tree.children[tree.index[t]]]
 
 
 def labelling_to_json(l: TLabelling) -> str:
@@ -485,7 +477,7 @@ def labelling_from_json(text: str) -> TLabelling:
     if data.get("kind") != "t-labelling":
         raise ValueError("document is not a t-labelling")
     try:
-        return TLabelling(
+        labelling = TLabelling(
             root=data["root"],
             parent=dict(data["parent"]),
             assignment={v: int(i) for v, i in data["assignment"].items()},
@@ -494,6 +486,8 @@ def labelling_from_json(text: str) -> TLabelling:
         )
     except KeyError as missing:
         raise ValueError(f"t-labelling document lacks field {missing}")
+    labelling.tree()  # refuse a parent map that is not a tree
+    return labelling
 
 
 def _halves(child_diam: float, parent_diam: float) -> bool:
@@ -629,6 +623,9 @@ def build_t_labelling(s: RegularStructure, max_depth: int) -> TLabelling:
             descend(c, regions[c] - point_sets[assignment[c]], depth + 1)
 
     descend(root, set(s.space.points) - point_sets[0], 0)
+    # the recursive closure refers to itself; unbind it so the structure's
+    # matrix is freed on return rather than at the next garbage collection
+    del descend
     unconsumed = [i for i in range(len(s)) if not used[i]]
     if unconsumed:
         raise ValueError(
@@ -652,10 +649,9 @@ def verify_labelling(l: TLabelling, s: RegularStructure,
                 if tol is not None and tol.separation_gap is not None else 0.0}
     dist = s.space.dist
     conditions = {}
-    vertices = sorted(l.parent, key=_vertex_sort_key)
+    tree = l.tree()
+    vertices = tree.names
     for v in vertices:
-        if v != l.root and l.parent[v] not in l.parent:
-            raise ValueError(f"labelling tree has a dangling vertex {v!r}")
         if v != l.root and v not in l.partitions:
             raise ValueError(f"labelling has no region for vertex {v!r}")
         if not 0 <= l.assignment.get(v, -1) < len(s):
@@ -664,11 +660,14 @@ def verify_labelling(l: TLabelling, s: RegularStructure,
         if v != l.root and not l.partitions[v] <= s.space.index.keys():
             raise ValueError(f"region of vertex {v!r} holds points outside "
                              "the space")
+    # per tree vertex id: its subset index and its region
+    subset = [l.assignment[v] for v in vertices]
+    region = [None] + [l.partitions[v] for v in vertices[1:]]
+    levels = tree.levels()
 
     # (L1): the assignment is a bijection onto the family
-    values = [l.assignment[v] for v in vertices]
-    missing = sorted(set(range(len(s))) - set(values))
-    duplicated = sorted({i for i in values if values.count(i) > 1})
+    missing = sorted(set(range(len(s))) - set(subset))
+    duplicated = sorted({i for i in subset if subset.count(i) > 1})
     conditions["L1"] = {
         "verdict": "pass" if not missing and not duplicated else "fail",
         "missing": missing,
@@ -679,17 +678,17 @@ def verify_labelling(l: TLabelling, s: RegularStructure,
     worst_ratio = 0.0
     worst_edge = None
     failing_edges = []
-    for v in vertices:
-        p = l.parent[v]
-        if p is None or p == l.root:
+    for v in range(len(tree)):
+        if tree.depth[v] < 2:
             continue
-        child_d = s.subset_diam(l.assignment[v])
-        parent_d = s.subset_diam(l.assignment[p])
+        p = tree.parent[v]
+        child_d = s.subset_diam(subset[v])
+        parent_d = s.subset_diam(subset[p])
         if not _halves(child_d, parent_d):
-            failing_edges.append([p, v])
+            failing_edges.append([vertices[p], vertices[v]])
         if parent_d > 0 and child_d / parent_d > worst_ratio:
             worst_ratio = child_d / parent_d
-            worst_edge = [p, v]
+            worst_edge = [vertices[p], vertices[v]]
     conditions["L2"] = {
         "verdict": "pass" if not failing_edges else "fail",
         "max_ratio": worst_ratio,
@@ -699,11 +698,11 @@ def verify_labelling(l: TLabelling, s: RegularStructure,
 
     # (L3): per-level reach from parent subsets, strictly decreasing
     level_gaps = []
-    for level in l.levels()[1:]:
+    for level in levels[1:]:
         gap = 0.0
         for v in level:
-            rows = s._idx[l.assignment[v]]
-            cols = s._idx[l.assignment[l.parent[v]]]
+            rows = s._idx[subset[v]]
+            cols = s._idx[subset[tree.parent[v]]]
             gap = max(gap, float(dist[np.ix_(rows, cols)].min(axis=1).max()))
         level_gaps.append(gap)
     decreasing = all(b < a for a, b in zip(level_gaps, level_gaps[1:]))
@@ -714,27 +713,27 @@ def verify_labelling(l: TLabelling, s: RegularStructure,
 
     # (L4): regions are clopen at the separation scale, contain their
     # subtree's subsets, and avoid every ancestor's subset
+    members = [set(s.subsets[i]) for i in subset]
     min_gap = math.inf
     containment_ok = True
     ancestor_ok = True
     worst = None
-    for v in vertices:
-        if v == l.root:
-            continue
-        region = l.partitions[v]
-        inside = np.array([s.space.index[p] for p in sorted(region)], dtype=np.intp)
+    for v in range(1, len(tree)):
+        inside = np.array([s.space.index[p] for p in sorted(region[v])],
+                          dtype=np.intp)
         mask = np.ones(len(s.space), dtype=bool)
         mask[inside] = False
         if mask.any():
             gap = float(dist[np.ix_(inside, np.flatnonzero(mask))].min())
             if gap < min_gap:
-                min_gap, worst = gap, v
-        for u in l.subtree(v):
-            if not set(s.subsets[l.assignment[u]]) <= region:
-                containment_ok = False
-        for a in l._ancestors(v):
-            if set(s.subsets[l.assignment[a]]) & region:
+                min_gap, worst = gap, vertices[v]
+        if not all(members[u] <= region[v] for u in tree.subtree(v)):
+            containment_ok = False
+        a = tree.parent[v]
+        while a >= 0:
+            if members[a] & region[v]:
                 ancestor_ok = False
+            a = tree.parent[a]
     gap_ok = min_gap >= resolved["separation_gap"] and (
         min_gap > 0.0 or min_gap == math.inf)
     conditions["L4"] = {
@@ -747,8 +746,8 @@ def verify_labelling(l: TLabelling, s: RegularStructure,
 
     # (L5): the largest region diameter shrinks strictly with each level
     level_diams = []
-    for level in l.levels()[1:]:
-        level_diams.append(max(float(s.space.submatrix(sorted(l.partitions[v])).max())
+    for level in levels[1:]:
+        level_diams.append(max(float(s.space.submatrix(sorted(region[v])).max())
                                for v in level))
     strictly = all(b < a for a, b in zip(level_diams, level_diams[1:]))
     conditions["L5"] = {
@@ -758,11 +757,10 @@ def verify_labelling(l: TLabelling, s: RegularStructure,
 
     # (L6): sibling regions are pairwise disjoint
     overlaps = []
-    for v in vertices:
-        kids = l.children(v)
+    for kids in tree.children:
         for c1, c2 in itertools.combinations(kids, 2):
-            if l.partitions[c1] & l.partitions[c2]:
-                overlaps.append([c1, c2])
+            if region[c1] & region[c2]:
+                overlaps.append([vertices[c1], vertices[c2]])
     conditions["L6"] = {
         "verdict": "pass" if not overlaps else "fail",
         "overlapping_siblings": overlaps,

@@ -10,6 +10,7 @@ are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -372,7 +373,7 @@ def _cmd_label_build(args, config):
     doc = _characterize.labelling_to_json(lab)
     report = {"config": config, "labelling": json.loads(doc)}
     lines = [f"tree vertices: {len(lab.assignment)}",
-             f"levels: {len(lab.levels())}"]
+             f"levels: {len(lab.tree().levels())}"]
     if args.out:
         _write_text(args.out, doc)
         lines.append(f"wrote {args.out}")
@@ -425,7 +426,10 @@ def _leaf(sub, name, handler, subcommand, inputs_from, help_text):
     return sp
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and building it costs more than most commands."""
     parser = _Parser(prog="denseamalgam",
                      description="Boundary expressions, finite approximations "
                                  "and regularity checks for dense amalgams.")

@@ -9,8 +9,12 @@ boundary expression.
 An oriented edge is a pair (edge slot, head end); `bar` flips the head.  The
 index of an oriented edge a is order(head(a)) / edge_order, infinite exactly
 when the head vertex group is infinite.
+
+A Bass-Serre ball keeps its nodes in a `RootedTree`; the separation check
+is one pass up that tree and one pass down it.
 """
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -24,6 +28,7 @@ from .boundary import (
     normalize,
     parse_expr,
 )
+from .tree import RootedTree
 
 INF = math.inf
 
@@ -271,31 +276,25 @@ class BassSerreBall:
     than absent.
     """
 
-    def __init__(self, graph, base, radius, nodes, children, unexplored):
+    def __init__(self, graph, base, radius, nodes, unexplored):
         self.graph = graph
         self.base = base
         self.radius = radius
         self.nodes = tuple(nodes)
-        self.children = {k: tuple(v) for k, v in children.items()}
         self.unexplored = frozenset(unexplored)
+        self.tree = RootedTree([-1 if node.parent is None else node.parent
+                                for node in self.nodes])
+        self.children = self.tree.children
 
     def size(self) -> int:
         return len(self.nodes)
 
     def counts_by_depth(self):
-        counts = [0] * (self.radius + 1)
-        for node in self.nodes:
-            counts[node.depth] += 1
-        return counts
+        return [self.tree.depth.count(d) for d in range(self.radius + 1)]
 
     def subtree_ids(self, node_id):
-        out = [node_id]
-        stack = [node_id]
-        while stack:
-            for child in self.children.get(stack.pop(), ()):
-                out.append(child)
-                stack.append(child)
-        return frozenset(out)
+        """The node's subtree, a set view of its pre-order interval."""
+        return self.tree.subtree(node_id)
 
     def to_dot(self) -> str:
         lines = ["graph ball {"]
@@ -330,11 +329,8 @@ def bass_serre_ball(g: GraphOfGroups, base, radius: int,
     families = {v: [a for a in g.oriented_edges() if g.head(a) == v]
                 for v in g.vertices}
     nodes = [BallNode(0, base, 0, None, None)]
-    children = {0: []}
     unexplored = []
-    frontier = [nodes[0]]
-    while frontier:
-        node = frontier.pop(0)
+    for node in nodes:  # grows while it is read: breadth first
         if node.depth == radius:
             remaining = g.degree(node.label) - (0 if node.parent is None else 1)
             if remaining > 0:
@@ -346,10 +342,7 @@ def bass_serre_ball(g: GraphOfGroups, base, radius: int,
                 child = BallNode(len(nodes), g.tail(a), node.depth + 1,
                                  node.id, g.bar(a))
                 nodes.append(child)
-                children[node.id].append(child.id)
-                children[child.id] = []
-                frontier.append(child)
-    return BassSerreBall(g, base, radius, nodes, children, unexplored)
+    return BassSerreBall(g, base, radius, nodes, unexplored)
 
 
 def check_separation(ball: BassSerreBall, g: GraphOfGroups) -> dict:
@@ -358,30 +351,44 @@ def check_separation(ball: BassSerreBall, g: GraphOfGroups) -> dict:
     (1) every tree edge splits the tree into two halves each containing
     lifts of every vertex; (2) some tree vertex splits it into at least
     three unbounded pieces.  Sides cut off by the radius report
-    'inconclusive' rather than 'fail'.
+    'inconclusive' rather than 'fail'.  The pass up gives each subtree's
+    label bitmask, and its count of unexplored nodes is a difference of
+    prefix counts across its pre-order interval; the pass down gives the
+    label bitmask of the rest of the ball beyond each edge.
     """
-    labels = set(g.vertices)
-    all_ids = frozenset(node.id for node in ball.nodes)
-    by_id = {node.id: node for node in ball.nodes}
+    tree = ball.tree
+    n = len(tree)
+    bits = {v: 1 << i for i, v in enumerate(g.vertices)}
+    full = (1 << len(g.vertices)) - 1
+    label = [bits[node.label] for node in ball.nodes]
+    sub_mask = list(label)
+    for v in reversed(range(1, n)):  # children come after their parents
+        sub_mask[tree.parent[v]] |= sub_mask[v]
+    before = list(itertools.accumulate(
+        (u in ball.unexplored for u in tree.pre), initial=0))
+    spans = [ball.subtree_ids(v) for v in range(n)]
+    sub_open = [before[s.stop] - before[s.start] for s in spans]
+    rest_mask = [0] * n
+    for p in range(n):  # parents before children
+        kids = tree.children[p]
+        for siblings in (kids, kids[::-1]):  # earlier, then later siblings
+            seen = rest_mask[p] | label[p]
+            for c in siblings:
+                rest_mask[c] |= seen
+                seen |= sub_mask[c]
 
-    def side_verdict(ids):
-        present = {by_id[i].label for i in ids}
-        if present >= labels:
+    def side_verdict(mask, n_open):
+        if mask == full:
             return "pass"
-        if any(i in ball.unexplored for i in ids):
-            return "inconclusive"
-        return "fail"
+        return "inconclusive" if n_open else "fail"
 
     edge_checks = []
-    for node in ball.nodes:
-        if node.parent is None:
-            continue
-        inside = ball.subtree_ids(node.id)
-        outside = all_ids - inside
-        v1, v2 = side_verdict(inside), side_verdict(outside)
+    for v in range(1, n):
+        v1 = side_verdict(sub_mask[v], sub_open[v])
+        v2 = side_verdict(rest_mask[v], sub_open[0] - sub_open[v])
         verdict = ("fail" if "fail" in (v1, v2)
                    else "inconclusive" if "inconclusive" in (v1, v2) else "pass")
-        edge_checks.append({"edge": [node.parent, node.id],
+        edge_checks.append({"edge": [tree.parent[v], v],
                             "subtree": v1, "rest": v2, "verdict": verdict})
     if any(c["verdict"] == "fail" for c in edge_checks):
         edge_overall = "fail"
@@ -390,17 +397,13 @@ def check_separation(ball: BassSerreBall, g: GraphOfGroups) -> dict:
     else:
         edge_overall = "pass"
 
-    def reaches_truncation(ids):
-        return any(i in ball.unexplored for i in ids)
-
     three_way_nodes = []
-    for node in ball.nodes:
-        pieces = [ball.subtree_ids(c) for c in ball.children[node.id]]
-        if node.parent is not None:
-            pieces.append(all_ids - ball.subtree_ids(node.id))
-        unbounded = sum(1 for piece in pieces if reaches_truncation(piece))
+    for v in range(n):
+        unbounded = sum(1 for c in tree.children[v] if sub_open[c])
+        if v and sub_open[0] > sub_open[v]:
+            unbounded += 1
         if unbounded >= 3:
-            three_way_nodes.append(node.id)
+            three_way_nodes.append(v)
     if three_way_nodes:
         three_way = "pass"
     elif all(g.degree(v) <= 2 for v in g.vertices):

@@ -173,7 +173,7 @@ class TestBuildApprox:
         a = build_approx(xs, 2, 2, 1 / 3)
         union = disjoint_union(xs)
         for t in a.vertices:
-            j = a.vertex_depth(t)
+            j = a.tree.depth[a.tree.index[t]]
             for ci, x in enumerate(xs):
                 got = a.space.submatrix(a.class_points(t, ci))
                 assert np.array_equal(got, (1 / 3) ** j * x.dist)
@@ -270,6 +270,40 @@ class TestBasisSets:
             half_space(approx, "t", None)
 
 
+def a5_pair_oracle(a, separation_gap):
+    """(a5) over every pair of tree vertices, as first written: the widest
+    edge gap on the pair's path against the tolerance at its shallowest
+    edge.  Paths are walked in the parent map.  Returns (pairs, worst
+    ratio, worst pair)."""
+    parent = a.tree_parent
+
+    def chain(t):
+        out = [t]
+        while parent[out[-1]] is not None:
+            out.append(parent[out[-1]])
+        return out
+
+    idx = a.space.index
+    gap = {}
+    for t in a.vertices[1:]:
+        inside = a.subtree_points(t)
+        rows = [idx[p] for p in inside]
+        cols = [idx[p] for p in a.all_points() - inside]
+        gap[t] = float(a.space.dist[np.ix_(rows, cols)].min())
+    pairs, worst, worst_pair = 0, math.inf, None
+    for i, t1 in enumerate(a.vertices):
+        for t2 in a.vertices[i + 1:]:
+            up1, up2 = chain(t1), chain(t2)
+            meet = next(v for v in up1 if v in up2)
+            path = up1[:up1.index(meet)] + up2[:up2.index(meet)]
+            eff = separation_gap * a.scale ** (len(chain(meet)) - 1 - a.depth)
+            ratio = max(gap[c] for c in path) / eff
+            pairs += 1
+            if ratio < worst:
+                worst, worst_pair = ratio, (t1, t2)
+    return pairs, worst, worst_pair
+
+
 class TestCheckConditions:
     def test_all_pass_small(self):
         report = check_conditions(build_approx([TWO], 2, 2, 1 / 3))
@@ -306,6 +340,49 @@ class TestCheckConditions:
         loose = check_conditions(a, ConditionTolerances(
             boundary_gap=100.0, density_gap=100.0, separation_gap=1e-9))
         assert loose.all_pass()
+
+    @pytest.mark.parametrize("xs, depth, branching, scale", [
+        ([TWO], 3, 3, 1 / 3), ([circle_net()], 3, 2, 1 / 3),
+        ([TWO], 3, 3, 1.0), ([circle_net(), TWO], 2, 3, 0.4),
+        ([ONE], 2, 1, 0.5)])
+    @pytest.mark.parametrize("jitter", [0.0, 0.5])
+    def test_a5_matches_all_pairs_oracle(self, xs, depth, branching, scale,
+                                         jitter):
+        a = build_approx(xs, depth, branching, scale, _skip_scale_check=True)
+        if jitter:
+            # uneven edge gaps, so that paths and turning points matter
+            rng = np.random.default_rng(depth + branching)
+            f = 1 + jitter * rng.random(a.space.dist.shape)
+            space = FiniteMetricSpace(a.space.points, a.space.dist * (f + f.T),
+                                      _check=False)
+            a = AmalgamApprox(source_spaces=a.source_spaces, depth=a.depth,
+                              branching=a.branching, scale=a.scale, r0=a.r0,
+                              mu=a.mu, tree=a.tree, space=space,
+                              labels=a.labels, ends=a.ends)
+        for sep in (None, 1e-3, 0.2, 100.0, math.inf):
+            a5 = check_conditions(
+                a, ConditionTolerances(separation_gap=sep)).conditions["a5"]
+            gap = sep if sep is not None else \
+                check_conditions(a).tolerances["separation_gap"]
+            pairs, worst, pair = a5_pair_oracle(a, gap)
+            assert a5["location_pairs"] == pairs
+            assert a5["worst_gap_over_tolerance"] == worst
+            assert a5["worst_pair"] == pair
+
+    def test_a5_refuses_non_positive_gap(self):
+        a = build_approx([TWO], 1, 2, 1 / 3)
+        for sep in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="positive separation gap"):
+                check_conditions(a, ConditionTolerances(separation_gap=sep))
+
+    def test_a5_needs_no_gap_without_pairs(self):
+        # a one-vertex tree has no pair to divide by the gap: vacuous pass
+        a = build_approx([TWO], 0, 2, 1 / 3)
+        for sep in (0.0, -1.0, math.nan):
+            a5 = check_conditions(
+                a, ConditionTolerances(separation_gap=sep)).conditions["a5"]
+            assert a5["verdict"] == "pass"
+            assert a5["location_pairs"] == 0
 
     def test_report_shape(self):
         report = check_conditions(build_approx([TWO], 1, 2, 1 / 3))

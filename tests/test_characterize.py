@@ -1,5 +1,6 @@
 """Regularity conditions, family merging, quotient profiles, tree labellings."""
 
+import itertools
 import math
 
 import numpy as np
@@ -9,6 +10,9 @@ from hypothesis import given, settings, strategies as st
 from denseamalgam.approx import ConditionTolerances, build_approx
 from denseamalgam.characterize import (
     RegularStructure,
+    TLabelling,
+    _block_min,
+    _resolve_tolerances,
     as_regular_structure,
     build_t_labelling,
     check_regularity,
@@ -303,6 +307,25 @@ class TestQuotientProfile:
         assert q["cantor_like"] is False  # p2 reachable from p0 through p1
 
 
+class TestBlockMinimum:
+    """The all-pairs set distances against one np.ix_ block per pair."""
+
+    @pytest.mark.parametrize("xs, depth, branching", [
+        ([TWO], 2, 2), ([circle_net(), TWO], 2, 3), ([ONE], 3, 2),
+        ([circle_net(3)], 0, 1)])
+    def test_matches_per_pair_minimum(self, xs, depth, branching):
+        s = build_structure(xs, depth, branching, 1 / 3)
+        blocks = list(s._idx) + [np.array([s.space.index[p]])
+                                 for p in s.residual]
+        got = _block_min(s.space.dist, blocks)
+        for i, j in itertools.product(range(len(blocks)), repeat=2):
+            assert got[i, j] == s.space.dist[np.ix_(blocks[i], blocks[j])].min()
+        per_pair = [s.set_distance(i, j)
+                    for i, j in itertools.combinations(range(len(s)), 2)]
+        assert _resolve_tolerances(s, None)["separation_gap"] == (
+            min(per_pair) / 2 if per_pair else 0.0)
+
+
 class TestBuildTLabelling:
     def test_tree_matches_construction(self):
         a = build_approx([TWO], depth=2, branching=2, scale=1 / 3)
@@ -446,14 +469,56 @@ class TestVerifyLabelling:
         with pytest.raises(ValueError, match="dangling"):
             verify_labelling(lab, s)
 
+    @pytest.mark.parametrize("rename", [
+        lambda i, v: f"v{i}",
+        lambda i, v: f"x.{i}",
+        lambda i, v: v.replace("r", "node.y", 1),
+        lambda i, v: ".".join(reversed(v.split("."))),
+    ], ids=["flat", "one-dot", "word-parts", "reversed-parts"])
+    def test_verdicts_do_not_depend_on_vertex_names(self, rename):
+        s, lab = self.make(xs=(circle_net(),), depth=2, branching=3)
+        new = {v: rename(i, v) for i, v in enumerate(sorted(lab.parent))}
+        renamed = TLabelling(
+            root=new[lab.root],
+            parent={new[v]: None if p is None else new[p]
+                    for v, p in lab.parent.items()},
+            assignment={new[v]: i for v, i in lab.assignment.items()},
+            partitions={new[v]: r for v, r in lab.partitions.items()},
+            radii={new[v]: r for v, r in lab.radii.items()})
+        want = verify_labelling(lab, s).conditions
+        got = verify_labelling(renamed, s).conditions
+        assert {k: c["verdict"] for k, c in got.items()} == \
+            {k: c["verdict"] for k, c in want.items()}
+        assert got["L3"]["level_gaps"] == want["L3"]["level_gaps"]
+        assert got["L5"]["level_diams"] == want["L5"]["level_diams"]
+        assert got["L4"]["min_gap"] == want["L4"]["min_gap"]
+        assert len(want["L3"]["level_gaps"]) == 2
+
+    def test_chain_depth_comes_from_parents(self):
+        # one 3-vertex chain under three namings: the same two level gaps
+        s = RegularStructure(line_space([0, 10, 11, 30]),
+                             [(("p0",), 1), (("p1", "p2"), 1), (("p3",), 1)])
+        reports = []
+        for top, mid, low in (("r", "r.0", "r.0.0"), ("r", "r.0", "r.1"),
+                              ("root", "x", "y")):
+            lab = TLabelling(root=top, parent={top: None, mid: top, low: mid},
+                             assignment={top: 0, mid: 1, low: 2},
+                             partitions={mid: frozenset(["p1", "p2", "p3"]),
+                                         low: frozenset(["p3"])},
+                             radii={top: 30.0, mid: 10.0, low: 1.0})
+            reports.append(verify_labelling(lab, s).conditions)
+        for rep in reports:
+            assert rep["L3"] == reports[0]["L3"]
+            assert rep["L3"]["level_gaps"] == [11.0, 19.0]
+
     def test_region_containment_invariant(self):
         # subsets assigned below v stay inside v's region
         s, lab = self.make(xs=(circle_net(),), depth=2, branching=3)
-        for v in lab.parent:
-            if v == "r":
-                continue
-            for u in lab.subtree(v):
-                assert set(s.subsets[lab.assignment[u]]) <= lab.partitions[v]
+        tree = lab.tree()
+        for v in range(1, len(tree)):
+            region = lab.partitions[tree.names[v]]
+            for u in tree.subtree(v):
+                assert set(s.subsets[lab.assignment[tree.names[u]]]) <= region
 
 
 class TestBundleIO:

@@ -6,6 +6,7 @@ import pytest
 
 from denseamalgam import approx as approx_mod
 from denseamalgam import characterize as char_mod
+from denseamalgam import cli as cli_mod
 from denseamalgam.cli import main, render_report
 from denseamalgam.graphs_of_groups import from_json as gog_from_json
 from denseamalgam.metric import FiniteMetricSpace
@@ -159,6 +160,66 @@ class TestInputErrors:
                         "--depth", "1", "--branching", "2", "--scale", "1.0")
         assert code == 2
         assert json.loads(out)["error"]["type"] == "ValueError"
+
+
+class TestMalformedTrees:
+    """Tree maps that are not trees, and sidecars with missing fields, are
+    input errors: exit 2 with the JSON error object, never a traceback or
+    a hang."""
+
+    @pytest.mark.parametrize("tamper, message", [
+        (lambda tree: tree.update({"t.1": "t.9"}), "dangling parent"),
+        (lambda tree: tree.update({"t.0": "t.1", "t.1": "t.0"}), "cycle"),
+        (lambda tree: tree.update({"t.0": None}), "exactly one root"),
+    ], ids=["dangling", "cycle", "two-roots"])
+    def test_approx_check_refuses_bad_tree(self, tmp_path, capsys, tamper,
+                                           message):
+        matrix, meta = build_bundle(tmp_path, [TWO_SPACE], 1, 2, 1 / 3)
+        capsys.readouterr()
+        doc = json.loads((tmp_path / "bundle.json").read_text())
+        tamper(doc["tree"])
+        write(tmp_path, "bundle.json", json.dumps(doc))
+        code, out = run(capsys, "approx", "check", matrix, meta)
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["type"] == "ValueError"
+        assert message in error["message"]
+
+    @pytest.mark.parametrize("field", ["labels", "tree", "source_spaces",
+                                       "ends", "depth", "branching", "scale",
+                                       "r0", "mu"])
+    def test_approx_check_refuses_missing_field(self, tmp_path, capsys, field):
+        matrix, meta = build_bundle(tmp_path, [TWO_SPACE], 1, 2, 1 / 3)
+        capsys.readouterr()
+        doc = json.loads((tmp_path / "bundle.json").read_text())
+        del doc[field]
+        write(tmp_path, "bundle.json", json.dumps(doc))
+        code, out = run(capsys, "approx", "check", matrix, meta)
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["type"] == "ValueError"
+        assert f"lacks field '{field}'" in error["message"]
+
+    @pytest.mark.parametrize("tamper, message", [
+        (lambda parent: parent.update({"r.0": "r.1", "r.1": "r.0"}), "cycle"),
+        (lambda parent: parent.update({"r.1": "r.7"}), "dangling parent"),
+    ], ids=["cycle", "dangling"])
+    def test_label_verify_refuses_bad_tree(self, tmp_path, capsys, tamper,
+                                           message):
+        matrix, meta = build_structure_files(tmp_path, [TWO_SPACE], 1, 2,
+                                             1 / 3)
+        lab_path = str(tmp_path / "lab.json")
+        code, _ = run(capsys, "label", "build", matrix, meta,
+                      "--max-depth", "2", "--out", lab_path)
+        assert code == 0
+        doc = json.loads((tmp_path / "lab.json").read_text())
+        tamper(doc["parent"])
+        bad_path = write(tmp_path, "bad.json", json.dumps(doc))
+        code, out = run(capsys, "label", "verify", matrix, meta, bad_path)
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["type"] == "ValueError"
+        assert message in error["message"]
 
 
 class TestOperationFailures:
@@ -410,6 +471,38 @@ class TestDeterminism:
                               (tmp_path / "det.json").read_bytes(),
                               report.read_bytes()))
         assert snapshots[0] == snapshots[1]
+
+    def test_no_state_leaks_between_calls(self, tmp_path, capsys):
+        # the parser is built once per process, so calls that alternate
+        # options must each see only their own arguments
+        assert cli_mod._build_parser() is cli_mod._build_parser()
+        one = write(tmp_path, "one.json", TWO_SPACE)
+        two = write(tmp_path, "two.json", TWO_SPACE_B)
+        matrix, meta = build_bundle(tmp_path, [TWO_SPACE], 1, 2, 1 / 3)
+        capsys.readouterr()
+        build = ["approx", "build", "--depth", "1", "--branching", "1",
+                 "--scale", "0.5", "--spaces"]
+        calls = {
+            "tol": ["approx", "check", matrix, meta, "--tol-iso", "0.5"],
+            "one-space": build + [one],
+            "no-tol": ["approx", "check", matrix, meta],
+            "two-spaces": build + [one, two],
+        }
+        runs = {key: [] for key in calls}
+        report = tmp_path / "report.json"
+        for _ in range(2):
+            for key, argv in calls.items():
+                code = main(argv + ["--report", str(report)])
+                runs[key].append((code, capsys.readouterr().out,
+                                  json.loads(report.read_text())))
+        for key, (first, second) in runs.items():
+            assert first == second, key
+        assert runs["tol"][0][2]["config"]["tolerances"]["iso"] == 0.5
+        assert runs["no-tol"][0][2]["config"]["tolerances"]["iso"] is None
+        assert runs["one-space"][0][2]["config"]["inputs"] == [one]
+        assert runs["one-space"][0][1].startswith("points: 5\n")
+        assert runs["two-spaces"][0][2]["config"]["inputs"] == [one, two]
+        assert runs["two-spaces"][0][1].startswith("points: 9\n")
 
     def test_seeded_reduce_is_byte_identical(self, tmp_path, capsys):
         path = write(tmp_path, "gog.json", GOG_23)

@@ -382,6 +382,99 @@ class TestSeparation:
                    for c in report["edge_checks"])
 
 
+def quadratic_separation(ball, g):
+    """check_separation as first written: one subtree walk per node, and
+    each side's labels and truncation read from its own id set."""
+    labels = set(g.vertices)
+    all_ids = frozenset(node.id for node in ball.nodes)
+    by_id = {node.id: node for node in ball.nodes}
+
+    def subtree_ids(node_id):
+        out = [node_id]
+        stack = [node_id]
+        while stack:
+            for child in ball.children[stack.pop()]:
+                out.append(child)
+                stack.append(child)
+        return frozenset(out)
+
+    def side_verdict(ids):
+        if {by_id[i].label for i in ids} >= labels:
+            return "pass"
+        if any(i in ball.unexplored for i in ids):
+            return "inconclusive"
+        return "fail"
+
+    edge_checks = []
+    for node in ball.nodes:
+        if node.parent is None:
+            continue
+        inside = subtree_ids(node.id)
+        v1, v2 = side_verdict(inside), side_verdict(all_ids - inside)
+        verdict = ("fail" if "fail" in (v1, v2)
+                   else "inconclusive" if "inconclusive" in (v1, v2) else "pass")
+        edge_checks.append({"edge": [node.parent, node.id],
+                            "subtree": v1, "rest": v2, "verdict": verdict})
+    if any(c["verdict"] == "fail" for c in edge_checks):
+        edge_overall = "fail"
+    elif not edge_checks or any(c["verdict"] == "inconclusive" for c in edge_checks):
+        edge_overall = "inconclusive"
+    else:
+        edge_overall = "pass"
+    three_way_nodes = []
+    for node in ball.nodes:
+        pieces = [subtree_ids(c) for c in ball.children[node.id]]
+        if node.parent is not None:
+            pieces.append(all_ids - subtree_ids(node.id))
+        if sum(1 for p in pieces if p & ball.unexplored) >= 3:
+            three_way_nodes.append(node.id)
+    if three_way_nodes:
+        three_way = "pass"
+    elif all(g.degree(v) <= 2 for v in g.vertices):
+        three_way = "fail"
+    else:
+        three_way = "inconclusive"
+    return {"edge_checks": edge_checks, "edge_overall": edge_overall,
+            "three_way_nodes": three_way_nodes, "three_way": three_way}
+
+
+Z3_Z4 = gg({"p": 3, "q": 4}, [("p", "q", 1)])
+
+
+class TestSeparationOracle:
+    @pytest.mark.parametrize("radius", range(8))
+    def test_z3_z4_balls(self, radius):
+        ball = bass_serre_ball(Z3_Z4, "p", radius)
+        assert check_separation(ball, Z3_Z4) == quadratic_separation(ball, Z3_Z4)
+
+    @pytest.mark.parametrize("g, base, radius, edge, three_way", [
+        (Z2_Z3, "u", 5, "inconclusive", "pass"),
+        # indices (1, 1): the tree is one segment and a side misses a label
+        (gg({"u": 2, "w": 2}, [("u", "w", 2)]), "u", 2, "fail", "fail"),
+        # every vertex degree <= 2: lines, no three-way split
+        (loop_graph(), "v", 4, "pass", "fail"),
+        (D_INF_SPLITTING, "w", 3, "inconclusive", "fail"),
+        (gg({"a": 2, "b": 3, "c": 2}, [("a", "b", 1), ("b", "c", 1)]),
+         "b", 4, "inconclusive", "pass"),
+    ], ids=["z2*z3", "edge-fails", "loop-line", "d-infinity", "three-vertex"])
+    def test_other_graphs(self, g, base, radius, edge, three_way):
+        ball = bass_serre_ball(g, base, radius)
+        report = check_separation(ball, g)
+        assert report == quadratic_separation(ball, g)
+        assert (report["edge_overall"], report["three_way"]) == (edge, three_way)
+
+    def test_subtree_ids_are_the_walked_subtrees(self):
+        ball = bass_serre_ball(Z3_Z4, "q", 4)
+        for node in ball.nodes:
+            walked = {node.id}
+            stack = [node.id]
+            while stack:
+                kids = ball.children[stack.pop()]
+                walked.update(kids)
+                stack.extend(kids)
+            assert ball.subtree_ids(node.id) == walked
+
+
 class TestBoundary:
     def test_all_finite_is_cantor(self):
         assert boundary_expression(Z2_Z3) == CANTOR
