@@ -539,11 +539,33 @@ def save_bundle(a: AmalgamApprox, matrix_path, sidecar_path):
         json.dump(sidecar, fh, indent=2, sort_keys=True)
 
 
+_LABEL_FIELDS = {"copy": ("tree_vertex", "class", "source_point"),
+                 "end": ("leaf",)}
+
+
+def _check_labels(labels, sources):
+    """Refuse point labels that AmalgamApprox could not read."""
+    if not isinstance(labels, dict):
+        raise ValueError("sidecar labels must be an object")
+    points = [set(x.points) for x in sources]
+    for name, label in labels.items():
+        kind = label.get("kind") if isinstance(label, dict) else None
+        if kind not in _LABEL_FIELDS:
+            raise ValueError(f"label of {name!r} has no kind 'copy' or 'end'")
+        for field in _LABEL_FIELDS[kind]:
+            if field not in label:
+                raise ValueError(f"label of {name!r} lacks field {field!r}")
+        if kind == "copy" and (label["class"] not in range(len(sources)) or
+                               label["source_point"] not in points[label["class"]]):
+            raise ValueError(f"label of {name!r} names no point of the "
+                             f"{len(sources)} source spaces")
+
+
 def load_bundle(matrix_path, sidecar_path) -> AmalgamApprox:
     space = read_matrix_csv(matrix_path)
     with open(sidecar_path) as fh:
         sidecar = json.load(fh)
-    if sidecar.get("kind") != "amalgam-approx":
+    if not isinstance(sidecar, dict) or sidecar.get("kind") != "amalgam-approx":
         raise ValueError("sidecar is not an amalgam-approx bundle")
     try:
         fields = {key: sidecar[key] for key in (
@@ -553,6 +575,9 @@ def load_bundle(matrix_path, sidecar_path) -> AmalgamApprox:
                    for s in sidecar["source_spaces"]]
     except KeyError as missing:
         raise ValueError(f"sidecar lacks field {missing}") from None
+    if not sources:
+        raise ValueError("sidecar lists no source spaces")
+    _check_labels(fields["labels"], sources)
     if set(fields["labels"]) != set(space.points):
         raise ValueError("sidecar labels do not cover the matrix points")
     return AmalgamApprox(source_spaces=sources, space=space, **fields,

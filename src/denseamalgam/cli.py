@@ -216,13 +216,14 @@ def _cmd_coxeter_nerve(args, config):
     c = _parse_with(_coxeter.parse_coxeter, _read_text(args.input))
     n = _coxeter.nerve(c)
     faces = sorted(sorted(f) for f in n.maximal_faces)
+    flag, infinity_large = n.is_flag(), n.is_infinity_large()
     report = {"config": config, "vertices": sorted(n.vertices),
-              "maximal_faces": faces, "flag": n.is_flag(),
-              "infinity_large": n.is_infinity_large()}
+              "maximal_faces": faces, "flag": flag,
+              "infinity_large": infinity_large}
     lines = ["vertices: " + " ".join(sorted(n.vertices)),
              "maximal faces: " + "; ".join(" ".join(f) for f in faces),
-             f"flag: {'true' if n.is_flag() else 'false'}",
-             f"infinity-large: {'true' if n.is_infinity_large() else 'false'}"]
+             f"flag: {'true' if flag else 'false'}",
+             f"infinity-large: {'true' if infinity_large else 'false'}"]
     if args.dot:
         _write_text(args.dot, n.to_dot())
         lines.append(f"wrote {args.dot}")

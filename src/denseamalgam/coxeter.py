@@ -8,8 +8,11 @@ finite irreducible systems, with the positive-definiteness of the cosine
 matrix available as an independent numerical route.
 
 The nerve has a vertex per generator and a simplex per subset generating a
-finite special subgroup.  Endedness of the group and its boundary expression
-are read off the matrix and the nerve's splitting structure.
+finite special subgroup.  Finite type passes to subsets, so the nerve is
+found by growing finite-type generator bitmasks one generator at a time and
+keeping those that cannot grow; only finite-type subsets are ever visited.
+Endedness of the group and its boundary expression are read off the matrix
+and the nerve's splitting structure, building the nerve at most once.
 """
 
 from __future__ import annotations
@@ -95,6 +98,11 @@ class CoxeterSystem:
                         "off-diagonal entries must be integers >= 2 or infinity",
                         location=f"m[{s},{t}]")
         self._m = m
+        # per generator, the bitmask of its diagram neighbours (m >= 3,
+        # infinity included)
+        self._diagram = tuple(
+            sum(1 << j for j, t in enumerate(generators) if m[(s, t)] >= 3)
+            for s in generators)
 
     def order(self, s, t):
         return self._m[(s, t)]
@@ -151,34 +159,35 @@ def parse_coxeter(text: str) -> CoxeterSystem:
 # ---------------------------------------------------------------------------
 # Finite-type recognition against the classification of finite systems.
 
-def _diagram_components(c: CoxeterSystem, subset):
-    """Connected components of the diagram restricted to `subset`.
+def _component(c: CoxeterSystem, mask: int, seed: int) -> int:
+    """Bitmask of the diagram component of `mask` containing the bit `seed`.
 
     Diagram edges join generators with m >= 3 (including infinity); m = 2
     commutes and disconnects.
     """
-    members = list(subset)
-    seen = set()
+    comp = frontier = seed
+    while frontier:
+        low = frontier & -frontier
+        grown = c._diagram[low.bit_length() - 1] & mask & ~comp
+        comp |= grown
+        frontier = (frontier ^ low) | grown
+    return comp
+
+
+def _diagram_components(c: CoxeterSystem, mask: int):
+    """Connected components of the diagram restricted to `mask`, as bitmasks."""
     comps = []
-    for start in members:
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in members:
-                if v not in comp and c.order(u, v) >= 3:
-                    comp.add(v)
-                    stack.append(v)
-        seen |= comp
-        comps.append(frozenset(comp))
+    while mask:
+        comp = _component(c, mask, mask & -mask)
+        comps.append(comp)
+        mask &= ~comp
     return comps
 
 
-def _component_is_finite(c: CoxeterSystem, comp) -> bool:
-    """Does this connected diagram component define a finite group?"""
-    members = sorted(comp, key=c.generators.index)
+def _component_is_finite(c: CoxeterSystem, comp: int) -> bool:
+    """Does this connected diagram component (a bitmask) define a finite
+    group?"""
+    members = [s for i, s in enumerate(c.generators) if comp >> i & 1]
     n = len(members)
     if n == 1:
         return True
@@ -244,26 +253,18 @@ def _leg_lengths(branch, edges):
     return sorted(legs)
 
 
-def is_finite_type(c: CoxeterSystem, subset=None, _memo=None) -> bool:
+def is_finite_type(c: CoxeterSystem, subset=None) -> bool:
     """Does the subset generate a finite special subgroup?
 
     The empty subset gives the trivial group (finite).  Decided per diagram
-    component against the catalogue of finite irreducible systems; `_memo`
-    caches per-component answers across calls (used by `nerve`).
+    component against the catalogue of finite irreducible systems.
     """
-    if subset is None:
-        subset = c.generators
-    subset = frozenset(subset)
-    for comp in _diagram_components(c, subset):
-        if _memo is not None and comp in _memo:
-            finite = _memo[comp]
-        else:
-            finite = _component_is_finite(c, comp)
-            if _memo is not None:
-                _memo[comp] = finite
-        if not finite:
-            return False
-    return True
+    members = c.generators if subset is None else c.subset_tuple(subset)
+    mask = 0
+    for s in members:
+        mask |= 1 << c._index[s]
+    return all(_component_is_finite(c, comp)
+               for comp in _diagram_components(c, mask))
 
 
 def cosine_matrix(c: CoxeterSystem, subset=None) -> np.ndarray:
@@ -296,24 +297,95 @@ def gram_pd_test(c: CoxeterSystem, subset=None, tol=1e-9) -> bool:
 
 def nerve(c: CoxeterSystem) -> SimplicialComplex:
     """Nerve of the system: vertices are generators, simplices the subsets
-    spanning finite special subgroups."""
+    spanning finite special subgroups.
+
+    Finite type passes to subsets, so the maximal faces are found Bron–
+    Kerbosch style over generator bitmasks: a finite-type set r grows by the
+    candidates p that keep it finite, the excluded generators x having been
+    tried on an earlier branch.  A generator v joins r exactly when its
+    diagram component in r + v is finite (an infinite order is a diagram
+    edge, so this also asks for finite orders with r); the other components
+    are untouched.  Component verdicts are memoised by bitmask.  When r + p
+    is itself finite it is the one maximal face below the node, kept unless
+    some excluded generator still joins it.  Only finite-type subsets are
+    visited, never all 2^n.
+    """
     n = len(c.generators)
     if n > _NERVE_GENERATOR_CAP:
         raise ValueError(
             f"nerve computation capped at {_NERVE_GENERATOR_CAP} generators, got {n}")
     memo = {}
-    by_size = sorted(range(1, 1 << n), key=lambda m: -bin(m).count("1"))
+
+    def finite(comp):
+        if comp not in memo:
+            memo[comp] = _component_is_finite(c, comp)
+        return memo[comp]
+
+    def joiners(r, candidates):
+        """The candidates v for which finite-type r + v is finite type."""
+        out = 0
+        rest = candidates
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if finite(_component(c, r | low, low)):
+                out |= low
+        return out
+
     maximal = []
 
-    def subset_of(mask):
-        return frozenset(c.generators[i] for i in range(n) if mask >> i & 1)
+    def grow(r, p, x):
+        top = r | p
+        # a generator commuting with all of top joins every finite subset
+        # of it: if excluded, nothing below is maximal; if a candidate,
+        # every maximal face below contains it
+        alone = 0
+        rest = p | x
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if not c._diagram[low.bit_length() - 1] & top:
+                alone |= low
+        if alone & x:
+            return
+        r |= alone
+        p &= ~alone
+        if all(finite(comp) for comp in _diagram_components(c, top)):
+            if not joiners(top, x):
+                maximal.append(top)
+            return
+        while p:
+            low = p & -p
+            p ^= low
+            grown = r | low
+            grow(grown, joiners(grown, p), joiners(grown, x))
+            x |= low
 
-    for mask in by_size:
-        if any(mask & cover == mask for cover in maximal):
-            continue
-        if is_finite_type(c, subset_of(mask), _memo=memo):
-            maximal.append(mask)
-    return SimplicialComplex(c.generators, [subset_of(m) for m in maximal])
+    grow(0, (1 << n) - 1, 0)
+    return SimplicialComplex(c.generators, [
+        [s for i, s in enumerate(c.generators) if m >> i & 1] for m in maximal])
+
+
+def _endedness(c: CoxeterSystem):
+    """The endedness class, with the nerve when deciding it needed one
+    (None otherwise)."""
+    gens = c.generators
+    if is_finite_type(c):
+        return EndednessClass("finite"), None
+    for i, s in enumerate(gens):
+        for t in gens[i + 1:]:
+            if c.order(s, t) != INF:
+                continue
+            rest = [u for u in gens if u not in (s, t)]
+            if all(c.order(u, v) == 2 for u in (s, t) for v in rest) \
+                    and is_finite_type(c, rest):
+                return EndednessClass("two_ended"), None
+    l = nerve(c)
+    is_simplex = len(l.maximal_faces) == 1 and l.maximal_faces[0] == frozenset(gens)
+    if not is_simplex and l.is_irreducible():
+        return EndednessClass("one_ended"), l
+    return EndednessClass("infinitely_many_ends",
+                          virtually_free=l.is_infinity_large()), l
 
 
 def classify_endedness(c: CoxeterSystem) -> EndednessClass:
@@ -324,23 +396,7 @@ def classify_endedness(c: CoxeterSystem) -> EndednessClass:
     one ended; otherwise infinitely many ends, virtually free (nonabelian)
     exactly when the nerve is flag with chordal 1-skeleton.
     """
-    gens = c.generators
-    if is_finite_type(c):
-        return EndednessClass("finite")
-    for i, s in enumerate(gens):
-        for t in gens[i + 1:]:
-            if c.order(s, t) != INF:
-                continue
-            rest = [u for u in gens if u not in (s, t)]
-            if all(c.order(u, v) == 2 for u in (s, t) for v in rest) \
-                    and is_finite_type(c, rest):
-                return EndednessClass("two_ended")
-    l = nerve(c)
-    is_simplex = len(l.maximal_faces) == 1 and l.maximal_faces[0] == frozenset(gens)
-    if not is_simplex and l.is_irreducible():
-        return EndednessClass("one_ended")
-    return EndednessClass("infinitely_many_ends",
-                          virtually_free=l.is_infinity_large())
+    return _endedness(c)[0]
 
 
 def subsystem_boundary_atom(c: CoxeterSystem, subset) -> Atom:
@@ -357,16 +413,16 @@ def boundary_expression(c: CoxeterSystem) -> BoundaryExpr:
     one-ended groups a single connected boundary atom.  With infinitely many
     ends the boundary is the dense amalgam of the terminal factors of the
     nerve: simplex factors contribute empty boundaries, the rest contribute
-    the boundary atoms of their (one-ended) special subgroups.
+    the boundary atoms of their (one-ended) special subgroups.  The nerve
+    built to classify the group is the one decomposed.
     """
-    cls = classify_endedness(c)
+    cls, l = _endedness(c)
     if cls.tag == "finite":
         return EMPTY
     if cls.tag == "two_ended":
         return POINT_PAIR
     if cls.tag == "one_ended":
         return Atom("bd[" + ",".join(c.generators) + "]")
-    l = nerve(c)
     args = []
     for factor in sorted(l.terminal_factors(), key=lambda f: sorted(f)):
         if l.is_face(factor):

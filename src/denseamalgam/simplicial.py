@@ -18,7 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 import json
 
-_FULL_BIPARTITION_COMPONENT_LIMIT = 12  # beyond this, emit one-vs-rest splits only
+# beyond this many components around one separator, only one-vs-rest splits
+# are produced; enough for picking a splitting, too few to list them all
+_FULL_BIPARTITION_COMPONENT_LIMIT = 12
 
 
 @dataclass(frozen=True)
@@ -273,8 +275,13 @@ class SimplicialComplex:
 
     # -- splittings ---------------------------------------------------------
 
-    def _splitting_masks(self, within=None, first_only=False):
-        """Splittings of the full subcomplex on `within` as (p1, p2, sep) masks."""
+    def _splitting_masks(self, within=None, first_only=False, complete=False):
+        """Splittings of the full subcomplex on `within` as (p1, p2, sep) masks.
+
+        first_only stops at the first one, which is the first of the full
+        list.  Above the component limit only one-vs-rest splits are made;
+        with complete set, such a separator is refused instead.
+        """
         if within is None:
             within = self._full_mask()
         sub_simplices = set()
@@ -313,6 +320,11 @@ class SimplicialComplex:
                         if first_only:
                             return out
             else:
+                if complete:
+                    raise ValueError(
+                        f"a separator leaves {k} components; listing every "
+                        f"splitting is capped at "
+                        f"{_FULL_BIPARTITION_COMPONENT_LIMIT} components")
                 for comp in comps:
                     p1, p2 = sep | comp, sep | (rest & ~comp)
                     key = (p1, p2) if p1 < p2 else (p2, p1)
@@ -324,8 +336,12 @@ class SimplicialComplex:
         return out
 
     def enumerate_splittings(self):
-        """All splittings, deduplicated, in a deterministic order."""
-        raw = self._splitting_masks()
+        """All splittings, deduplicated, in a deterministic order.
+
+        Refuses (ValueError) a complex where some simplex separator leaves
+        more than 12 components, rather than list only some splittings.
+        """
+        raw = self._splitting_masks(complete=True)
         splittings = []
         for p1, p2, sep in raw:
             a, b = self.vertex_set(p1), self.vertex_set(p2)
@@ -341,11 +357,12 @@ class SimplicialComplex:
     def terminal_factors(self, rng=None):
         """Vertex sets of the terminal factors of the splitting recursion.
 
-        With rng given, the splitting used at each step is chosen at random;
-        the result does not depend on this choice.  Raw recursion leaves are
-        not order-independent: a branch may later split inside a simplex that
-        an earlier separator duplicated into both parts, leaving a factor
-        nested inside another.  Every inclusion-maximal irreducible full
+        Without rng each step takes the first splitting, found without
+        listing the others; with rng given, the splitting used at each step
+        is chosen at random from all of them.  The result does not depend
+        on this choice.  Raw recursion leaves are not order-independent: a
+        branch may later split inside a simplex that an earlier separator
+        duplicated into both parts, leaving a factor nested inside another.  Every inclusion-maximal irreducible full
         subcomplex still occurs as a leaf under any order (an irreducible
         subcomplex lies entirely in one part of any splitting), and every
         leaf is irreducible hence contained in such a maximal one, so the
@@ -356,7 +373,7 @@ class SimplicialComplex:
         def recurse(mask):
             if mask in memo:
                 return memo[mask]
-            splits = self._splitting_masks(within=mask)
+            splits = self._splitting_masks(within=mask, first_only=rng is None)
             if not splits:
                 result = frozenset({mask})
             else:

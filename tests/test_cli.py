@@ -201,6 +201,31 @@ class TestMalformedTrees:
         assert f"lacks field '{field}'" in error["message"]
 
     @pytest.mark.parametrize("tamper, message", [
+        (lambda doc: [doc], "not an amalgam-approx bundle"),
+        (lambda doc: doc["labels"]["t|0|a"].pop("kind"),
+         "has no kind 'copy' or 'end'"),
+        (lambda doc: doc["labels"]["t|0|a"].pop("source_point"),
+         "lacks field 'source_point'"),
+        (lambda doc: doc["source_spaces"].clear(), "no source spaces"),
+        (lambda doc: doc["labels"]["t|0|a"].update({"class": 3}),
+         "names no point"),
+    ], ids=["list", "no-kind", "no-source-point", "no-sources", "bad-class"])
+    def test_approx_check_refuses_malformed_sidecar(self, tmp_path, capsys,
+                                                    tamper, message):
+        matrix, meta = build_bundle(tmp_path, [TWO_SPACE], 1, 2, 1 / 3)
+        capsys.readouterr()
+        doc = json.loads((tmp_path / "bundle.json").read_text())
+        replaced = tamper(doc)  # edits doc in place, or wraps it in a list
+        if isinstance(replaced, list):
+            doc = replaced
+        write(tmp_path, "bundle.json", json.dumps(doc))
+        code, out = run(capsys, "approx", "check", matrix, meta)
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["type"] == "ValueError"
+        assert message in error["message"]
+
+    @pytest.mark.parametrize("tamper, message", [
         (lambda parent: parent.update({"r.0": "r.1", "r.1": "r.0"}), "cycle"),
         (lambda parent: parent.update({"r.1": "r.7"}), "dangling parent"),
     ], ids=["cycle", "dangling"])

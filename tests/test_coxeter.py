@@ -63,6 +63,63 @@ def two_disjoint_cycles():
     return system("abcdpqrs", **orders)
 
 
+def nerve_oracle(c):
+    """The 2^n scan that `nerve` replaced: every generator subset, largest
+    first, kept when finite type and inside no face kept before."""
+    gens = c.generators
+    n = len(gens)
+    maximal = []
+    for mask in sorted(range(1, 1 << n), key=lambda m: -bin(m).count("1")):
+        if any(mask & cover == mask for cover in maximal):
+            continue
+        if is_finite_type(c, [s for i, s in enumerate(gens) if mask >> i & 1]):
+            maximal.append(mask)
+    return SimplicialComplex(gens, [
+        [s for i, s in enumerate(gens) if m >> i & 1] for m in maximal])
+
+
+def from_pairs(n, order):
+    """System on g00, g01, ... with m(s, t) = order(i, j) for i < j."""
+    names = [f"g{i:02d}" for i in range(n)]
+    return CoxeterSystem(names, [
+        [1 if i == j else order(min(i, j), max(i, j)) for j in range(n)]
+        for i in range(n)])
+
+
+def block_product(rng, n):
+    """Free product of one-ended 4-generator blocks (D_inf x D_inf, affine
+    A~3, affine A~2 x A1 in turn), generators shuffled among the blocks."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    block = {g: k // 4 for k, g in enumerate(perm)}
+    odd = {}
+    for b in range(n // 4):
+        a, c, d, e = perm[4 * b:4 * b + 4]
+        if b % 3 == 0:
+            odd.update({frozenset((a, c)): INF, frozenset((d, e)): INF})
+        else:
+            ring = ((a, c), (c, d), (d, e), (e, a)) if b % 3 == 1 else \
+                ((a, c), (c, d), (d, a))
+            odd.update({frozenset(p): 3 for p in ring})
+    return from_pairs(n, lambda i, j: INF if block[i] != block[j]
+                      else odd.get(frozenset((i, j)), 2))
+
+
+def product_system(rng, n, labels=(2, 2, 2, 3, INF)):
+    """W1 x W2 on two commuting halves, each with random labels and one
+    infinite-order pair (one-ended)."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    halves = (perm[:n // 2], perm[n // 2:])
+    odd = {}
+    for part in halves:
+        for k, i in enumerate(part):
+            for j in part[k + 1:]:
+                odd[frozenset((i, j))] = rng.choice(labels)
+        odd[frozenset(part[:2])] = INF
+    return from_pairs(n, lambda i, j: odd.get(frozenset((i, j)), 2))
+
+
 class TestParsing:
     def test_d_infinity(self):
         c = parse_coxeter('{"generators":["s","t"],"m":[[1,"inf"],["inf",1]]}')
@@ -254,6 +311,28 @@ class TestNerve:
                 for subset in itertools.combinations("abcd", r):
                     assert l.is_face(subset) == is_finite_type(c, subset)
 
+    def test_matches_oracle_on_random_systems(self, rng):
+        for n in range(1, 11):
+            for _ in range(12):
+                c = CoxeterSystem([f"g{i}" for i in range(n)],
+                                  random_coxeter_matrix(rng, n))
+                assert nerve(c) == nerve_oracle(c)
+
+    def test_matches_oracle_on_benchmark_shapes(self, rng):
+        systems = [block_product(rng, 12) for _ in range(3)]
+        systems += [product_system(rng, 12) for _ in range(3)]
+        systems += [block_product(rng, 16), product_system(rng, 16)]
+        for c in systems:
+            assert nerve(c) == nerve_oracle(c)
+
+    def test_matches_oracle_on_commuting_halves(self):
+        # all orders 2 but one infinite pair in each half: 4 faces of 14
+        c = from_pairs(16, lambda i, j: INF if (i, j) in ((0, 1), (8, 9))
+                       else 2)
+        l = nerve(c)
+        assert l == nerve_oracle(c)
+        assert sorted(map(len, l.maximal_faces)) == [14] * 4
+
     def test_generator_cap(self):
         names = [f"g{i}" for i in range(17)]
         c = CoxeterSystem(names, {(s, t): 1 if s == t else 2
@@ -353,6 +432,19 @@ class TestBoundaryExpression:
             c = CoxeterSystem("abcd", random_coxeter_matrix(rng, 4))
             e = boundary_expression(c)
             assert normalize(e) == e
+
+    def test_builds_the_nerve_once(self, monkeypatch):
+        calls = []
+
+        def counted(c):
+            calls.append(c)
+            return nerve(c)
+        monkeypatch.setattr("denseamalgam.coxeter.nerve", counted)
+        c = two_disjoint_cycles()
+        assert classify_endedness(c).tag == "infinitely_many_ends"
+        calls.clear()
+        boundary_expression(c)
+        assert len(calls) == 1
 
     def test_atom_name_uses_generator_order(self):
         c = system("cab")  # declaration order c, a, b

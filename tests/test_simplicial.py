@@ -52,6 +52,18 @@ def splittings_by_definition(c):
     return found
 
 
+def petals(k):
+    """k squares h-x-y-z sharing the vertex h: the separator {h} leaves
+    k components."""
+    vertices = ["h"]
+    faces = []
+    for i in range(k):
+        x, y, z = f"x{i}", f"y{i}", f"z{i}"
+        vertices += [x, y, z]
+        faces += [{"h", x}, {x, y}, {y, z}, {z, "h"}]
+    return SimplicialComplex(vertices, faces)
+
+
 def as_pair_set(splittings):
     return {frozenset((s.part1, s.part2)) for s in splittings}
 
@@ -210,6 +222,18 @@ class TestSplittings:
                 assert all(f <= s.part1 or f <= s.part2 for f in c.maximal_faces)
                 assert sorted(s.part1) <= sorted(s.part2)
 
+    def test_too_many_components_refused(self):
+        c = petals(13)
+        with pytest.raises(ValueError, match="leaves 13 components"):
+            c.enumerate_splittings()
+        # any one splitting still serves the irreducibility test and the
+        # terminal factors
+        assert not c.is_irreducible()
+        expected = {frozenset({"h", f"x{i}", f"y{i}", f"z{i}"})
+                    for i in range(13)}
+        assert c.terminal_factors() == expected
+        assert c.terminal_factors(rng=random.Random(1)) == expected
+
     def test_output_is_sorted_and_duplicate_free(self, rng):
         for _ in range(20):
             c = random_complex(rng, rng.randint(2, 7))
@@ -250,6 +274,23 @@ class TestTerminalFactors:
         c = SimplicialComplex(range(13), [set(range(13))])
         with pytest.raises(ValueError, match="bound"):
             c.maximally_full_irreducible(bound=12)
+
+    def test_first_only_split_is_the_first_of_all(self, rng):
+        for _ in range(30):
+            c = random_complex(rng, rng.randint(1, 8))
+            full = c._splitting_masks
+            steps = []
+
+            def first_only_spy(within=None, first_only=False):
+                assert first_only
+                found = full(within=within, first_only=True)
+                steps.append((within, found))
+                return found
+            c._splitting_masks = first_only_spy
+            c.terminal_factors()
+            assert steps
+            for within, found in steps:
+                assert found == full(within=within)[:1]
 
     def test_randomized_order_is_invariant(self, rng):
         for _ in range(30):
