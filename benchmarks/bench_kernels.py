@@ -1,12 +1,7 @@
-"""Benchmark the hot metric kernels: numba against the pure-numpy fallback.
+"""Benchmark the hot metric kernels: closure and triangle scan.
 
-The numba path runs only where numba can be imported; without it, or with
-DENSEAMALGAM_DISABLE_NUMBA=1, the package runs the numpy path, and this
-script times that path alone.  Where both exist it times them on the same
-inputs without touching the environment, by calling the implementation
-functions directly.  Two inputs per size: a random premetric, and the
-leading n x n block of a tree-composed `build_approx` matrix, the shape
-the CLI chain loads.
+Two inputs per size: a random premetric, and the leading n x n block of a
+tree-composed `build_approx` matrix, the shape the CLI chain loads.
 
 Usage: python benchmarks/bench_kernels.py [--sizes 64 128 256] [--repeats 5]
 """
@@ -62,33 +57,20 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 
-    if not _kernels.numba_available():
-        print("numba is not importable; only the numpy path is timed")
     rng = np.random.default_rng(args.seed)
+    kernels = [("floyd_warshall", _kernels.floyd_warshall),
+               ("max_triangle_violation", _kernels.max_triangle_violation)]
 
-    pairs = [("floyd_warshall", _kernels.floyd_warshall_numpy,
-              getattr(_kernels, "_floyd_warshall_jit", None)),
-             ("max_triangle_violation", _kernels.max_triangle_violation_numpy,
-              getattr(_kernels, "_max_triangle_violation_jit", None))]
-
-    header = (f"{'kernel':<24} {'input':<6} {'n':>5} {'numpy':>12} "
-              f"{'numba':>12} {'speedup':>8}")
+    header = f"{'kernel':<24} {'input':<6} {'n':>5} {'best':>12} {'median':>12}"
     print(header)
     print("-" * len(header))
-    for name, numpy_fn, jit_fn in pairs:
-        if jit_fn is not None:
-            jit_fn(random_premetric(rng, 8).copy())  # compile outside timing
+    for name, fn in kernels:
         for n in args.sizes:
             for kind, dist in (("random", random_premetric(rng, n)),
                                ("tree", tree_composed(n))):
-                np_best, _ = time_call(numpy_fn, dist, args.repeats)
-                row = f"{name:<24} {kind:<6} {n:>5} {np_best * 1e3:>10.2f}ms"
-                if jit_fn is None:
-                    print(f"{row} {'-':>12} {'-':>8}")
-                    continue
-                jit_best, _ = time_call(jit_fn, dist, args.repeats)
-                speedup = np_best / jit_best if jit_best > 0 else float("inf")
-                print(f"{row} {jit_best * 1e3:>10.2f}ms {speedup:>7.1f}x")
+                best, median = time_call(fn, dist, args.repeats)
+                print(f"{name:<24} {kind:<6} {n:>5} {best * 1e3:>10.2f}ms "
+                      f"{median * 1e3:>10.2f}ms")
     return 0
 
 

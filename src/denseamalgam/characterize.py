@@ -114,7 +114,7 @@ def load_structure(matrix_path, sidecar_path) -> RegularStructure:
     space = read_matrix_csv(matrix_path)
     with open(sidecar_path) as fh:
         data = json.load(fh)
-    if data.get("kind") != "regular-structure":
+    if not isinstance(data, dict) or data.get("kind") != "regular-structure":
         raise ValueError("sidecar is not a regular-structure bundle")
     subsets = data.get("subsets")
     classes = data.get("classes")
@@ -122,6 +122,11 @@ def load_structure(matrix_path, sidecar_path) -> RegularStructure:
         raise ValueError("sidecar needs 'subsets' and 'classes' lists")
     if len(subsets) != len(classes):
         raise ValueError("sidecar 'subsets' and 'classes' lengths differ")
+    if not all(isinstance(pts, list) and all(isinstance(p, str) for p in pts)
+               for pts in subsets):
+        raise ValueError("each sidecar subset must be a list of point names")
+    if not all(type(c) is int for c in classes):
+        raise ValueError("sidecar classes must be integers")
     return RegularStructure(space, zip(map(tuple, subsets), classes))
 
 
@@ -474,8 +479,11 @@ def labelling_to_json(l: TLabelling) -> str:
 
 def labelling_from_json(text: str) -> TLabelling:
     data = json.loads(text)
-    if data.get("kind") != "t-labelling":
+    if not isinstance(data, dict) or data.get("kind") != "t-labelling":
         raise ValueError("document is not a t-labelling")
+    for key in ("parent", "assignment", "partitions", "radii"):
+        if not isinstance(data.get(key, {}), dict):
+            raise ValueError(f"t-labelling field {key!r} must be an object")
     try:
         labelling = TLabelling(
             root=data["root"],
@@ -485,7 +493,10 @@ def labelling_from_json(text: str) -> TLabelling:
             radii={v: float(r) for v, r in data["radii"].items()},
         )
     except KeyError as missing:
-        raise ValueError(f"t-labelling document lacks field {missing}")
+        raise ValueError(f"t-labelling document lacks field {missing}") from None
+    except TypeError as exc:
+        # an entry of the wrong JSON type, such as a list for a radius
+        raise ValueError(f"malformed t-labelling entry: {exc}") from None
     labelling.tree()  # refuse a parent map that is not a tree
     return labelling
 

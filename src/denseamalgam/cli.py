@@ -239,14 +239,13 @@ def _cmd_coxeter_boundary(args, config):
 
 def _cmd_nerve_decompose(args, config):
     n = _parse_with(_coxeter.SimplicialComplex.from_json, _read_text(args.input))
-    factors = n.terminal_factors(rng=random.Random(args.seed))
-    listed = sorted(sorted(f) for f in factors)
+    listed = sorted(sorted(f) for f in n.terminal_factors())
+    infinity_large = n.is_infinity_large()
     report = {"config": config, "factors": listed,
-              "infinity_large": n.is_infinity_large()}
+              "infinity_large": infinity_large}
     lines = [f"terminal factors: {len(listed)}"]
     lines.extend("  " + " ".join(f) for f in listed)
-    lines.append(
-        f"infinity-large: {'true' if n.is_infinity_large() else 'false'}")
+    lines.append(f"infinity-large: {'true' if infinity_large else 'false'}")
     return 0, report, "\n".join(lines) + "\n"
 
 

@@ -6,11 +6,13 @@ A splitting presents the complex as a union of two proper full subcomplexes
 whose intersection is a single shared simplex or empty; a complex with no
 splitting is irreducible.  Splitting recursively and collecting the pieces
 that admit no further splitting yields the terminal factors, which are
-independent of the order in which splittings are chosen.
+independent of the order in which splittings are chosen.  The recursion
+therefore takes the first splitting at each step; enumerate_splittings lists
+them all.
 
 Internally vertex subsets are bitmasks over the vertex tuple, which keeps the
-exhaustive separator/component searches cheap for the sizes this module is
-meant for (tens of vertices at most).
+separator/component searches cheap for the sizes this module is meant for
+(tens of vertices at most).
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 import json
 
-# beyond this many components around one separator, only one-vs-rest splits
-# are produced; enough for picking a splitting, too few to list them all
+# enumerate_splittings refuses a separator leaving more components than this:
+# there are 2^(k-1) - 1 splittings around it
 _FULL_BIPARTITION_COMPONENT_LIMIT = 12
 
 
@@ -275,110 +277,88 @@ class SimplicialComplex:
 
     # -- splittings ---------------------------------------------------------
 
-    def _splitting_masks(self, within=None, first_only=False, complete=False):
-        """Splittings of the full subcomplex on `within` as (p1, p2, sep) masks.
-
-        first_only stops at the first one, which is the first of the full
-        list.  Above the component limit only one-vs-rest splits are made;
-        with complete set, such a separator is refused instead.
-        """
-        if within is None:
-            within = self._full_mask()
-        sub_simplices = set()
+    def _separations(self, within: int):
+        """(sep, comps) for each simplex separator of the full subcomplex on
+        `within` that leaves two or more components: the empty separator
+        first, then faces in mask order."""
+        faces = set()
         for m in self._full_subcomplex_masks(within):
             sub = m
-            while True:
-                if sub:
-                    sub_simplices.add(sub)
-                if sub == 0:
-                    break
+            while sub:
+                faces.add(sub)
                 sub = (sub - 1) & m
-        out = []
-        seen = set()
-        for sep in [0] + sorted(sub_simplices):
-            rest = within & ~sep
-            if rest == 0:
-                continue
-            comps = self._component_masks(rest)
-            k = len(comps)
-            if k < 2:
-                continue
-            if k <= _FULL_BIPARTITION_COMPONENT_LIMIT:
-                for bits in range(2 ** (k - 1) - 1):
-                    g1 = comps[0]
-                    for i in range(k - 1):
-                        if bits >> i & 1:
-                            g1 |= comps[i + 1]
-                    # bits enumerates proper subsets of comps[1:]; comps[0]
-                    # always sits in g1, so the unordered pair is hit once.
-                    g2 = rest & ~g1
-                    p1, p2 = sep | g1, sep | g2
-                    key = (p1, p2) if p1 < p2 else (p2, p1)
-                    if key not in seen:
-                        seen.add(key)
-                        out.append((key[0], key[1], sep))
-                        if first_only:
-                            return out
-            else:
-                if complete:
-                    raise ValueError(
-                        f"a separator leaves {k} components; listing every "
-                        f"splitting is capped at "
-                        f"{_FULL_BIPARTITION_COMPONENT_LIMIT} components")
-                for comp in comps:
-                    p1, p2 = sep | comp, sep | (rest & ~comp)
-                    key = (p1, p2) if p1 < p2 else (p2, p1)
-                    if key not in seen:
-                        seen.add(key)
-                        out.append((key[0], key[1], sep))
-                        if first_only:
-                            return out
-        return out
+        for sep in [0] + sorted(faces):
+            comps = self._component_masks(within & ~sep)
+            if len(comps) >= 2:
+                yield sep, comps
+
+    def _first_splitting(self, within: int):
+        """The first splitting of the full subcomplex on `within`, as masks
+        (p1, p2, sep) with p1 < p2, or None when it is irreducible: the
+        first component splits off against the rest, at the first
+        separator that leaves two or more."""
+        for sep, comps in self._separations(within):
+            p1, p2 = sep | comps[0], within & ~comps[0]
+            return (p1, p2, sep) if p1 < p2 else (p2, p1, sep)
+        return None
 
     def enumerate_splittings(self):
-        """All splittings, deduplicated, in a deterministic order.
+        """All splittings, in a deterministic order.
 
         Refuses (ValueError) a complex where some simplex separator leaves
         more than 12 components, rather than list only some splittings.
+        Each unordered pair of parts is listed once: the parts meet in
+        their separator, and around one separator each bipartition of the
+        components is produced once.
         """
-        raw = self._splitting_masks(complete=True)
+        within = self._full_mask()
         splittings = []
-        for p1, p2, sep in raw:
-            a, b = self.vertex_set(p1), self.vertex_set(p2)
-            if sorted(b) < sorted(a):
-                a, b = b, a
-            splittings.append(Splitting(a, b, self.vertex_set(sep)))
+        for sep, comps in self._separations(within):
+            k = len(comps)
+            if k > _FULL_BIPARTITION_COMPONENT_LIMIT:
+                raise ValueError(
+                    f"a separator leaves {k} components; listing every "
+                    f"splitting is capped at "
+                    f"{_FULL_BIPARTITION_COMPONENT_LIMIT} components")
+            for bits in range(2 ** (k - 1) - 1):
+                # bits picks a proper subset of comps[1:] to join comps[0]
+                g1 = comps[0]
+                for i in range(k - 1):
+                    if bits >> i & 1:
+                        g1 |= comps[i + 1]
+                a, b = sorted((self.vertex_set(sep | g1),
+                               self.vertex_set(within & ~g1)), key=sorted)
+                splittings.append(Splitting(a, b, self.vertex_set(sep)))
         splittings.sort(key=lambda s: (sorted(s.separator), sorted(s.part1), sorted(s.part2)))
         return splittings
 
     def is_irreducible(self) -> bool:
-        return not self._splitting_masks(first_only=True)
+        return self._first_splitting(self._full_mask()) is None
 
-    def terminal_factors(self, rng=None):
+    def terminal_factors(self):
         """Vertex sets of the terminal factors of the splitting recursion.
 
-        Without rng each step takes the first splitting, found without
-        listing the others; with rng given, the splitting used at each step
-        is chosen at random from all of them.  The result does not depend
-        on this choice.  Raw recursion leaves are not order-independent: a
-        branch may later split inside a simplex that an earlier separator
-        duplicated into both parts, leaving a factor nested inside another.  Every inclusion-maximal irreducible full
-        subcomplex still occurs as a leaf under any order (an irreducible
-        subcomplex lies entirely in one part of any splitting), and every
-        leaf is irreducible hence contained in such a maximal one, so the
-        inclusion-maximal leaves are exactly the maximal irreducibles.
+        Each step takes the first splitting, found without listing the
+        others.  The result does not depend on this choice.  Raw recursion
+        leaves are not order-independent: a branch may later split inside a
+        simplex that an earlier separator duplicated into both parts,
+        leaving a factor nested inside another.  Every inclusion-maximal
+        irreducible full subcomplex still occurs as a leaf under any order
+        (an irreducible subcomplex lies entirely in one part of any
+        splitting), and every leaf is irreducible hence contained in such a
+        maximal one, so the inclusion-maximal leaves are exactly the
+        maximal irreducibles.
         """
         memo = {}
 
         def recurse(mask):
             if mask in memo:
                 return memo[mask]
-            splits = self._splitting_masks(within=mask, first_only=rng is None)
-            if not splits:
+            split = self._first_splitting(mask)
+            if split is None:
                 result = frozenset({mask})
             else:
-                choice = splits[rng.randrange(len(splits))] if rng is not None else splits[0]
-                p1, p2, _sep = choice
+                p1, p2, _sep = split
                 result = recurse(p1) | recurse(p2)
             memo[mask] = result
             return result
@@ -400,10 +380,8 @@ class SimplicialComplex:
         n = len(self.vertices)
         if n > bound:
             raise ValueError(f"brute-force search over {n} vertices exceeds bound {bound}")
-        irreducible = []
-        for mask in range(1, 1 << n):
-            if not self._splitting_masks(within=mask, first_only=True):
-                irreducible.append(mask)
+        irreducible = [mask for mask in range(1, 1 << n)
+                       if self._first_splitting(mask) is None]
         maximal = [
             m for m in irreducible
             if not any(m != o and m & o == m for o in irreducible)

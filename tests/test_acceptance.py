@@ -41,6 +41,7 @@ from conftest import (
     random_coxeter_matrix,
     random_expr,
 )
+from test_simplicial import random_order_factors
 
 INF = math.inf
 
@@ -131,7 +132,8 @@ def test_criterion_03_terminal_factors():
     for i in range(100):
         c = random_complex(rng, rng.randint(1, 8))
         brute = c.maximally_full_irreducible()
-        if c.terminal_factors(rng=random.Random(i)) != brute:
+        if (c.terminal_factors() != brute
+                or random_order_factors(c, random.Random(i)) != brute):
             mismatches += 1
     elapsed = time.monotonic() - t0
     _verdict(3, "terminal-factors", mismatches == 0 and elapsed < 60.0,
@@ -201,26 +203,26 @@ def test_criterion_05_infinity_largeness():
     checked = 0
     t0 = time.monotonic()
 
-    def check(c, seed):
+    def check(c):
         nonlocal mismatches, checked
-        factors = c.terminal_factors(rng=random.Random(seed))
+        factors = c.terminal_factors()
         all_simplices = all(c.is_face(f) for f in factors)
         if c.is_infinity_large() != all_simplices:
             mismatches += 1
         checked += 1
 
     # every complex on at most 5 vertices
-    for i, c in enumerate(_all_small_complexes(5)):
-        check(c, i)
+    for c in _all_small_complexes(5):
+        check(c)
     # every flag complex on 6 vertices, one per graph
     pairs = list(itertools.combinations(range(6), 2))
     for bits in range(1 << len(pairs)):
         edges = {pairs[k] for k in range(len(pairs)) if bits >> k & 1}
-        check(clique_complex(6, edges), bits)
+        check(clique_complex(6, edges))
     # random 8-vertex complexes
     rng = random.Random(5)
-    for i in range(100):
-        check(random_complex(rng, 8), i)
+    for _ in range(100):
+        check(random_complex(rng, 8))
     elapsed = time.monotonic() - t0
     _verdict(5, "infinity-largeness", mismatches == 0,
              f"{checked} complexes, {mismatches} mismatches, {elapsed:.2f}s")

@@ -246,6 +246,54 @@ class TestMalformedTrees:
         assert error["type"] == "ValueError"
         assert message in error["message"]
 
+    @pytest.mark.parametrize("tamper, message", [
+        (lambda doc: [], "not a regular-structure bundle"),
+        (lambda doc: doc["subsets"].__setitem__(0, 5),
+         "must be a list of point names"),
+        (lambda doc: doc["classes"].__setitem__(0, [1]),
+         "classes must be integers"),
+    ], ids=["list", "int-subset", "list-class"])
+    def test_regular_check_refuses_malformed_sidecar(self, tmp_path, capsys,
+                                                     tamper, message):
+        matrix, meta = build_structure_files(tmp_path, [TWO_SPACE], 1, 2,
+                                             1 / 3)
+        capsys.readouterr()
+        doc = json.loads((tmp_path / "rs.json").read_text())
+        replaced = tamper(doc)  # edits doc in place, or returns a list
+        write(tmp_path, "rs.json", json.dumps(
+            replaced if isinstance(replaced, list) else doc))
+        code, out = run(capsys, "regular", "check", matrix, meta)
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["type"] == "ValueError"
+        assert message in error["message"]
+
+    @pytest.mark.parametrize("tamper, message", [
+        (lambda doc: [], "not a t-labelling"),
+        (lambda doc: doc.update({"assignment": [0]}),
+         "'assignment' must be an object"),
+        (lambda doc: doc.pop("radii"), "lacks field 'radii'"),
+        (lambda doc: doc["radii"].update({"r": [1.0]}),
+         "malformed t-labelling entry"),
+    ], ids=["list", "list-assignment", "no-radii", "list-radius"])
+    def test_label_verify_refuses_malformed_labelling(self, tmp_path, capsys,
+                                                      tamper, message):
+        matrix, meta = build_structure_files(tmp_path, [TWO_SPACE], 1, 2,
+                                             1 / 3)
+        lab_path = str(tmp_path / "lab.json")
+        code, _ = run(capsys, "label", "build", matrix, meta,
+                      "--max-depth", "2", "--out", lab_path)
+        assert code == 0
+        doc = json.loads((tmp_path / "lab.json").read_text())
+        replaced = tamper(doc)
+        bad_path = write(tmp_path, "bad.json", json.dumps(
+            replaced if isinstance(replaced, list) else doc))
+        code, out = run(capsys, "label", "verify", matrix, meta, bad_path)
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["type"] == "ValueError"
+        assert message in error["message"]
+
 
 class TestOperationFailures:
     def test_elementary_gog_boundary_exits_1(self, tmp_path, capsys):

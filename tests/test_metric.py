@@ -65,22 +65,6 @@ point_sets = st.lists(
     st.tuples(st.integers(-50, 50), st.integers(-50, 50)),
     min_size=1, max_size=10, unique=True)
 
-# symmetric nonnegative matrices with zero diagonal, as flat entry lists
-def random_cost_matrix(draw_entries, n):
-    mat = np.zeros((n, n))
-    it = iter(draw_entries)
-    for i in range(n):
-        for j in range(i + 1, n):
-            mat[i, j] = mat[j, i] = next(it)
-    return mat
-
-
-cost_matrices = st.integers(2, 9).flatmap(
-    lambda n: st.lists(
-        st.floats(0.1, 100.0, allow_nan=False),
-        min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2,
-    ).map(lambda entries: random_cost_matrix(entries, n)))
-
 
 class TestConstruction:
     def test_needs_points(self):
@@ -218,27 +202,6 @@ class TestKernels:
         metric = np.array([[0.0, 1, 2], [1, 0.0, 1], [2, 1, 0.0]])
         assert _kernels.max_triangle_violation(metric) <= 0.0 + 1e-15
 
-    @pytest.mark.skipif(not _kernels.numba_available(), reason="numba not installed")
-    @given(cost_matrices)
-    @settings(max_examples=30, deadline=None)
-    def test_backend_parity(self, mat):
-        jit = _kernels.floyd_warshall(mat)
-        plain = _kernels.floyd_warshall_numpy(np.array(mat))
-        assert np.allclose(jit, plain, rtol=0, atol=0)
-        assert _kernels.max_triangle_violation_numpy(jit) \
-            == pytest.approx(_kernels.max_triangle_violation(jit), abs=1e-15)
-
-    def test_env_flag_selects_numpy(self, monkeypatch):
-        monkeypatch.setenv("DENSEAMALGAM_DISABLE_NUMBA", "1")
-        assert not _kernels.numba_enabled()
-        mat = np.array([[0.0, 5, 1], [5, 0.0, 1], [1, 1, 0.0]])
-        out = _kernels.floyd_warshall(mat)
-        assert out[0, 1] == 2.0
-        monkeypatch.delenv("DENSEAMALGAM_DISABLE_NUMBA")
-        if _kernels.numba_available():
-            assert _kernels.numba_enabled()
-            assert np.array_equal(_kernels.floyd_warshall(mat), out)
-
     def test_triangle_scan_matches_oracle_on_premetrics(self):
         rng = np.random.default_rng(2)
         for n in (1, 2, 3, 7, 30, 64):
@@ -246,8 +209,6 @@ class TestKernels:
             mat = raw + raw.T
             np.fill_diagonal(mat, 0.0)
             assert _kernels.max_triangle_violation(mat) == triangle_oracle(mat)
-            assert _kernels.max_triangle_violation_numpy(mat) \
-                == triangle_oracle(mat)
         # the only shortcut runs through hub k, whichever point that is
         for k in range(6):
             mat = np.full((6, 6), 2.0)

@@ -52,6 +52,25 @@ def splittings_by_definition(c):
     return found
 
 
+def random_order_factors(c, rng):
+    """Terminal factors by the splitting recursion, each step drawing its
+    splitting at random from enumerate_splittings.  The factors do not
+    depend on the draws, so terminal_factors must equal this for any rng."""
+    leaves = set()
+
+    def recurse(vs):
+        splits = c.full_subcomplex(vs).enumerate_splittings()
+        if not splits:
+            leaves.add(vs)
+            return
+        chosen = splits[rng.randrange(len(splits))]
+        recurse(chosen.part1)
+        recurse(chosen.part2)
+
+    recurse(frozenset(c.vertices))
+    return {f for f in leaves if not any(f < g for g in leaves)}
+
+
 def petals(k):
     """k squares h-x-y-z sharing the vertex h: the separator {h} leaves
     k components."""
@@ -232,7 +251,6 @@ class TestSplittings:
         expected = {frozenset({"h", f"x{i}", f"y{i}", f"z{i}"})
                     for i in range(13)}
         assert c.terminal_factors() == expected
-        assert c.terminal_factors(rng=random.Random(1)) == expected
 
     def test_output_is_sorted_and_duplicate_free(self, rng):
         for _ in range(20):
@@ -275,29 +293,27 @@ class TestTerminalFactors:
         with pytest.raises(ValueError, match="bound"):
             c.maximally_full_irreducible(bound=12)
 
-    def test_first_only_split_is_the_first_of_all(self, rng):
+    def test_first_splitting_is_a_splitting(self, rng):
         for _ in range(30):
-            c = random_complex(rng, rng.randint(1, 8))
-            full = c._splitting_masks
-            steps = []
+            c = random_complex(rng, rng.randint(1, 7))
+            for mask in range(1, 1 << len(c.vertices)):
+                sub = c.full_subcomplex(c.vertex_set(mask))
+                by_definition = splittings_by_definition(sub)
+                first = c._first_splitting(mask)
+                if first is None:
+                    assert not by_definition
+                    continue
+                p1, p2, sep = first
+                assert p1 < p2 and p1 & p2 == sep
+                pair = frozenset((c.vertex_set(p1), c.vertex_set(p2)))
+                assert pair in by_definition
 
-            def first_only_spy(within=None, first_only=False):
-                assert first_only
-                found = full(within=within, first_only=True)
-                steps.append((within, found))
-                return found
-            c._splitting_masks = first_only_spy
-            c.terminal_factors()
-            assert steps
-            for within, found in steps:
-                assert found == full(within=within)[:1]
-
-    def test_randomized_order_is_invariant(self, rng):
+    def test_random_order_matches_first_splitting(self, rng):
         for _ in range(30):
             c = random_complex(rng, rng.randint(1, 8))
             baseline = c.terminal_factors()
             for seed in range(3):
-                assert c.terminal_factors(rng=random.Random(seed)) == baseline
+                assert random_order_factors(c, random.Random(seed)) == baseline
 
     def test_matches_bruteforce(self, rng):
         for _ in range(30):
