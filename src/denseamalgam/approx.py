@@ -18,13 +18,16 @@ from the tree.  The same cut points let (a5) scan the tree's edges rather
 than all pairs of vertices.
 """
 
+import functools
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .metric import (
+    TRIANGLE_SLACK,
     FiniteMetricSpace,
     disjoint_union,
     read_matrix_csv,
@@ -207,15 +210,7 @@ class AmalgamApprox:
 # ---------------------------------------------------------------------------
 # Construction.
 
-def build_approx(xs, depth: int, branching: int, scale: float,
-                 *, _skip_scale_check=False) -> AmalgamApprox:
-    """Assemble the glued tree of scaled copies.
-
-    scale is the per-level shrink factor lambda in (0, 1/2]; the test hook
-    _skip_scale_check admits out-of-range values so checks can be shown to
-    fail on them.
-    """
-    xs = list(xs)
+def _check_recipe(xs, depth, branching, scale, skip_scale_check=False):
     if not xs:
         raise ValueError("need at least one source space")
     for x in xs:
@@ -227,86 +222,218 @@ def build_approx(xs, depth: int, branching: int, scale: float,
         raise ValueError("depth must be a non-negative integer")
     if not isinstance(branching, int) or branching < 1:
         raise ValueError("branching must be a positive integer")
-    if not _skip_scale_check and not 0 < scale <= 0.5:
+    if not skip_scale_check and not 0 < scale <= 0.5:
         raise ValueError("scale must lie in (0, 1/2]")
 
-    union = disjoint_union(xs)
+
+def _vertex_names(depth, branching):
+    """The truncated branching-ary tree's vertices, breadth first: root "t",
+    children "<v>.<i>"; vertex v's parent is (v - 1) // branching."""
+    names = [ROOT]
+    for v in range(1, sum(branching ** j for j in range(depth + 1))):
+        names.append(f"{names[(v - 1) // branching]}.{(v - 1) % branching}")
+    return names
+
+
+def _point_names(vertex, union, n_leaves):
+    """Copy points "<vertex>|<class>|<point>", then "end|<leaf>" per leaf."""
+    return ([f"{t}|{ci}|{p}" for t in vertex for ci, p in union.points]
+            + [f"end|{t}" for t in vertex[len(vertex) - n_leaves:]])
+
+
+def _radius_and_ratio(union):
+    """The root copy's peripheral radius r0 and the per-cycle ratio mu."""
     diam = union.diam()
-    r0 = diam / 2 if diam > 0 else 0.5
-    mu = 0.5
+    return (diam / 2 if diam > 0 else 0.5), 0.5
 
-    # truncated branching-ary tree, breadth first: root "t", children "<v>.<i>"
-    n_vertices = sum(branching ** j for j in range(depth + 1))
-    parent = [-1] + [(v - 1) // branching for v in range(1, n_vertices)]
-    vertex = [ROOT]
-    for v in range(1, n_vertices):
-        vertex.append(f"{vertex[parent[v]]}.{(v - 1) % branching}")
-    tree = RootedTree(parent, vertex)
 
-    def n_slots(v):
-        # one slot per incident edge, plus the spare a leaf's end takes
-        return branching + (v > 0)
+def _glued_matrix(union, depth, branching, scale, r0, mu):
+    """The glued metric on every copy's base points, breadth first, then on
+    one end per leaf (its deepest slot), breadth first.
 
-    copies = []
-    for v in range(n_vertices):
-        j = tree.depth[v]
-        scaled = FiniteMetricSpace(union.points, scale ** j * union.dist,
-                                   _check=False)
-        copies.append(peripheral_extension(scaled, n_slots(v),
-                                           r0 * scale ** j, mu))
-        assert len(copies[v].peripheral) == n_slots(v)
-
-    # leaves first: glue each child's subtree onto its parent copy's model
-    # at the child port and the child's parent port (slot 1)
+    Every vertex at depth j carries the same extended model, so every
+    subtree rooted at depth j has the same matrix S_j; it is built once
+    per level, from the leaves up.  S_j holds its root copy's base points
+    (and a leaf's end), then b copies of S_{j+1}; g_j holds the distances
+    from the root's parent port (slot 0) to those points.  Peripheral
+    point k lies at r_k + d(x_k, x) from base point x and at
+    (r_k + r_l) + d(x_k, x_l) from peripheral point l, its anchor x_k
+    being base point k mod |base| (`PeripheralModel`).  Child i hangs at
+    the child port p_i, the slot after the parent slot if any, which is a
+    cut point: a base point x lies at d(x, p_i) + g[t] from point t of
+    the child, and point r of child k < i lies at (d(p_i, p_k) + g[r]) +
+    g[t] from it.  These are the sums, in the same order, of wedging the
+    children onto the whole model one at a time, so the matrix is bit for
+    bit the one the vertex-by-vertex gluing gives.
+    """
     nb = len(union.points)
-    glued = {}  # vertex -> (subtree matrix, first row of each copy's model)
-    for v in reversed(range(n_vertices)):
-        mat, start = copies[v].as_space().dist, {v: 0}
-        for i, c in enumerate(tree.children[v]):
-            sub, sub_start = glued.pop(c)
-            start.update((u, len(mat) + r) for u, r in sub_start.items())
-            # the child port is 0-based slot i, after the parent slot if any
-            mat = _wedge(mat, nb + i + (v > 0), sub, nb)
-        glued[v] = (mat, start)
-    dist, start = glued[0]
+    sub = g = None
+    sizes = []  # per level from the leaves up: model rows kept, rows of S_j+1
+    for j in reversed(range(depth + 1)):
+        base = scale ** j * union.dist
+        r0j = r0 * scale ** j
+        radii = [r0j * mu ** math.ceil(k / nb)
+                 for k in range(1, branching + (j > 0) + 1)]
+        if not radii[-1] >= sys.float_info.min:
+            # halving a normal radius is exact, so the radii then decrease
+            raise ValueError(f"peripheral radii underflow at depth {j}")
 
-    # keep copy base points and one end per leaf (its deepest slot)
-    kept = []
-    names = []
-    labels = {}
-    ends = {}
-    for v, t in enumerate(vertex):
-        for row, (ci, p) in enumerate(union.points):
-            kept.append(start[v] + row)
-            name = f"{t}|{ci}|{p}"
-            names.append(name)
-            labels[name] = {"kind": "copy", "tree_vertex": t, "class": ci,
-                            "source_point": p}
-    for v, t in enumerate(vertex):
-        if tree.children[v]:
-            continue
-        kept.append(start[v] + nb + n_slots(v) - 1)
-        name = f"end|{t}"
-        names.append(name)
-        labels[name] = {"kind": "end", "leaf": t}
-        ends[t] = name
+        def far(k, l):  # peripheral points k and l
+            return (radii[k] + radii[l]) + base[k % nb, l % nb]
 
-    final = dist[np.ix_(kept, kept)]
+        if sub is None:  # a leaf keeps its base points and its last slot
+            end = len(radii) - 1
+            ports, a, s = [], nb + 1, 0
+            mat = np.empty((a, a))
+            mat[nb, :nb] = mat[:nb, nb] = radii[end] + base[end % nb]
+            mat[nb, nb] = 0.0
+        else:
+            ports, a, s = [i + (j > 0) for i in range(branching)], nb, len(sub)
+            mat = np.empty((a + branching * s,) * 2)
+        mat[:nb, :nb] = base
+        for i, p in enumerate(ports):
+            lo = a + i * s
+            mat[lo:lo + s, lo:lo + s] = sub
+            cross = (radii[p] + base[p % nb])[:, None] + g
+            mat[:a, lo:lo + s], mat[lo:lo + s, :a] = cross, cross.T
+            for k in range(i):
+                cross = (far(p, ports[k]) + g)[:, None] + g
+                lk = a + k * s
+                mat[lk:lk + s, lo:lo + s], mat[lo:lo + s, lk:lk + s] = cross, cross.T
+        if j > 0:
+            g = np.concatenate([radii[0] + base[0]]
+                               + ([[far(0, end)]] if sub is None else [])
+                               + [far(0, p) + g for p in ports])
+        sub = mat
+        sizes.append((a, s))
+
+    # a vertex's rows start after its parent's kept model points and its
+    # elder siblings' subtrees; sizes runs from the leaves up
+    starts = [np.zeros(1, dtype=np.intp)]
+    for a, s in reversed(sizes[1:]):
+        starts.append((starts[-1][:, None] + a + s * np.arange(branching)).ravel())
+    rows = np.concatenate([(np.concatenate(starts)[:, None] + np.arange(nb)).ravel(),
+                           starts[-1] + nb])
+    return sub.take(rows, 0).take(rows, 1)
+
+
+def build_approx(xs, depth: int, branching: int, scale: float,
+                 *, _skip_scale_check=False) -> AmalgamApprox:
+    """Assemble the glued tree of scaled copies.
+
+    scale is the per-level shrink factor lambda in (0, 1/2]; the test hook
+    _skip_scale_check admits out-of-range values so checks can be shown to
+    fail on them.
+    """
+    xs = list(xs)
+    _check_recipe(xs, depth, branching, scale, _skip_scale_check)
+    union = disjoint_union(xs)
+    r0, mu = _radius_and_ratio(union)
+    vertex = _vertex_names(depth, branching)
+    tree = RootedTree([-1] + [(v - 1) // branching
+                              for v in range(1, len(vertex))], vertex)
+    final = _glued_matrix(union, depth, branching, scale, r0, mu)
     assert np.all(np.isfinite(final)), "tree gluing left the space disconnected"
-    assert float((final + np.eye(len(kept))).min()) > 0, \
+    assert float((final + np.eye(len(final))).min()) > 0, \
         "gluing collapsed two surviving points"
+    leaves = vertex[len(vertex) - branching ** depth:]
+    names = _point_names(vertex, union, len(leaves))
+    copies = [(t, ci, p) for t in vertex for ci, p in union.points]
+    labels = {name: {"kind": "copy", "tree_vertex": t, "class": ci,
+                     "source_point": p}
+              for name, (t, ci, p) in zip(names, copies)}
+    ends = dict(zip(leaves, names[len(copies):]))
+    labels.update((name, {"kind": "end", "leaf": t}) for t, name in ends.items())
     space = FiniteMetricSpace(names, final, _check=False)
     return AmalgamApprox(source_spaces=xs, depth=depth, branching=branching,
                          scale=scale, r0=r0, mu=mu, tree=tree,
                          space=space, labels=labels, ends=ends)
 
 
-def _wedge(x, p, y, q):
-    """Glue metric matrices x and y at zero distance between x's point p and
-    y's point q; the glued pair is a cut point, so every path across it
-    runs through it."""
-    cross = x[:, p, None] + y[None, q, :]
-    return np.block([[x, cross], [cross.T, y]])
+def recipe_of(a: AmalgamApprox) -> dict:
+    """The build parameters that fix a's matrix, as JSON values."""
+    return {"depth": a.depth, "branching": a.branching, "scale": a.scale,
+            "source_spaces": [{"points": list(x.points), "dist": x.dist.tolist()}
+                              for x in a.source_spaces]}
+
+
+def _point_count(nb, depth, branching, limit):
+    """nb points per tree vertex plus one per leaf, or None past limit;
+    the loop stops as soon as the tree outgrows limit."""
+    vertices, level = 0, 1
+    for j in range(depth + 1):
+        vertices += level
+        if vertices * nb > limit:
+            return None
+        if j < depth:
+            level *= branching
+    return vertices * nb + level
+
+
+def rebuild_space(recipe, n, sources=None):
+    """The space `build_approx` makes from a recipe, when it has n points
+    and its axioms are certain; None otherwise.
+
+    recipe is a document with "depth", "branching", "scale" and
+    "source_spaces" (a `recipe_of`, or an approximation sidecar); sources
+    are the source spaces when the caller has already read them, each
+    through the full `FiniteMetricSpace` check.  A recipe with any fault
+    (a missing or mistyped field, a source that fails its check, a point
+    name with "|", a scale outside (0, 1/2]) gives None, and so does one
+    whose point count, vertices * sum|source| + branching^depth, is not n:
+    nothing is built for a recipe that claims a larger space.
+
+    Why the returned space is a metric within `TRIANGLE_SLACK`, like a
+    space that passed the scan (u = 2^-53, D = depth, diam its diameter):
+
+    1. Each source passed the full check, with a measured worst violation
+       v_i; its true worst violation is at most v_i + 3u diam.
+    2. Scaling by scale^j <= 1 shrinks violations.  The disjoint union's
+       cross distance is at least both diameters, a peripheral point lies
+       at its radius plus the base distances from its anchor, and a
+       cut-point wedge's cross distances are sums through the cut point:
+       each step keeps the triangle inequality exactly, so with exact
+       arithmetic on the same inputs the worst violation is at most
+       max v_i.
+    3. Every entry is a sum of nonnegative terms: at most three per model
+       entry (two radii and a scaled distance, itself one product) and one
+       model entry per edge of a tree path, which has at most 2D edges.
+       So each entry is within (2D + 4)u of its exact value, relatively,
+       and a triangle, read as the scan reads it, moves by at most
+       (6D + 16)u diam.
+    4. The space is returned only when it is finite, positive off the
+       diagonal, and max v_i + (6D + 32)u diam <= TRIANGLE_SLACK *
+       max(1, diam).  Its diagonal is zero and it is exactly symmetric by
+       construction (each block is written with its transpose).
+
+    The budget in 4 is at most 1e-12 * diam for D < 1,495, so a recipe
+    whose sources keep the triangle inequality exactly (measured worst 0)
+    qualifies at any such depth.
+    """
+    try:
+        if sources is None:
+            sources = [FiniteMetricSpace(x["points"], x["dist"])
+                       for x in recipe["source_spaces"]]
+        depth, branching, scale = (recipe["depth"], recipe["branching"],
+                                   recipe["scale"])
+        _check_recipe(sources, depth, branching, scale)
+        worst = max(x.triangle_violation for x in sources)
+        nb = sum(len(x) for x in sources)
+        if _point_count(nb, depth, branching, n) != n:
+            return None
+        union = disjoint_union(sources)
+        dist = _glued_matrix(union, depth, branching, scale,
+                             *_radius_and_ratio(union))
+    except (LookupError, TypeError, ValueError):
+        return None
+    diam = float(dist.max())
+    if not (math.isfinite(diam) and np.count_nonzero(dist) == n * n - n
+            and worst + (6 * depth + 32) * 2.0 ** -53 * diam
+            <= TRIANGLE_SLACK * max(1.0, diam)):
+        return None
+    vertex = _vertex_names(depth, branching)
+    return FiniteMetricSpace(_point_names(vertex, union, branching ** depth),
+                             dist, _check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -522,18 +649,12 @@ def save_bundle(a: AmalgamApprox, matrix_path, sidecar_path):
     write_matrix_csv(a.space, matrix_path)
     sidecar = {
         "kind": "amalgam-approx",
-        "depth": a.depth,
-        "branching": a.branching,
-        "scale": a.scale,
         "r0": a.r0,
         "mu": a.mu,
         "tree": a.tree_parent,
         "labels": a.labels,
         "ends": a.ends,
-        "source_spaces": [
-            {"points": list(x.points), "dist": x.dist.tolist()}
-            for x in a.source_spaces
-        ],
+        **recipe_of(a),
     }
     with open(sidecar_path, "w") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
@@ -561,8 +682,8 @@ def _check_labels(labels, sources):
                              f"{len(sources)} source spaces")
 
 
-def load_bundle(matrix_path, sidecar_path) -> AmalgamApprox:
-    space = read_matrix_csv(matrix_path)
+def _read_sidecar(sidecar_path):
+    """The sidecar's fields, tree map and checked source spaces."""
     with open(sidecar_path) as fh:
         sidecar = json.load(fh)
     if not isinstance(sidecar, dict) or sidecar.get("kind") != "amalgam-approx":
@@ -578,6 +699,27 @@ def load_bundle(matrix_path, sidecar_path) -> AmalgamApprox:
     if not sources:
         raise ValueError("sidecar lists no source spaces")
     _check_labels(fields["labels"], sources)
+    return fields, tree_parent, sources
+
+
+def load_bundle(matrix_path, sidecar_path) -> AmalgamApprox:
+    """Read a `save_bundle` pair back, the matrix checked as a metric.
+
+    The sidecar's source spaces, depth, branching and scale are the
+    build's recipe: when `rebuild_space` makes from them a space whose
+    matrix CSV text is exactly the file's, that space is the matrix, with
+    validation "rebuild", and neither the parse nor the O(n^3) triangle
+    scan runs (the docstring of `rebuild_space` proves it a metric).  Any
+    other file, a hand-edited one included, is parsed and scanned in full.
+    A matrix error is reported before a sidecar error.
+    """
+    try:
+        fields, tree_parent, sources = _read_sidecar(sidecar_path)
+    except (OSError, LookupError, TypeError, ValueError):
+        read_matrix_csv(matrix_path)
+        raise
+    space = read_matrix_csv(matrix_path, functools.partial(
+        rebuild_space, fields, sources=sources))
     if set(fields["labels"]) != set(space.points):
         raise ValueError("sidecar labels do not cover the matrix points")
     return AmalgamApprox(source_spaces=sources, space=space, **fields,

@@ -10,6 +10,7 @@ tree is the `RootedTree` of its parent map, so levels and subtrees follow
 the parent chain whatever the vertices are named.
 """
 
+import functools
 import itertools
 import json
 import math
@@ -18,7 +19,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels import floyd_warshall
-from .approx import AmalgamApprox, ConditionReport, ConditionTolerances
+from .approx import (
+    AmalgamApprox,
+    ConditionReport,
+    ConditionTolerances,
+    rebuild_space,
+    recipe_of,
+)
 from .metric import FiniteMetricSpace, read_matrix_csv, write_matrix_csv
 from .tree import RootedTree
 
@@ -31,11 +38,13 @@ class RegularStructure:
     family entries are (points, class_index) pairs; class indices must cover
     1..k with every class nonempty.  Points outside every subset form the
     residual.  Family order is significant: merging and labelling both
-    consume subsets in it.
+    consume subsets in it.  approximation is the build recipe
+    (`approx.recipe_of`) of a space that is an approximation's, or None.
     """
 
-    def __init__(self, space: FiniteMetricSpace, family):
+    def __init__(self, space: FiniteMetricSpace, family, approximation=None):
         self.space = space
+        self.approximation = approximation
         subsets = []
         classes = []
         for points, cls in family:
@@ -88,30 +97,33 @@ def as_regular_structure(a: AmalgamApprox) -> RegularStructure:
 
     One subset per (tree vertex, source class), ordered by tree depth, then
     vertex, then class; class tags are 1-based.  End points become the
-    residual.
+    residual.  The structure keeps a's build recipe.
     """
     family = []
     for v in a.vertices:
         for ci in range(len(a.source_spaces)):
             family.append((tuple(a.class_points(v, ci)), ci + 1))
-    return RegularStructure(a.space, family)
+    return RegularStructure(a.space, family, approximation=recipe_of(a))
 
 
 def save_structure(s: RegularStructure, matrix_path, sidecar_path):
-    """Write the structure as a distance-matrix CSV plus a JSON sidecar."""
+    """Write the structure as a distance-matrix CSV plus a JSON sidecar;
+    the sidecar's "approximation" field holds the build recipe, if any."""
     write_matrix_csv(s.space, matrix_path)
     payload = {
         "kind": "regular-structure",
         "subsets": [list(points) for points in s.subsets],
         "classes": list(s.classes),
     }
+    if s.approximation is not None:
+        payload["approximation"] = s.approximation
     with open(sidecar_path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def load_structure(matrix_path, sidecar_path) -> RegularStructure:
-    space = read_matrix_csv(matrix_path)
+def _read_sidecar(sidecar_path):
+    """The sidecar's subsets, classes and approximation recipe (or None)."""
     with open(sidecar_path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict) or data.get("kind") != "regular-structure":
@@ -127,7 +139,31 @@ def load_structure(matrix_path, sidecar_path) -> RegularStructure:
         raise ValueError("each sidecar subset must be a list of point names")
     if not all(type(c) is int for c in classes):
         raise ValueError("sidecar classes must be integers")
-    return RegularStructure(space, zip(map(tuple, subsets), classes))
+    return subsets, classes, data.get("approximation")
+
+
+def load_structure(matrix_path, sidecar_path) -> RegularStructure:
+    """Read a `save_structure` pair back, the matrix checked as a metric.
+
+    A structure converted from an approximation carries the build recipe
+    in its sidecar's "approximation" field.  When `approx.rebuild_space`
+    makes from it a space whose matrix CSV text is exactly the file's, that
+    space is the matrix, with validation "rebuild", and neither the parse
+    nor the O(n^3) triangle scan runs.  A recipe with any fault, or a file
+    that differs in any byte, leaves the full parse and scan in force, and
+    the loaded structure then keeps no recipe.  Other structures are
+    always scanned.  A matrix error is reported before a sidecar error.
+    """
+    try:
+        subsets, classes, recipe = _read_sidecar(sidecar_path)
+    except (OSError, LookupError, TypeError, ValueError):
+        read_matrix_csv(matrix_path)
+        raise
+    space = read_matrix_csv(matrix_path, None if recipe is None else
+                            functools.partial(rebuild_space, recipe))
+    return RegularStructure(
+        space, zip(map(tuple, subsets), classes),
+        approximation=recipe if space.validation == "rebuild" else None)
 
 
 def _resolve_tolerances(s: RegularStructure, tol) -> dict:
@@ -384,7 +420,7 @@ def merge_families(s: RegularStructure) -> MergeResult:
         rounds.append({"seed": seed, "members": members,
                        "diam": union_diam, "seed_diam": seed_diam})
         family.append((points, 1))
-    merged = RegularStructure(s.space, family)
+    merged = RegularStructure(s.space, family, approximation=s.approximation)
     return MergeResult(merged, ratio, rounds)
 
 
@@ -484,6 +520,10 @@ def labelling_from_json(text: str) -> TLabelling:
     for key in ("parent", "assignment", "partitions", "radii"):
         if not isinstance(data.get(key, {}), dict):
             raise ValueError(f"t-labelling field {key!r} must be an object")
+    for v, pts in data.get("partitions", {}).items():
+        if not isinstance(pts, list) or not all(isinstance(p, str) for p in pts):
+            raise ValueError(f"partition of vertex {v!r} must be a list of "
+                             "point names")
     try:
         labelling = TLabelling(
             root=data["root"],

@@ -339,13 +339,15 @@ def _cmd_approx_build(args, config):
 def _cmd_approx_check(args, config):
     a = _parse_with(_approx.load_bundle, args.matrix, args.meta)
     rep = _approx.check_conditions(a, _tolerances_from(args))
-    return _condition_result(rep, config)
+    return _condition_result(rep, config,
+                             {"matrix_validation": a.space.validation})
 
 
 def _cmd_regular_check(args, config):
     s = _parse_with(_characterize.load_structure, args.matrix, args.meta)
     rep = _characterize.check_regularity(s, _tolerances_from(args))
-    return _condition_result(rep, config)
+    return _condition_result(rep, config,
+                             {"matrix_validation": s.space.validation})
 
 
 def _cmd_regular_merge(args, config):

@@ -1,8 +1,10 @@
 """Finite metric spaces: validated construction, unions, and file formats."""
 
 import csv
+import io
 import itertools
 import json
+import os
 
 import numpy as np
 
@@ -19,6 +21,12 @@ class FiniteMetricSpace:
     max(1, diameter): rounding in d(i,k) + d(k,j) grows with the size of the
     distances.  Internal constructors that guarantee the axioms skip the
     cubic check.
+
+    validation says how the axioms were established: "scan" when this
+    constructor checked them, "rebuild" when `read_matrix_csv` matched the
+    file against a space rebuilt by a construction that guarantees them,
+    None for internal constructions.  triangle_violation is the worst
+    d(i,j) - (d(i,k) + d(k,j)) the scan measured, None without a scan.
     """
 
     def __init__(self, points, dist, _check=True):
@@ -32,6 +40,7 @@ class FiniteMetricSpace:
         n = len(self.points)
         if mat.shape != (n, n):
             raise ValueError(f"distance matrix must be {n}x{n}")
+        self.validation = self.triangle_violation = None
         if _check:
             if not np.all(np.isfinite(mat)):
                 raise ValueError("distances must be finite")
@@ -44,6 +53,7 @@ class FiniteMetricSpace:
             worst = max_triangle_violation(mat)
             if worst > TRIANGLE_SLACK * max(1.0, float(mat.max())):
                 raise ValueError(f"triangle inequality violated by {worst:.3e}")
+            self.validation, self.triangle_violation = "scan", worst
         mat.setflags(write=False)
         self.dist = mat
 
@@ -127,30 +137,43 @@ def space_from_json(text: str) -> FiniteMetricSpace:
     return FiniteMetricSpace(points, doc["dist"])
 
 
-def write_matrix_csv(x: FiniteMetricSpace, path):
-    """Labelled square table: header row and leading column hold point names.
+def matrix_csv_text(x: FiniteMetricSpace) -> str:
+    """The text of a labelled square table: header row and leading column
+    hold point names.
 
     Cells hold ``repr(float(v))``, the shortest text that reads back to the
     same float.  Each distinct value is formatted once, keyed on its
-    float64 bit pattern so that -0.0 and 0.0 keep their own text, and rows
-    are filled by table lookup: a tree-composed matrix repeats a few
-    hundred values over its n^2 cells.  The bytes are those of
-    ``csv.writer`` writing every cell.
+    float64 bit pattern so that -0.0 and 0.0 keep their own text, and each
+    cell finds its pattern by binary search among the sorted distinct
+    ones: a tree-composed matrix repeats a few hundred values over its n^2
+    cells.  The text is that of ``csv.writer`` writing every cell.
     """
     _require_str_points(x)
     bits = x.dist.view(np.uint64)
-    codes, inverse = np.unique(bits, return_inverse=True)
+    ordered = np.sort(bits, axis=None)
+    codes = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
     text = np.array([repr(v) for v in codes.view(np.float64).tolist()],
                     dtype=object)
-    rows = text[inverse.reshape(bits.shape)].tolist()
+    rows = text[np.searchsorted(codes, bits)].tolist()
+    out = io.StringIO()
+    csv.writer(out).writerow([""] + list(x.points))
+    lines = [out.getvalue()]
+    # a float's repr never needs quoting; the label goes through csv,
+    # written with its trailing comma as one cell of a two-cell row
+    label = csv.writer(out, lineterminator="")
+    for p, cells in zip(x.points, rows):
+        out.seek(0)
+        out.truncate()
+        label.writerow([p, ""])
+        lines.append(out.getvalue() + ",".join(cells) + "\r\n")
+    return "".join(lines)
+
+
+def write_matrix_csv(x: FiniteMetricSpace, path):
+    """Write `matrix_csv_text` of x to path."""
+    text = matrix_csv_text(x)
     with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow([""] + list(x.points))
-        # a float's repr never needs quoting; the label goes through csv,
-        # written with its trailing comma as one cell of a two-cell row
-        label = csv.writer(fh, lineterminator="")
-        for p, cells in zip(x.points, rows):
-            label.writerow([p, ""])
-            fh.write(",".join(cells) + "\r\n")
+        fh.write(text)
 
 
 class _Floats(dict):
@@ -161,16 +184,39 @@ class _Floats(dict):
         return value
 
 
-def read_matrix_csv(path) -> FiniteMetricSpace:
+def read_matrix_csv(path, expected=None) -> FiniteMetricSpace:
     """Read a `write_matrix_csv` table back as a fully checked space.
 
     Every row's label and length is checked first.  Then each distinct cell
     text is parsed once with `float` and the matrix is filled in one pass.
     The matrix goes through the complete `FiniteMetricSpace` check, the
     O(n^3) triangle scan included.
+
+    expected, when given, is a function of the header's point count n that
+    returns the space the file should hold, or None.  It must return only
+    spaces whose axioms hold by construction.  It is asked only when the
+    file is long enough for n^2 cells of at least three characters and a
+    separator each, so a short file with a long header builds nothing.
+    When the file's text is exactly `matrix_csv_text` of that space, the
+    file parses to that space bit for bit, and the space is returned as it
+    is, with validation "rebuild": neither the parse nor the scan runs.
+    Any other file is read and checked in full as above.
     """
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        n = len(header or ()) - 1
+        if (expected is not None and header and header[0] == ""
+                and os.fstat(fh.fileno()).st_size >= 4 * n * n):
+            x = expected(n)
+            if x is not None:
+                fh.seek(0)
+                if fh.read() == matrix_csv_text(x):
+                    x.validation = "rebuild"
+                    return x
+                fh.seek(0)
+                next(reader)
+        rows = [] if header is None else [header, *reader]
     if not rows or rows[0][:1] != [""]:
         raise ValueError("matrix CSV needs a header row starting with an empty cell")
     points = rows[0][1:]

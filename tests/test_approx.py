@@ -83,6 +83,43 @@ def closure_oracle(xs, depth, branching, scale):
     return names, labels, ends, closed[np.ix_(kept, kept)]
 
 
+def wedge_oracle(xs, depth, branching, scale):
+    """The glued matrix by wedging each vertex's glued subtree onto its
+    parent's whole extended model at the cut point, vertex by vertex from
+    the leaves up; kept rows in build order.  The level-by-level
+    composition must reproduce its sums bit for bit."""
+    union = disjoint_union(xs)
+    diam = union.diam()
+    r0 = diam / 2 if diam > 0 else 0.5
+    nb = len(union.points)
+    n_vertices = sum(branching ** j for j in range(depth + 1))
+    level = [0] + [0] * (n_vertices - 1)
+    for v in range(1, n_vertices):
+        level[v] = level[(v - 1) // branching] + 1
+    glued = {}
+    for v in reversed(range(n_vertices)):
+        slots = branching + (v > 0)
+        scaled = FiniteMetricSpace(union.points,
+                                   scale ** level[v] * union.dist, _check=False)
+        mat = peripheral_extension(scaled, slots, r0 * scale ** level[v],
+                                   0.5).as_space().dist
+        start = {v: 0}
+        if level[v] < depth:
+            for i in range(branching):
+                sub, sub_start = glued.pop(branching * v + 1 + i)
+                start.update((u, len(mat) + r) for u, r in sub_start.items())
+                cross = mat[:, nb + i + (v > 0), None] + sub[None, nb, :]
+                mat = np.block([[mat, cross], [cross.T, sub]])
+        else:
+            start["end"] = nb + slots - 1
+        glued[v] = (mat, start)
+    mat, start = glued[0]
+    leaves = range(n_vertices - branching ** depth, n_vertices)
+    kept = [start[v] + r for v in range(n_vertices) for r in range(nb)]
+    kept += [start[v] + nb + branching + (v > 0) - 1 for v in leaves]
+    return mat[np.ix_(kept, kept)]
+
+
 class TestPeripheralExtension:
     def test_single_point_base_radii(self):
         m = peripheral_extension(ONE, 3, 1.0, 0.5)
@@ -210,6 +247,18 @@ class TestBuildApprox:
         assert a.labels == labels
         assert a.ends == ends
         assert float(np.abs(a.space.dist - dist).max()) <= 1e-12
+
+    @pytest.mark.parametrize("xs, depth, branching, scale", [
+        ([TWO], 0, 3, 1 / 3),
+        ([TWO], 3, 3, 1 / 3),
+        ([circle_net()], 2, 2, 0.37),
+        ([circle_net(), TWO], 2, 3, 0.1),
+        ([circle_net(3), ONE, TWO], 3, 2, 0.5),
+    ], ids=["d0", "two-point", "circle5", "circle5+two", "three-class"])
+    def test_matches_wedge_oracle_bit_for_bit(self, xs, depth, branching, scale):
+        a = build_approx(xs, depth, branching, scale)
+        expected = wedge_oracle(xs, depth, branching, scale)
+        assert a.space.dist.tobytes() == expected.tobytes()
 
 
 @pytest.fixture(scope="module")

@@ -275,7 +275,12 @@ class TestMalformedTrees:
         (lambda doc: doc.pop("radii"), "lacks field 'radii'"),
         (lambda doc: doc["radii"].update({"r": [1.0]}),
          "malformed t-labelling entry"),
-    ], ids=["list", "list-assignment", "no-radii", "list-radius"])
+        (lambda doc: doc["partitions"].update({"r.0": "t.0|0|a"}),
+         "partition of vertex 'r.0' must be a list of point names"),
+        (lambda doc: doc["partitions"].update({"r.0": [1]}),
+         "partition of vertex 'r.0' must be a list of point names"),
+    ], ids=["list", "list-assignment", "no-radii", "list-radius",
+            "text-partition", "int-in-partition"])
     def test_label_verify_refuses_malformed_labelling(self, tmp_path, capsys,
                                                       tamper, message):
         matrix, meta = build_structure_files(tmp_path, [TWO_SPACE], 1, 2,
@@ -520,6 +525,33 @@ class TestReports:
         json_text, summary = render_report(report)
         assert json.loads(json_text)["conditions"]["a3"]["max_gap"] == "inf"
         assert "max_gap=inf" in summary
+
+
+class TestMatrixValidation:
+    """The report names the path that proved the loaded matrix a metric;
+    the printed summary is the same either way."""
+
+    def test_check_reports_record_the_path(self, tmp_path, capsys):
+        matrix, meta = build_bundle(tmp_path, [TWO_SPACE], 2, 2, 1 / 3)
+        smatrix, smeta = build_structure_files(tmp_path, [TWO_SPACE], 2, 2,
+                                               1 / 3)
+        capsys.readouterr()
+        report = tmp_path / "report.json"
+        runs = {}
+        for tag in ("rebuild", "scan"):
+            for argv in (["approx", "check", matrix, meta],
+                         ["regular", "check", smatrix, smeta]):
+                code, out = run(capsys, *argv, "--report", str(report))
+                assert code == 0
+                doc = json.loads(report.read_text())
+                assert doc.pop("matrix_validation") == tag
+                runs.setdefault(argv[0], []).append((out, doc))
+            for path in (matrix, smatrix):  # same matrix, other bytes
+                text = open(path, newline="").read()
+                with open(path, "w", newline="") as fh:
+                    fh.write(text.replace("\r\n", "\n"))
+        for (out1, doc1), (out2, doc2) in runs.values():
+            assert out1 == out2 and doc1 == doc2
 
 
 class TestDeterminism:
