@@ -571,12 +571,11 @@ def check_conditions(a: AmalgamApprox, tol: ConditionTolerances = None) -> Condi
     # (a3): every copy point has a nearby point outside its copy
     worst_ratio = 0.0
     worst_point = None
-    for t in a.vertices:
-        pts = a.copy_points(t)
-        outside = sorted(a.all_points() - set(pts))
+    for t, pts in zip(a.vertices, a._copy_points):
         rows = [idx[p] for p in pts]
-        cols = [idx[p] for p in outside]
-        gaps = dist[np.ix_(rows, cols)].min(axis=1)
+        block = dist[rows]
+        block[:, rows] = math.inf
+        gaps = block.min(axis=1)
         eff = boundary_gap * scale ** (level[t] - depth)
         ratio = float(gaps.max()) / eff
         if ratio > worst_ratio:
@@ -616,11 +615,14 @@ def check_conditions(a: AmalgamApprox, tol: ConditionTolerances = None) -> Condi
                          f"{separation_gap!r} and {scale!r}")
     worst_pair_ratio = math.inf
     worst_pair = None
+    own = [[idx[p] for p in pts] for pts in a._copy_points]
+    for t, end in a.ends.items():
+        own[tree.index[t]].append(idx[end])
     for child, t in enumerate(a.vertices[1:], 1):
-        inside = a.subtree_points(t)
-        rows = [idx[p] for p in sorted(inside)]
-        cols = [idx[p] for p in sorted(a.all_points() - inside)]
-        gap = float(dist[np.ix_(rows, cols)].min())
+        rows = [p for v in tree.subtree(child) for p in own[v]]
+        block = dist[rows]
+        block[:, rows] = math.inf
+        gap = float(block.min())
         parent = tree.parent[child]
         ratio = gap / (separation_gap * scale ** (tree.depth[parent] - depth))
         if ratio < worst_pair_ratio:

@@ -14,7 +14,8 @@ import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +33,24 @@ from .tree import RootedTree
 MATCH_LIMIT = 8  # largest subset size for the exact shape-matching search
 
 
+class FamilyTables(NamedTuple):
+    """A family's distance aggregates, for m subsets of an n-point space.
+
+    near[j, p] is the least distance from point p to subset j (m x n);
+    diam[i] is subset i's diameter; reach[i, j] is the farthest any point
+    of subset i lies from subset j, max over p in i of near[j, p]; between
+    is the set distance, between[i, j] the least distance from a point of
+    subset i to one of subset j.  Every entry is a min or max of matrix
+    entries, so it is exactly the value of the corresponding block of the
+    matrix.
+    """
+
+    near: np.ndarray
+    diam: np.ndarray
+    reach: np.ndarray
+    between: np.ndarray
+
+
 class RegularStructure:
     """A finite metric space with an ordered family of tagged subsets.
 
@@ -40,6 +59,10 @@ class RegularStructure:
     residual.  Family order is significant: merging and labelling both
     consume subsets in it.  approximation is the build recipe
     (`approx.recipe_of`) of a space that is an approximation's, or None.
+
+    tables holds the family's `FamilyTables`, computed from the matrix on
+    first use and kept: the regularity checks, the labelling and the merge
+    read subset diameters and subset-to-subset distances from it.
     """
 
     def __init__(self, space: FiniteMetricSpace, family, approximation=None):
@@ -72,17 +95,39 @@ class RegularStructure:
         self.residual = tuple(p for p in space.points if p not in seen)
         self._idx = [np.array([space.index[p] for p in pts], dtype=np.intp)
                      for pts in self.subsets]
+        # the subsets' points in family order: subset i's start at
+        # _starts[i], each point's subset in _owner
+        sizes = [len(p) for p in self.subsets]
+        self._order = np.concatenate(self._idx)
+        self._starts = np.cumsum([0] + sizes[:-1])
+        self._owner = np.repeat(np.arange(len(sizes)), sizes)
+        self._residual_idx = np.array([space.index[p] for p in self.residual],
+                                      dtype=np.intp)
+
+    @functools.cached_property
+    def tables(self) -> FamilyTables:
+        order, starts = self._order, self._starts
+        rows = self.space.dist[order]
+        near = np.minimum.reduceat(rows, starts, axis=0)
+        far = np.maximum.reduceat(rows, starts, axis=0)  # diameters only
+        at = near[:, order]
+        tables = FamilyTables(
+            near=near,
+            diam=np.maximum.reduceat(far[self._owner, order], starts),
+            reach=np.maximum.reduceat(at, starts, axis=1).T,
+            between=np.minimum.reduceat(at, starts, axis=1))
+        for table in tables:  # shared by every reader
+            table.setflags(write=False)
+        return tables
 
     def __len__(self) -> int:
         return len(self.subsets)
 
     def subset_diam(self, i: int) -> float:
-        block = self.space.dist[np.ix_(self._idx[i], self._idx[i])]
-        return float(block.max())
+        return float(self.tables.diam[i])
 
     def set_distance(self, i: int, j: int) -> float:
-        block = self.space.dist[np.ix_(self._idx[i], self._idx[j])]
-        return float(block.min())
+        return float(self.tables.between[i, j])
 
     def of_class(self, cls: int):
         return [i for i, c in enumerate(self.classes) if c == cls]
@@ -178,9 +223,9 @@ def _resolve_tolerances(s: RegularStructure, tol) -> dict:
     """
     if tol is None:
         tol = ConditionTolerances()
-    max_diam = max(s.subset_diam(i) for i in range(len(s)))
+    max_diam = max(s.tables.diam.tolist())
     base = 2 * max_diam if max_diam > 0 else s.space.diam()
-    between = _block_min(s.space.dist, s._idx)[np.triu_indices(len(s), 1)]
+    between = s.tables.between[np.triu_indices(len(s), 1)]
     sep_default = float(between.min()) / 2 if len(s) > 1 else 0.0
     return {
         "iso": tol.iso,
@@ -192,11 +237,13 @@ def _resolve_tolerances(s: RegularStructure, tol) -> dict:
     }
 
 
-def _block_min(dist, blocks) -> np.ndarray:
-    """out[i, j] is the least distance between index blocks i and j, the
-    set distance of RegularStructure.set_distance, for all pairs at once."""
-    rows = np.array([dist[b].min(axis=0) for b in blocks])
-    return np.array([rows[:, b].min(axis=1) for b in blocks]).T
+def _atom_distances(s: RegularStructure) -> np.ndarray:
+    """Set distances between atoms: the family subsets, then the residual
+    points one by one, in the structure's order."""
+    res = s._residual_idx
+    to_res = s.tables.near[:, res]
+    return np.block([[s.tables.between, to_res],
+                     [to_res.T, s.space.dist[np.ix_(res, res)]]])
 
 
 def _normalized(block: np.ndarray) -> np.ndarray:
@@ -209,8 +256,11 @@ def _match_shapes(ref: np.ndarray, other: np.ndarray, tol: float):
 
     Returns (found, deviation of the found bijection).  Backtracking over
     rows; identity is tried first, so identically ordered copies match
-    without search.
+    without search, and one array comparison finds them.
     """
+    deviation = np.abs(ref - other)
+    if deviation.max() <= tol:  # the search would keep the identity
+        return True, float(deviation.max())
     n = ref.shape[0]
     perm = [None] * n
     used = [False] * n
@@ -242,10 +292,15 @@ def check_regularity(s: RegularStructure, tol: ConditionTolerances = None) -> Co
 
     Shape equality in (a1) is scale-free: each subset's matrix is divided
     by its diameter before matching, since family members shrink with depth
-    in the structures this is meant for.
+    in the structures this is meant for.  (a2)-(a5) read the structure's
+    `FamilyTables`: (a3) takes each subset point's nearest point of another
+    subset from near, (a4) a class's nearest member from it, and (a5) links
+    atoms (subsets and residual points) whose set distance is at most the
+    separation scale.
     """
     resolved = _resolve_tolerances(s, tol)
     dist = s.space.dist
+    tables = s.tables
     n_sub = len(s)
     conditions = {}
 
@@ -280,7 +335,7 @@ def check_regularity(s: RegularStructure, tol: ConditionTolerances = None) -> Co
     }
 
     # (a2): sorted diameters drop below the null cutoff after a prefix
-    diams = [s.subset_diam(i) for i in range(n_sub)]
+    diams = tables.diam.tolist()
     above = sorted(i for i in range(n_sub) if diams[i] > resolved["null"])
     conditions["a2"] = {
         "verdict": "pass" if len(above) < n_sub else "fail",
@@ -290,18 +345,18 @@ def check_regularity(s: RegularStructure, tol: ConditionTolerances = None) -> Co
         "min_diameter": min(diams),
     }
 
-    # (a3): every subset point has a nearby point outside its subset
+    # (a3): every subset point has a nearby point outside its subset; a
+    # subset that is the whole space has none, at infinite distance
+    order = s._order
+    nearest = tables.near[:, order]
+    nearest[s._owner, np.arange(len(order))] = math.inf
+    nearest = nearest.min(axis=0)
+    if len(s._residual_idx):
+        nearest = np.minimum(nearest, dist[np.ix_(order, s._residual_idx)]
+                             .min(axis=1))
     worst_gap = 0.0
     worst_subset = None
-    for i in range(n_sub):
-        inside = s._idx[i]
-        mask = np.ones(len(s.space), dtype=bool)
-        mask[inside] = False
-        if not mask.any():
-            worst_gap = math.inf
-            worst_subset = i
-            break
-        gap = float(dist[np.ix_(inside, np.flatnonzero(mask))].min(axis=1).max())
+    for i, gap in enumerate(np.maximum.reduceat(nearest, s._starts).tolist()):
         if gap > worst_gap:
             worst_gap, worst_subset = gap, i
     conditions["a3"] = {
@@ -314,8 +369,7 @@ def check_regularity(s: RegularStructure, tol: ConditionTolerances = None) -> Co
     worst_gap = 0.0
     worst_pair = None
     for cls in range(1, s.k + 1):
-        cols = np.concatenate([s._idx[i] for i in s.of_class(cls)])
-        gaps = dist[:, cols].min(axis=1)
+        gaps = tables.near[s.of_class(cls)].min(axis=0)
         at = int(gaps.argmax())
         if gaps[at] > worst_gap:
             worst_gap, worst_pair = float(gaps[at]), [s.space.points[at], cls]
@@ -328,25 +382,19 @@ def check_regularity(s: RegularStructure, tol: ConditionTolerances = None) -> Co
     # (a5): distinct subsets stay in distinct linkage components at the
     # separation scale; components absorb whole subsets, so any component
     # side is automatically family-saturated
-    comp = _linkage_components(s, resolved["separation_gap"])
-    offending = []
-    for i, j in itertools.combinations(range(n_sub), 2):
-        if comp[s._idx[i][0]] == comp[s._idx[j][0]]:
-            offending.append([i, j])
+    linked = np.triu(_atom_distances(s) <= resolved["separation_gap"], 1)
+    comp = _components(len(linked), np.argwhere(linked).tolist())
+    together = {}
+    for i in range(n_sub):
+        together.setdefault(comp[i], []).append(i)
+    offending = sorted([i, j] for members in together.values()
+                       for i, j in itertools.combinations(members, 2))
     conditions["a5"] = {
         "verdict": "pass" if not offending else "fail",
         "inseparable_pairs": offending,
     }
 
     return ConditionReport(conditions, resolved)
-
-
-def _linkage_components(s: RegularStructure, eps: float):
-    """Single-linkage components at scale eps, with subsets pre-merged."""
-    members = ((int(idx[0]), int(other)) for idx in s._idx for other in idx[1:])
-    close = ((int(x), int(y)) for x, y in np.argwhere(s.space.dist <= eps)
-             if x < y)
-    return _components(len(s.space), itertools.chain(members, close))
 
 
 def _components(n, pairs):
@@ -392,6 +440,7 @@ def merge_families(s: RegularStructure) -> MergeResult:
             "classes have unequal subset counts "
             f"{sorted(counts.items())}; a finite family cannot compensate")
     m = counts[1]
+    between = s.tables.between.tolist()
     used = [False] * len(s)
     rounds = []
     family = []
@@ -404,7 +453,7 @@ def merge_families(s: RegularStructure) -> MergeResult:
             if cls == s.classes[seed]:
                 continue
             pick = min((i for i in s.of_class(cls) if not used[i]),
-                       key=lambda i: (s.set_distance(seed, i), i))
+                       key=lambda i: (between[seed][i], i))
             used[pick] = True
             members.append(pick)
         points = tuple(p for i in members for p in s.subsets[i])
@@ -435,13 +484,10 @@ def quotient_profile(s: RegularStructure, eps: float) -> dict:
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
-    atoms = [f"subset:{i}" for i in range(len(s))]
-    blocks = list(s._idx)
-    for p in s.residual:
-        atoms.append(f"point:{p}")
-        blocks.append(np.array([s.space.index[p]], dtype=np.intp))
+    atoms = ([f"subset:{i}" for i in range(len(s))]
+             + [f"point:{p}" for p in s.residual])
     n = len(atoms)
-    quot = _block_min(s.space.dist, blocks)
+    quot = _atom_distances(s)
     np.fill_diagonal(quot, 0.0)
     quot = floyd_warshall(quot)
 
@@ -561,7 +607,9 @@ def build_t_labelling(s: RegularStructure, max_depth: int) -> TLabelling:
     neighbourhood accepts them, which carves the child regions; each region
     is finally closed into its component hull at the structure's separation
     scale, so points chained to a claimed region through small gaps join it
-    rather than fail the covering check.
+    rather than fail the covering check.  Diameters, reaches, set distances
+    and each point's distance to a subset are read from the structure's
+    `FamilyTables`.
     """
     if not isinstance(max_depth, int) or isinstance(max_depth, bool) or max_depth < 0:
         raise ValueError("max_depth must be a non-negative integer")
@@ -574,13 +622,12 @@ def build_t_labelling(s: RegularStructure, max_depth: int) -> TLabelling:
 
     link_eps = _resolve_tolerances(s, None)["separation_gap"]
     dist = s.space.dist
-    diams = [s.subset_diam(i) for i in range(len(s))]
+    near = s.tables.near
+    diams = s.tables.diam.tolist()
+    reach = s.tables.reach.tolist()
+    between = s.tables.between.tolist()
     point_sets = [set(pts) for pts in s.subsets]
     used = [False] * len(s)
-
-    def reach(i: int, j: int) -> float:
-        # farthest point of subset i from subset j
-        return float(dist[np.ix_(s._idx[i], s._idx[j])].min(axis=1).max())
 
     root = "r"
     parent = {root: None}
@@ -601,7 +648,7 @@ def build_t_labelling(s: RegularStructure, max_depth: int) -> TLabelling:
         t_sub = assignment[t]
         children = []
         for i in sorted(candidates, key=lambda i: (-diams[i], i)):
-            hideable = any(reach(i, assignment[c]) <= radii[c]
+            hideable = any(reach[i][assignment[c]] <= radii[c]
                            and _halves(diams[i], diams[assignment[c]])
                            for c in children)
             if hideable:
@@ -613,7 +660,7 @@ def build_t_labelling(s: RegularStructure, max_depth: int) -> TLabelling:
             child = f"{t}.{len(children)}"
             parent[child] = t
             assignment[child] = i
-            terms = [s.set_distance(i, t_sub), radii[t]]
+            terms = [between[i][t_sub], radii[t]]
             if diams[i] > 0:
                 terms.append(diams[i])
             radii[child] = min(terms)
@@ -626,22 +673,21 @@ def build_t_labelling(s: RegularStructure, max_depth: int) -> TLabelling:
             if used[i]:
                 continue
             fits = [c for c in children
-                    if reach(i, assignment[c]) <= radii[c]
+                    if reach[i][assignment[c]] <= radii[c]
                     and _halves(diams[i], diams[assignment[c]])]
             # selection guarantees at least one accepting child
-            pick = min(fits, key=lambda c: (s.set_distance(i, assignment[c]),
+            pick = min(fits, key=lambda c: (between[i][assignment[c]],
                                             children.index(c)))
             regions[pick] |= point_sets[i]
         assigned = set().union(*regions.values())
         leftovers = []
         for p in sorted(region - assigned):
-            pi = s.space.index[p]
-            fits = [c for c in children
-                    if dist[pi, s._idx[assignment[c]]].min() <= radii[c]]
+            to_p = near[:, s.space.index[p]].tolist()
+            fits = [c for c in children if to_p[assignment[c]] <= radii[c]]
             if not fits:
                 leftovers.append(p)
                 continue
-            pick = min(fits, key=lambda c: (float(dist[pi, s._idx[assignment[c]]].min()),
+            pick = min(fits, key=lambda c: (to_p[assignment[c]],
                                             children.index(c)))
             regions[pick].add(p)
         # component hull: points chained to a claim through gaps of at most
@@ -715,6 +761,8 @@ def verify_labelling(l: TLabelling, s: RegularStructure,
     subset = [l.assignment[v] for v in vertices]
     region = [None] + [l.partitions[v] for v in vertices[1:]]
     levels = tree.levels()
+    diams = s.tables.diam.tolist()
+    reach = s.tables.reach.tolist()
 
     # (L1): the assignment is a bijection onto the family
     missing = sorted(set(range(len(s))) - set(subset))
@@ -733,8 +781,8 @@ def verify_labelling(l: TLabelling, s: RegularStructure,
         if tree.depth[v] < 2:
             continue
         p = tree.parent[v]
-        child_d = s.subset_diam(subset[v])
-        parent_d = s.subset_diam(subset[p])
+        child_d = diams[subset[v]]
+        parent_d = diams[subset[p]]
         if not _halves(child_d, parent_d):
             failing_edges.append([vertices[p], vertices[v]])
         if parent_d > 0 and child_d / parent_d > worst_ratio:
@@ -752,9 +800,7 @@ def verify_labelling(l: TLabelling, s: RegularStructure,
     for level in levels[1:]:
         gap = 0.0
         for v in level:
-            rows = s._idx[subset[v]]
-            cols = s._idx[subset[tree.parent[v]]]
-            gap = max(gap, float(dist[np.ix_(rows, cols)].min(axis=1).max()))
+            gap = max(gap, reach[subset[v]][subset[tree.parent[v]]])
         level_gaps.append(gap)
     decreasing = all(b < a for a, b in zip(level_gaps, level_gaps[1:]))
     conditions["L3"] = {

@@ -314,7 +314,8 @@ def bass_serre_ball(g: GraphOfGroups, base, radius: int,
 
     Children of a node over v come in families, one per oriented edge with
     head v, with index(a) members each; the family through which the node was
-    entered has one member fewer.
+    entered has one member fewer.  Each graph vertex's degree and families
+    (edge, index, tail, bar) are computed once, not per node.
     """
     if base not in g.vertex_groups:
         raise ValueError(f"unknown base vertex {base!r}")
@@ -326,22 +327,23 @@ def bass_serre_ball(g: GraphOfGroups, base, radius: int,
         if g.vertex_groups[name].order == INF:
             raise ValueError(f"tree not locally finite at {name}")
 
-    families = {v: [a for a in g.oriented_edges() if g.head(a) == v]
+    degree = {v: g.degree(v) for v in g.vertices}
+    families = {v: [(a, g.index(a), g.tail(a), g.bar(a))
+                    for a in g.oriented_edges() if g.head(a) == v]
                 for v in g.vertices}
     nodes = [BallNode(0, base, 0, None, None)]
     unexplored = []
     for node in nodes:  # grows while it is read: breadth first
         if node.depth == radius:
-            remaining = g.degree(node.label) - (0 if node.parent is None else 1)
+            remaining = degree[node.label] - (0 if node.parent is None else 1)
             if remaining > 0:
                 unexplored.append(node.id)
             continue
-        for a in families[node.label]:
-            count = g.index(a) - (1 if a == node.entry else 0)
+        for a, index, tail, bar in families[node.label]:
+            count = index - (1 if a == node.entry else 0)
             for _ in range(count):
-                child = BallNode(len(nodes), g.tail(a), node.depth + 1,
-                                 node.id, g.bar(a))
-                nodes.append(child)
+                nodes.append(BallNode(len(nodes), tail, node.depth + 1,
+                                      node.id, bar))
     return BassSerreBall(g, base, radius, nodes, unexplored)
 
 

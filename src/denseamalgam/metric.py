@@ -4,6 +4,7 @@ import csv
 import io
 import itertools
 import json
+import locale
 import os
 
 import numpy as np
@@ -11,6 +12,8 @@ import numpy as np
 from ._kernels import max_triangle_violation
 
 TRIANGLE_SLACK = 1e-12
+
+_BLOCK_CELLS = 2 ** 16  # cells per block of rows in matrix CSV rendering
 
 
 class FiniteMetricSpace:
@@ -137,6 +140,33 @@ def space_from_json(text: str) -> FiniteMetricSpace:
     return FiniteMetricSpace(points, doc["dist"])
 
 
+def _matrix_csv_blocks(x: FiniteMetricSpace):
+    """`matrix_csv_text` of x in pieces: the header row, then blocks of
+    rows of about _BLOCK_CELLS cells each."""
+    _require_str_points(x)
+    bits = x.dist.view(np.uint64)
+    ordered = np.sort(bits, axis=None)
+    codes = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    text = np.array([repr(v) for v in codes.view(np.float64).tolist()],
+                    dtype=object)
+    out = io.StringIO()
+    csv.writer(out).writerow([""] + list(x.points))
+    yield out.getvalue()
+    # a float's repr never needs quoting; the label goes through csv,
+    # written with its trailing comma as one cell of a two-cell row
+    label = csv.writer(out, lineterminator="")
+    step = max(1, _BLOCK_CELLS // len(x))
+    for start in range(0, len(x), step):
+        rows = text[np.searchsorted(codes, bits[start:start + step])].tolist()
+        lines = []
+        for p, cells in zip(x.points[start:start + step], rows):
+            out.seek(0)
+            out.truncate()
+            label.writerow([p, ""])
+            lines.append(out.getvalue() + ",".join(cells) + "\r\n")
+        yield "".join(lines)
+
+
 def matrix_csv_text(x: FiniteMetricSpace) -> str:
     """The text of a labelled square table: header row and leading column
     hold point names.
@@ -148,32 +178,40 @@ def matrix_csv_text(x: FiniteMetricSpace) -> str:
     ones: a tree-composed matrix repeats a few hundred values over its n^2
     cells.  The text is that of ``csv.writer`` writing every cell.
     """
-    _require_str_points(x)
-    bits = x.dist.view(np.uint64)
-    ordered = np.sort(bits, axis=None)
-    codes = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
-    text = np.array([repr(v) for v in codes.view(np.float64).tolist()],
-                    dtype=object)
-    rows = text[np.searchsorted(codes, bits)].tolist()
-    out = io.StringIO()
-    csv.writer(out).writerow([""] + list(x.points))
-    lines = [out.getvalue()]
-    # a float's repr never needs quoting; the label goes through csv,
-    # written with its trailing comma as one cell of a two-cell row
-    label = csv.writer(out, lineterminator="")
-    for p, cells in zip(x.points, rows):
-        out.seek(0)
-        out.truncate()
-        label.writerow([p, ""])
-        lines.append(out.getvalue() + ",".join(cells) + "\r\n")
-    return "".join(lines)
+    return "".join(_matrix_csv_blocks(x))
 
 
 def write_matrix_csv(x: FiniteMetricSpace, path):
-    """Write `matrix_csv_text` of x to path."""
-    text = matrix_csv_text(x)
+    """Write `matrix_csv_text` of x to path, a block of rows at a time."""
+    blocks = _matrix_csv_blocks(x)
+    header = next(blocks)  # point names are checked before the file opens
     with open(path, "w", newline="") as fh:
-        fh.write(text)
+        fh.write(header)
+        fh.writelines(blocks)
+
+
+def _certified(raw, expected):
+    """expected's space for the header's point count, when the binary file
+    raw holds exactly its CSV bytes; None otherwise."""
+    encoding = locale.getpreferredencoding(False)
+    lines = (line.decode(encoding) for line in iter(raw.readline, b""))
+    try:
+        header = next(csv.reader(lines), None)
+    except (UnicodeDecodeError, csv.Error):
+        return None  # the full read reports it
+    n = len(header or ()) - 1
+    if not (header and header[0] == ""
+            and os.fstat(raw.fileno()).st_size >= 4 * n * n):
+        return None
+    x = expected(n)
+    if x is None:
+        return None
+    raw.seek(0)
+    for block in _matrix_csv_blocks(x):
+        data = block.encode(encoding)
+        if raw.read(len(data)) != data:
+            return None
+    return x if raw.read(1) == b"" else None
 
 
 class _Floats(dict):
@@ -197,26 +235,23 @@ def read_matrix_csv(path, expected=None) -> FiniteMetricSpace:
     spaces whose axioms hold by construction.  It is asked only when the
     file is long enough for n^2 cells of at least three characters and a
     separator each, so a short file with a long header builds nothing.
-    When the file's text is exactly `matrix_csv_text` of that space, the
-    file parses to that space bit for bit, and the space is returned as it
-    is, with validation "rebuild": neither the parse nor the scan runs.
-    Any other file is read and checked in full as above.
+    When the file's bytes are exactly `matrix_csv_text` of that space,
+    encoded as `write_matrix_csv` encodes it, the file parses to that space
+    bit for bit, and the space is returned as it is, with validation
+    "rebuild": neither the parse nor the scan runs.  The file is opened
+    once, in binary, and compared a block of rows at a time, so neither
+    its whole text nor the whole rendered text is held.  Any other file is
+    read and checked in full as above.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        n = len(header or ()) - 1
-        if (expected is not None and header and header[0] == ""
-                and os.fstat(fh.fileno()).st_size >= 4 * n * n):
-            x = expected(n)
+    with open(path, "rb") as raw:
+        if expected is not None:
+            x = _certified(raw, expected)
             if x is not None:
-                fh.seek(0)
-                if fh.read() == matrix_csv_text(x):
-                    x.validation = "rebuild"
-                    return x
-                fh.seek(0)
-                next(reader)
-        rows = [] if header is None else [header, *reader]
+                x.validation = "rebuild"
+                return x
+            raw.seek(0)
+        with io.TextIOWrapper(raw, newline="") as fh:
+            rows = list(csv.reader(fh))
     if not rows or rows[0][:1] != [""]:
         raise ValueError("matrix CSV needs a header row starting with an empty cell")
     points = rows[0][1:]

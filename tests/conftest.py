@@ -119,3 +119,26 @@ def random_coxeter_matrix(rng: random.Random, n, entries=(2, 3, 4, 5, 6, math.in
 @pytest.fixture
 def rng():
     return random.Random(20260819)
+
+
+def _circle_space(n, prefix):
+    from denseamalgam.metric import FiniteMetricSpace
+    return FiniteMetricSpace(
+        [f"{prefix}{i}" for i in range(n)],
+        [[min(abs(i - j), n - abs(i - j)) for j in range(n)] for i in range(n)])
+
+
+def sweep_configs():
+    """The 72 small approximation configurations of the benchmark's sweep:
+    (tag, sources, depth, branching) over six source choices, depth 0-3 and
+    branching 1-3, all at scale 1/3.  Fifteen of them, the two+two' builds
+    other than depth 1-3 at branching 3 and the depth-0 circle+two and
+    two+circle builds, are structures that `regular check` fails."""
+    two, two_b = _circle_space(2, "a"), _circle_space(2, "b")
+    circle5, circle9 = _circle_space(5, "c"), _circle_space(9, "d")
+    sources = [("two", [two]), ("circle5", [circle5]), ("circle9", [circle9]),
+               ("two+two_b", [two, two_b]), ("circle5+two", [circle5, two]),
+               ("two+circle5", [two, circle5])]
+    return [(f"{tag}-d{depth}-b{branching}", xs, depth, branching)
+            for tag, xs in sources for depth in range(4)
+            for branching in (1, 2, 3)]

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import sweep_configs
 from denseamalgam._kernels import floyd_warshall
 from denseamalgam.approx import (
     AmalgamApprox,
@@ -353,7 +354,64 @@ def a5_pair_oracle(a, separation_gap):
     return pairs, worst, worst_pair
 
 
+def sorted_set_oracle(a, boundary_gap, separation_gap):
+    """(a3) and (a5) as first written: one np.ix_ block per copy and per
+    tree edge, its columns the sorted names outside the copy or subtree.
+    Returns (a3 worst ratio, a3 worst point, a5 worst ratio, a5 worst
+    pair)."""
+    dist, idx = a.space.dist, a.space.index
+    level = dict(zip(a.tree.names, a.tree.depth))
+    worst_ratio, worst_point = 0.0, None
+    for t in a.vertices:
+        pts = a.copy_points(t)
+        outside = sorted(a.all_points() - set(pts))
+        gaps = dist[np.ix_([idx[p] for p in pts],
+                           [idx[p] for p in outside])].min(axis=1)
+        ratio = float(gaps.max()) / (boundary_gap * a.scale ** (level[t] - a.depth))
+        if ratio > worst_ratio:
+            worst_ratio, worst_point = ratio, pts[int(gaps.argmax())]
+    worst_pair_ratio, worst_pair = math.inf, None
+    for child, t in enumerate(a.vertices[1:], 1):
+        inside = a.subtree_points(t)
+        rows = [idx[p] for p in sorted(inside)]
+        cols = [idx[p] for p in sorted(a.all_points() - inside)]
+        gap = float(dist[np.ix_(rows, cols)].min())
+        parent = a.tree.parent[child]
+        ratio = gap / (separation_gap * a.scale ** (a.tree.depth[parent] - a.depth))
+        if ratio < worst_pair_ratio:
+            worst_pair_ratio, worst_pair = ratio, (a.vertices[parent], t)
+    return worst_ratio, worst_point, worst_pair_ratio, worst_pair
+
+
+def jittered(a, jitter, seed):
+    """a with every distance scaled by a random symmetric factor in
+    [2, 2 + 2 * jitter): uneven gaps, so that witnesses move."""
+    rng = np.random.default_rng(seed)
+    f = 1 + jitter * rng.random(a.space.dist.shape)
+    space = FiniteMetricSpace(a.space.points, a.space.dist * (f + f.T),
+                              _check=False)
+    return AmalgamApprox(source_spaces=a.source_spaces, depth=a.depth,
+                         branching=a.branching, scale=a.scale, r0=a.r0,
+                         mu=a.mu, tree=a.tree, space=space,
+                         labels=a.labels, ends=a.ends)
+
+
 class TestCheckConditions:
+    @pytest.mark.parametrize("tag, xs, depth, branching", sweep_configs(),
+                             ids=[c[0] for c in sweep_configs()])
+    def test_a3_a5_match_sorted_set_oracle(self, tag, xs, depth, branching):
+        built = build_approx(xs, depth, branching, 1 / 3)
+        for a in (built, jittered(built, 0.5, depth * 3 + branching)):
+            for boundary, sep in ((None, None), (1e-3, 1e-3), (10.0, 0.2)):
+                report = check_conditions(a, ConditionTolerances(
+                    boundary_gap=boundary, separation_gap=sep))
+                a3, a5 = report.conditions["a3"], report.conditions["a5"]
+                want = sorted_set_oracle(a, report.tolerances["boundary_gap"],
+                                         report.tolerances["separation_gap"])
+                assert (a3["worst_gap_over_tolerance"], a3["worst_point"]) == want[:2]
+                if depth:
+                    assert (a5["worst_gap_over_tolerance"], a5["worst_pair"]) == want[2:]
+
     def test_all_pass_small(self):
         report = check_conditions(build_approx([TWO], 2, 2, 1 / 3))
         assert report.all_pass()
@@ -400,14 +458,7 @@ class TestCheckConditions:
         a = build_approx(xs, depth, branching, scale, _skip_scale_check=True)
         if jitter:
             # uneven edge gaps, so that paths and turning points matter
-            rng = np.random.default_rng(depth + branching)
-            f = 1 + jitter * rng.random(a.space.dist.shape)
-            space = FiniteMetricSpace(a.space.points, a.space.dist * (f + f.T),
-                                      _check=False)
-            a = AmalgamApprox(source_spaces=a.source_spaces, depth=a.depth,
-                              branching=a.branching, scale=a.scale, r0=a.r0,
-                              mu=a.mu, tree=a.tree, space=space,
-                              labels=a.labels, ends=a.ends)
+            a = jittered(a, jitter, depth + branching)
         for sep in (None, 1e-3, 0.2, 100.0, math.inf):
             a5 = check_conditions(
                 a, ConditionTolerances(separation_gap=sep)).conditions["a5"]

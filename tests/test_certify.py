@@ -130,6 +130,29 @@ class TestReadWithExpected:
         got = read_matrix_csv(tmp_path / "m.csv", lambda n: other(x))
         assert got == x and got.validation == "scan"
 
+    @pytest.mark.parametrize("edit, validation", [
+        (lambda b: b, "rebuild"),
+        (lambda b: b[:-2], "scan"),  # the last row's line end dropped
+        (lambda b: b[:-5] + b"0.00\r\n", "scan"),  # same value, other text
+        (lambda b: b + b"\r\n", None),  # an empty row after the table
+    ], ids=["same", "short", "other-text", "longer"])
+    def test_every_block_is_compared(self, tmp_path, monkeypatch, edit,
+                                     validation):
+        # one row per block, so the edits fall in the last block
+        monkeypatch.setattr(metric_mod, "_BLOCK_CELLS", 4)
+        x = circle(["p", "q", "r", "s"])
+        write_matrix_csv(x, tmp_path / "m.csv")
+        data = (tmp_path / "m.csv").read_bytes()
+        assert data.endswith(b",0.0\r\n")
+        (tmp_path / "m.csv").write_bytes(edit(data))
+        built = FiniteMetricSpace(x.points, x.dist, _check=False)
+        if validation is None:
+            with pytest.raises(ValueError, match="row count"):
+                read_matrix_csv(tmp_path / "m.csv", lambda n: built)
+            return
+        got = read_matrix_csv(tmp_path / "m.csv", lambda n: built)
+        assert got == x and got.validation == validation
+
     def test_csv_errors_are_unchanged(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(",a,b\na,0,1\nb,x,0\n")

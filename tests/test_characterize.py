@@ -7,11 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from denseamalgam.approx import ConditionTolerances, build_approx
+from conftest import sweep_configs
+from denseamalgam.approx import ConditionReport, ConditionTolerances, build_approx
 from denseamalgam.characterize import (
+    MATCH_LIMIT,
     RegularStructure,
     TLabelling,
-    _block_min,
+    _atom_distances,
+    _components,
+    _match_shapes,
+    _normalized,
     _resolve_tolerances,
     as_regular_structure,
     build_t_labelling,
@@ -307,6 +312,192 @@ class TestQuotientProfile:
         assert q["cantor_like"] is False  # p2 reachable from p0 through p1
 
 
+# ---------------------------------------------------------------------------
+# Oracles: the per-pair block code that the family tables replaced.
+
+def _block_min(dist, blocks):
+    """out[i, j] is the least distance between index blocks i and j."""
+    rows = np.array([dist[b].min(axis=0) for b in blocks])
+    return np.array([rows[:, b].min(axis=1) for b in blocks]).T
+
+
+def oracle_diam(s, i):
+    return float(s.space.dist[np.ix_(s._idx[i], s._idx[i])].max())
+
+
+def oracle_set_distance(s, i, j):
+    return float(s.space.dist[np.ix_(s._idx[i], s._idx[j])].min())
+
+
+def oracle_reach(s, i, j):
+    # farthest point of subset i from subset j
+    return float(s.space.dist[np.ix_(s._idx[i], s._idx[j])].min(axis=1).max())
+
+
+def oracle_linkage_components(s, eps):
+    """Single-linkage components over points at scale eps, with subsets
+    pre-merged."""
+    members = ((int(idx[0]), int(other)) for idx in s._idx for other in idx[1:])
+    close = ((int(x), int(y)) for x, y in np.argwhere(s.space.dist <= eps)
+             if x < y)
+    return _components(len(s.space), itertools.chain(members, close))
+
+
+def oracle_match_shapes(ref, other, tol):
+    """The backtracking search over row bijections, identity tried first."""
+    n = ref.shape[0]
+    perm = [None] * n
+    used = [False] * n
+
+    def extend(i):
+        if i == n:
+            return True
+        for j in itertools.chain([i] if not used[i] else [], range(n)):
+            if used[j]:
+                continue
+            if all(abs(ref[i, l] - other[j, perm[l]]) <= tol for l in range(i)):
+                perm[i] = j
+                used[j] = True
+                if extend(i + 1):
+                    return True
+                used[j] = False
+                perm[i] = None
+        return False
+
+    if not extend(0):
+        return False, math.inf
+    dev = max((abs(ref[i, l] - other[perm[i], perm[l]])
+               for i in range(n) for l in range(n)), default=0.0)
+    return True, float(dev)
+
+
+def oracle_tolerances(s, tol):
+    if tol is None:
+        tol = ConditionTolerances()
+    max_diam = max(oracle_diam(s, i) for i in range(len(s)))
+    base = 2 * max_diam if max_diam > 0 else s.space.diam()
+    between = _block_min(s.space.dist, s._idx)[np.triu_indices(len(s), 1)]
+    sep_default = float(between.min()) / 2 if len(s) > 1 else 0.0
+    return {
+        "iso": tol.iso,
+        "null": tol.null if tol.null is not None else max_diam,
+        "boundary_gap": tol.boundary_gap if tol.boundary_gap is not None else base,
+        "density_gap": tol.density_gap if tol.density_gap is not None else base,
+        "separation_gap": (tol.separation_gap if tol.separation_gap is not None
+                           else sep_default),
+    }
+
+
+def regularity_oracle(s, tol=None):
+    """check_regularity with one np.ix_ block per subset or pair, the
+    backtracking search for every match and point-level linkage."""
+    resolved = oracle_tolerances(s, tol)
+    dist = s.space.dist
+    n_sub = len(s)
+    conditions = {}
+    worst_dev = 0.0
+    proxy_pairs = []
+    mismatches = []
+    for cls in range(1, s.k + 1):
+        members = s.of_class(cls)
+        ref_i = members[0]
+        ref_block = _normalized(s.space.submatrix(s.subsets[ref_i]))
+        for i in members[1:]:
+            if len(s.subsets[i]) != len(s.subsets[ref_i]):
+                mismatches.append({"class": cls, "subsets": [ref_i, i],
+                                   "reason": "cardinality"})
+                continue
+            if len(s.subsets[i]) > MATCH_LIMIT:
+                proxy_pairs.append([ref_i, i])
+                continue
+            block = _normalized(s.space.submatrix(s.subsets[i]))
+            found, dev = oracle_match_shapes(ref_block, block, resolved["iso"])
+            if not found:
+                mismatches.append({"class": cls, "subsets": [ref_i, i],
+                                   "reason": "no matching bijection"})
+            else:
+                worst_dev = max(worst_dev, dev)
+    conditions["a1"] = {
+        "verdict": "pass" if not mismatches else "fail",
+        "max_deviation": worst_dev,
+        "proxy_pairs": proxy_pairs,
+        "mismatches": mismatches,
+    }
+    diams = [oracle_diam(s, i) for i in range(n_sub)]
+    above = sorted(i for i in range(n_sub) if diams[i] > resolved["null"])
+    conditions["a2"] = {
+        "verdict": "pass" if len(above) < n_sub else "fail",
+        "prefix": len(above),
+        "above_null": above,
+        "max_diameter": max(diams),
+        "min_diameter": min(diams),
+    }
+    worst_gap = 0.0
+    worst_subset = None
+    for i in range(n_sub):
+        inside = s._idx[i]
+        mask = np.ones(len(s.space), dtype=bool)
+        mask[inside] = False
+        if not mask.any():
+            worst_gap = math.inf
+            worst_subset = i
+            break
+        gap = float(dist[np.ix_(inside, np.flatnonzero(mask))].min(axis=1).max())
+        if gap > worst_gap:
+            worst_gap, worst_subset = gap, i
+    conditions["a3"] = {
+        "verdict": "pass" if worst_gap <= resolved["boundary_gap"] else "fail",
+        "max_gap": worst_gap,
+        "worst_subset": worst_subset,
+    }
+    worst_gap = 0.0
+    worst_pair = None
+    for cls in range(1, s.k + 1):
+        cols = np.concatenate([s._idx[i] for i in s.of_class(cls)])
+        gaps = dist[:, cols].min(axis=1)
+        at = int(gaps.argmax())
+        if gaps[at] > worst_gap:
+            worst_gap, worst_pair = float(gaps[at]), [s.space.points[at], cls]
+    conditions["a4"] = {
+        "verdict": "pass" if worst_gap <= resolved["density_gap"] else "fail",
+        "max_gap": worst_gap,
+        "worst": worst_pair,
+    }
+    comp = oracle_linkage_components(s, resolved["separation_gap"])
+    offending = []
+    for i, j in itertools.combinations(range(n_sub), 2):
+        if comp[s._idx[i][0]] == comp[s._idx[j][0]]:
+            offending.append([i, j])
+    conditions["a5"] = {
+        "verdict": "pass" if not offending else "fail",
+        "inseparable_pairs": offending,
+    }
+    return ConditionReport(conditions, resolved)
+
+
+def assert_tables_match_oracles(s):
+    t = s.tables
+    m = len(s)
+    assert t.near.shape == (m, len(s.space)) and t.diam.shape == (m,)
+    assert t.reach.shape == t.between.shape == (m, m)
+    near = _block_min(s.space.dist, s._idx + [np.array([p]) for p in
+                                              range(len(s.space))])[:m, m:]
+    assert np.array_equal(t.near, near)
+    for i in range(m):
+        assert t.diam[i] == oracle_diam(s, i) == s.subset_diam(i)
+        for j in range(m):
+            assert t.reach[i, j] == oracle_reach(s, i, j)
+            assert t.between[i, j] == oracle_set_distance(s, i, j) \
+                == s.set_distance(i, j)
+    blocks = list(s._idx) + [np.array([s.space.index[p]]) for p in s.residual]
+    assert np.array_equal(_atom_distances(s), _block_min(s.space.dist, blocks))
+
+
+def assert_regularity_matches_oracle(s, tol=None):
+    assert _resolve_tolerances(s, tol) == oracle_tolerances(s, tol)
+    assert check_regularity(s, tol).to_dict() == regularity_oracle(s, tol).to_dict()
+
+
 class TestBlockMinimum:
     """The all-pairs set distances against one np.ix_ block per pair."""
 
@@ -317,13 +508,85 @@ class TestBlockMinimum:
         s = build_structure(xs, depth, branching, 1 / 3)
         blocks = list(s._idx) + [np.array([s.space.index[p]])
                                  for p in s.residual]
-        got = _block_min(s.space.dist, blocks)
+        got = _atom_distances(s)
         for i, j in itertools.product(range(len(blocks)), repeat=2):
             assert got[i, j] == s.space.dist[np.ix_(blocks[i], blocks[j])].min()
-        per_pair = [s.set_distance(i, j)
+        per_pair = [oracle_set_distance(s, i, j)
                     for i, j in itertools.combinations(range(len(s)), 2)]
         assert _resolve_tolerances(s, None)["separation_gap"] == (
             min(per_pair) / 2 if per_pair else 0.0)
+
+
+def random_structure(data, max_points=12):
+    """A structure on integer points of the plane under the l1 metric, so
+    that distances tie often: random subsets (singletons included), a
+    random residual, one or more classes."""
+    n = data.draw(st.integers(1, max_points))
+    coords = data.draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                                min_size=n, max_size=n, unique=True))
+    pos = np.array(coords, dtype=float)
+    space = FiniteMetricSpace([f"p{i}" for i in range(n)],
+                              np.abs(pos[:, None] - pos[None, :]).sum(axis=2))
+    owner = data.draw(st.lists(st.integers(-1, n - 1), min_size=n, max_size=n))
+    if all(o < 0 for o in owner):
+        owner[data.draw(st.integers(0, n - 1))] = 0
+    groups = {}
+    for p, o in zip(space.points, owner):
+        if o >= 0:
+            groups.setdefault(o, []).append(p)
+    subsets = data.draw(st.permutations(list(groups.values())))
+    k = data.draw(st.integers(1, len(subsets)))
+    classes = list(range(1, k + 1)) + data.draw(st.lists(
+        st.integers(1, k), min_size=len(subsets) - k, max_size=len(subsets) - k))
+    return RegularStructure(space, zip(subsets, data.draw(st.permutations(classes))))
+
+
+class TestFamilyTables:
+    """The tables and the verdicts read from them, against the per-pair
+    blocks and the point-level linkage they replaced."""
+
+    @pytest.mark.parametrize("tag, xs, depth, branching", sweep_configs(),
+                             ids=[c[0] for c in sweep_configs()])
+    def test_sweep_configuration(self, tag, xs, depth, branching):
+        s = build_structure(xs, depth, branching, 1 / 3)
+        assert_tables_match_oracles(s)
+        assert_regularity_matches_oracle(s)
+        # linked subsets: (a5) lists every pair of each component
+        gaps = sorted(set(s.tables.between[np.triu_indices(len(s), 1)].tolist()))
+        for sep in gaps[:2] + gaps[-1:]:
+            assert_regularity_matches_oracle(s, ConditionTolerances(
+                separation_gap=sep, boundary_gap=sep, iso=0.0))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_random_structures(self, data):
+        s = random_structure(data)
+        assert_tables_match_oracles(s)
+        assert_regularity_matches_oracle(s)
+        sep = data.draw(st.sampled_from(sorted(set(s.space.dist.ravel().tolist()))))
+        tol = ConditionTolerances(separation_gap=sep, null=sep, boundary_gap=sep,
+                                  density_gap=sep, iso=data.draw(st.sampled_from(
+                                      [0.0, 1e-9, 0.25])))
+        assert_regularity_matches_oracle(s, tol)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_identity_check_agrees_with_search(self, data):
+        n = data.draw(st.integers(1, 5))
+        values = st.integers(1, 3)
+        rows = [[0] * n for _ in range(n)]
+        for i, j in itertools.combinations(range(n), 2):
+            rows[i][j] = rows[j][i] = data.draw(values)
+        ref = _normalized(np.array(rows, dtype=float))
+        perm = data.draw(st.permutations(range(n)))
+        other = ref[np.ix_(perm, perm)] * data.draw(st.sampled_from([1.0, 1.1]))
+        tol = data.draw(st.sampled_from([0.0, 1e-9, 0.05, 0.2]))
+        assert _match_shapes(ref, other, tol) == oracle_match_shapes(ref, other, tol)
+
+    def test_tables_are_kept_and_read_only(self):
+        s = build_structure([TWO], 2, 2, 1 / 3)
+        assert s.tables is s.tables
+        assert not any(table.flags.writeable for table in s.tables)
 
 
 class TestBuildTLabelling:

@@ -441,6 +441,57 @@ def quadratic_separation(ball, g):
 Z3_Z4 = gg({"p": 3, "q": 4}, [("p", "q", 1)])
 
 
+def naive_ball(g, base, radius):
+    """The ball by plain breadth-first search, each node's children and
+    degree read again from every oriented edge: (label, depth, parent,
+    entry) per node, and the ids whose neighbours the radius cut off."""
+    nodes = [(base, 0, None, None)]
+    unexplored = []
+    for nid, (label, depth, parent, entry) in enumerate(nodes):  # grows
+        if depth == radius:
+            if g.degree(label) - (parent is not None) > 0:
+                unexplored.append(nid)
+            continue
+        for a in g.oriented_edges():
+            if g.head(a) == label:
+                for _ in range(g.index(a) - (a == entry)):
+                    nodes.append((g.tail(a), depth + 1, nid, g.bar(a)))
+    return nodes, unexplored
+
+
+class TestBallOracle:
+    @pytest.mark.parametrize("g, base", [
+        (Z3_Z4, "p"), (Z3_Z4, "q"), (Z2_Z3, "w"), (loop_graph(), "v"),
+        (D_INF_SPLITTING, "u"),
+        (gg({"a": 2, "b": 3, "c": 2}, [("a", "b", 1), ("b", "c", 1)]), "b")],
+        ids=["z3*z4-p", "z3*z4-q", "z2*z3", "loop", "d-infinity", "three-vertex"])
+    @pytest.mark.parametrize("radius", range(10))
+    def test_matches_breadth_first_search(self, g, base, radius):
+        ball = bass_serre_ball(g, base, radius)
+        nodes, unexplored = naive_ball(g, base, radius)
+        assert [(n.label, n.depth, n.parent, n.entry) for n in ball.nodes] == nodes
+        assert [n.id for n in ball.nodes] == list(range(len(nodes)))
+        assert ball.unexplored == frozenset(unexplored)
+
+    def test_random_graphs(self):
+        rng = random.Random(7)
+        for _ in range(40):
+            g = random_gog(rng)
+            base = rng.choice(g.vertices)
+            growth = max(1, max(g.degree(v) for v in g.vertices))
+            size = 1
+            for radius in range(10):
+                if size * growth > 2000:  # the next ball would be too large
+                    break
+                nodes, unexplored = naive_ball(g, base, radius)
+                ball = bass_serre_ball(g, base, radius)
+                assert [(n.label, n.depth, n.parent, n.entry)
+                        for n in ball.nodes] == nodes
+                assert ball.unexplored == frozenset(unexplored)
+                assert check_separation(ball, g) == quadratic_separation(ball, g)
+                size = len(nodes)
+
+
 class TestSeparationOracle:
     @pytest.mark.parametrize("radius", range(8))
     def test_z3_z4_balls(self, radius):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from denseamalgam import _kernels
+from denseamalgam import metric as metric_mod
 from denseamalgam.approx import build_approx
 from denseamalgam.metric import (
     FiniteMetricSpace,
@@ -295,6 +296,16 @@ class TestSerialization:
         assert again.points == x.points
         assert np.array_equal(again.dist, x.dist)
 
+    @pytest.mark.parametrize("cells", [1, 7, 40])
+    def test_csv_bytes_match_oracle_in_row_blocks(self, tmp_path, monkeypatch,
+                                                  cells):
+        monkeypatch.setattr(metric_mod, "_BLOCK_CELLS", cells)
+        x = build_approx(*BUILDS[sorted(BUILDS)[0]]).space
+        write_matrix_csv(x, tmp_path / "new.csv")
+        write_oracle(x, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() \
+            == (tmp_path / "old.csv").read_bytes()
+
     def test_csv_keeps_negative_zero_and_quoted_labels(self, tmp_path):
         x = FiniteMetricSpace(["", "a,b", 'q"x'], [[-0.0, 1.0, 0.5],
                                                  [1.0, 0.0, 0.5],
@@ -308,7 +319,10 @@ class TestSerialization:
         assert again.points == x.points
         assert np.signbit(again.dist[0, 0]) and not np.signbit(again.dist[1, 1])
 
-    def test_non_string_points_rejected(self):
+    def test_non_string_points_rejected(self, tmp_path):
         un = disjoint_union([TWO])
         with pytest.raises(ValueError, match="strings"):
             space_to_json(un)
+        with pytest.raises(ValueError, match="strings"):
+            write_matrix_csv(un, tmp_path / "m.csv")
+        assert not (tmp_path / "m.csv").exists()
