@@ -10,6 +10,18 @@ independent of the order in which splittings are chosen.  The recursion
 therefore takes the first splitting at each step; enumerate_splittings lists
 them all.
 
+A face or the empty set S splits the complex exactly when removing S
+disconnects the 1-skeleton: every face is a clique, so it lies in S plus at
+most one component.  To find such an S it suffices to look once per maximal
+face F, rather than at every sub-simplex of F: if S lies in F and
+separates, some component C of the complement of S misses the clique F - S,
+so C is a whole component of the complement of F, and its neighbourhood
+N(C), a subset of S and so a face, cuts C from the rest.  Hence the complex
+splits exactly when it is disconnected or, for some maximal face F, some
+component C of the complement of F has C + N(C) short of every vertex: one
+component pass per maximal face (compare clique minimal separator
+decomposition, Tarjan 1985, Berry-Pogorelcnik-Simonet 2010).
+
 Internally vertex subsets are bitmasks over the vertex tuple, which keeps the
 separator/component searches cheap for the sizes this module is meant for
 (tens of vertices at most).
@@ -143,6 +155,16 @@ class SimplicialComplex:
             remaining &= ~comp
         return comps
 
+    def _neighbourhood(self, mask: int) -> int:
+        """Vertices adjacent to some vertex of `mask`, outside `mask`."""
+        out = 0
+        rest = mask
+        while rest:
+            low = rest & -rest
+            out |= self._adjacency[low.bit_length() - 1]
+            rest ^= low
+        return out & ~mask
+
     def _full_subcomplex_masks(self, within: int):
         """Maximal faces (as masks) of the full subcomplex on `within`."""
         cut = {m & within for m in self._masks if m & within}
@@ -174,7 +196,6 @@ class SimplicialComplex:
 
     def is_flag(self) -> bool:
         """Every clique of the 1-skeleton spans a face."""
-        n = len(self.vertices)
         adj = self._adjacency
         result = True
 
@@ -215,8 +236,7 @@ class SimplicialComplex:
     def edges(self):
         """Edges of the 1-skeleton as sorted vertex pairs."""
         out = []
-        n = len(self.vertices)
-        for i in range(n):
+        for i in range(len(self.vertices)):
             rest = self._adjacency[i] >> (i + 1) << (i + 1)
             while rest:
                 low = rest & -rest
@@ -280,7 +300,9 @@ class SimplicialComplex:
     def _separations(self, within: int):
         """(sep, comps) for each simplex separator of the full subcomplex on
         `within` that leaves two or more components: the empty separator
-        first, then faces in mask order."""
+        first, then faces in mask order.  Exhaustive over every sub-simplex:
+        enumerate_splittings lists from it, and it is the oracle for
+        _first_splitting."""
         faces = set()
         for m in self._full_subcomplex_masks(within):
             sub = m
@@ -294,12 +316,34 @@ class SimplicialComplex:
 
     def _first_splitting(self, within: int):
         """The first splitting of the full subcomplex on `within`, as masks
-        (p1, p2, sep) with p1 < p2, or None when it is irreducible: the
-        first component splits off against the rest, at the first
-        separator that leaves two or more."""
-        for sep, comps in self._separations(within):
-            p1, p2 = sep | comps[0], within & ~comps[0]
-            return (p1, p2, sep) if p1 < p2 else (p2, p1, sep)
+        (p1, p2, sep) with p1 < p2, or None when it is irreducible.
+
+        Each candidate F is tried once: the empty set, then each distinct
+        m & within over the maximal faces m, in mask order.  The first
+        component C of within - F whose neighbourhood S = N(C) leaves some
+        vertex outside C + S splits off as (S + C, within - C, S).  S lies
+        in F, as C is a component of within - F, so S is empty or a face,
+        and it cuts C from the rest.
+
+        This misses no splitting.  Say a face S' in a face F separates.
+        F - S' is a clique, so it lies in one component of within - S', and
+        any other component C misses F.  C is connected and its neighbours
+        lie in S', inside F, so C is a component of within - F; N(C) lies
+        in S', and the other components of within - S' lie outside C + N(C).
+        So C is found at F, where the exhaustive _separations scan tries
+        every sub-simplex of F.
+        """
+        seen = set()
+        for m in (0,) + self._masks:
+            face = m & within
+            if face in seen:
+                continue
+            seen.add(face)
+            for comp in self._component_masks(within & ~face):
+                sep = self._neighbourhood(comp) & within
+                if comp | sep != within:
+                    p1, p2 = sep | comp, within & ~comp
+                    return (p1, p2, sep) if p1 < p2 else (p2, p1, sep)
         return None
 
     def enumerate_splittings(self):
@@ -373,15 +417,16 @@ class SimplicialComplex:
     def maximally_full_irreducible(self, bound=12):
         """Inclusion-maximal vertex sets spanning irreducible full subcomplexes.
 
-        Brute force over all vertex subsets; refuses vertex counts above
-        `bound`.  Serves as the order-free characterization of the terminal
-        factors.
+        Brute force over all vertex subsets, each tested by the exhaustive
+        _separations scan; refuses vertex counts above `bound`.  Serves as
+        the order-free characterization of the terminal factors, independent
+        of the per-face test that terminal_factors uses.
         """
         n = len(self.vertices)
         if n > bound:
             raise ValueError(f"brute-force search over {n} vertices exceeds bound {bound}")
         irreducible = [mask for mask in range(1, 1 << n)
-                       if self._first_splitting(mask) is None]
+                       if next(self._separations(mask), None) is None]
         maximal = [
             m for m in irreducible
             if not any(m != o and m & o == m for o in irreducible)

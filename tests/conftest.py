@@ -10,6 +10,7 @@ from denseamalgam.boundary import (
     EMPTY,
     POINT_PAIR,
 )
+from denseamalgam.coxeter import INF, CoxeterSystem
 from denseamalgam.simplicial import SimplicialComplex
 
 
@@ -114,6 +115,48 @@ def random_coxeter_matrix(rng: random.Random, n, entries=(2, 3, 4, 5, 6, math.in
             value = rng.choice(entries)
             rows[i][j] = rows[j][i] = value
     return rows
+
+
+def from_pairs(n, order):
+    """System on g00, g01, ... with m(s, t) = order(i, j) for i < j."""
+    names = [f"g{i:02d}" for i in range(n)]
+    return CoxeterSystem(names, [
+        [1 if i == j else order(min(i, j), max(i, j)) for j in range(n)]
+        for i in range(n)])
+
+
+def block_product(rng, n):
+    """Free product of one-ended 4-generator blocks (D_inf x D_inf, affine
+    A~3, affine A~2 x A1 in turn), generators shuffled among the blocks."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    block = {g: k // 4 for k, g in enumerate(perm)}
+    odd = {}
+    for b in range(n // 4):
+        a, c, d, e = perm[4 * b:4 * b + 4]
+        if b % 3 == 0:
+            odd.update({frozenset((a, c)): INF, frozenset((d, e)): INF})
+        else:
+            ring = ((a, c), (c, d), (d, e), (e, a)) if b % 3 == 1 else \
+                ((a, c), (c, d), (d, a))
+            odd.update({frozenset(p): 3 for p in ring})
+    return from_pairs(n, lambda i, j: INF if block[i] != block[j]
+                      else odd.get(frozenset((i, j)), 2))
+
+
+def product_system(rng, n, labels=(2, 2, 2, 3, INF)):
+    """W1 x W2 on two commuting halves, each with random labels and one
+    infinite-order pair (one-ended)."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    halves = (perm[:n // 2], perm[n // 2:])
+    odd = {}
+    for part in halves:
+        for k, i in enumerate(part):
+            for j in part[k + 1:]:
+                odd[frozenset((i, j))] = rng.choice(labels)
+        odd[frozenset(part[:2])] = INF
+    return from_pairs(n, lambda i, j: odd.get(frozenset((i, j)), 2))
 
 
 @pytest.fixture

@@ -13,7 +13,9 @@ import random
 import pytest
 
 from denseamalgam.simplicial import SimplicialComplex, Splitting
-from conftest import clique_complex, random_complex, random_graph_complex
+from denseamalgam.coxeter import nerve
+from conftest import (block_product, clique_complex, product_system,
+                      random_complex, random_graph_complex)
 
 
 def path_abc():
@@ -81,6 +83,35 @@ def petals(k):
         vertices += [x, y, z]
         faces += [{"h", x}, {x, y}, {y, z}, {z, "h"}]
     return SimplicialComplex(vertices, faces)
+
+
+def check_first_splitting(c, within):
+    """_first_splitting(within) finds a splitting exactly when the exhaustive
+    _separations scan finds a separator, and what it returns is one."""
+    first = c._first_splitting(within)
+    exhaustive = next(c._separations(within), None)
+    assert (first is None) == (exhaustive is None), (c, within)
+    if first is None:
+        return
+    p1, p2, sep = first
+    assert p1 < p2
+    assert p1 | p2 == within and p1 & p2 == sep
+    assert sep == 0 or c.is_face_mask(sep)
+    assert p1 & ~sep and p2 & ~sep
+    assert not any(m & p1 & ~sep and m & p2 & ~sep for m in c._masks)
+
+
+def visited_masks(c):
+    """The masks terminal_factors asks _first_splitting about, and the
+    factors it returns."""
+    visited = []
+    first = c._first_splitting
+    c._first_splitting = lambda mask: visited.append(mask) or first(mask)
+    try:
+        factors = c.terminal_factors()
+    finally:
+        del c._first_splitting
+    return visited, factors
 
 
 def as_pair_set(splittings):
@@ -325,6 +356,45 @@ class TestTerminalFactors:
             c = random_complex(rng, rng.randint(1, 7))
             for factor in c.terminal_factors():
                 assert c.full_subcomplex(factor).is_irreducible()
+
+
+class TestPerFaceSplitting:
+    """_first_splitting runs one component search per maximal face; the
+    exhaustive _separations scan over every sub-simplex is its oracle."""
+
+    def test_every_full_subcomplex_of_random_complexes(self, rng):
+        for k in range(60):
+            n = rng.randint(1, 10)
+            c = (random_complex(rng, n) if k % 2 else
+                 random_graph_complex(rng, n, rng.choice((0.3, 0.5, 0.7))))
+            for mask in range(1, 1 << n):
+                check_first_splitting(c, mask)
+
+    @pytest.mark.parametrize("build", [product_system, block_product])
+    def test_masks_visited_on_16_generator_nerves(self, build, rng):
+        for _ in range(2):
+            l = nerve(build(rng, 16))
+            visited, _ = visited_masks(l)
+            for mask in visited:
+                check_first_splitting(l, mask)
+
+    @pytest.mark.parametrize("k", [10, 11, 12])
+    def test_petals(self, k):
+        c = petals(k)
+        visited, factors = visited_masks(c)
+        assert len(factors) == k
+        for mask in visited:
+            check_first_splitting(c, mask)
+
+    def test_separator_is_the_neighbourhood_not_the_face(self):
+        # a triangle abh with the path h-x-y hung on h: the first face
+        # {a, b, h} leaves one component {x, y}, so it separates nothing,
+        # but that component splits off at its neighbourhood {h}
+        c = SimplicialComplex("abhxy", [{"a", "b", "h"}, {"h", "x"}, {"x", "y"}])
+        p1, p2, sep = c._first_splitting(c._full_mask())
+        assert c.vertex_set(sep) == frozenset("h")
+        assert {c.vertex_set(p1), c.vertex_set(p2)} == {frozenset("abh"),
+                                                        frozenset("hxy")}
 
 
 class TestInfinityLarge:
