@@ -161,9 +161,6 @@ class AmalgamApprox:
     def children(self, t):
         return tuple(self.vertices[c] for c in self.tree.children[self._id(t)])
 
-    def is_leaf(self, t) -> bool:
-        return not self.tree.children[self._id(t)]
-
     def edges(self):
         names, parent = self.vertices, self.tree.parent
         return [(names[parent[v]], names[v]) for v in range(1, len(names))]

@@ -1,5 +1,11 @@
 """Command line front end.
 
+Each leaf command is declared once, in ``_COMMANDS``, with its handler and
+every argument's role (input, output, param, tolerance or cap): the parser
+and each report's ``config`` are both read from there, the one place a
+command's arguments live.  A check command declares only the ``--tol-*``
+flags its checker reads; any other is a usage error.
+
 Exit codes: 0 when the command succeeds and every requested check passes,
 1 when a check fails or an operation refuses its input, 2 when the input
 cannot be read or parsed (a machine-readable error object goes to stdout).
@@ -11,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import random
@@ -22,14 +29,6 @@ from . import characterize as _characterize
 from . import coxeter as _coxeter
 from . import graphs_of_groups as _gog
 from . import metric as _metric
-
-_TOL_FIELDS = (
-    ("tol_boundary", "boundary_gap"),
-    ("tol_density", "density_gap"),
-    ("tol_separation", "separation_gap"),
-    ("tol_iso", "iso"),
-    ("tol_null", "null"),
-)
 
 
 class _InputError(Exception):
@@ -57,8 +56,6 @@ def _jsonable(value):
         return [_jsonable(v) for v in value]
     if isinstance(value, (set, frozenset)):
         return sorted(_jsonable(v) for v in value)
-    if isinstance(value, bool):
-        return value
     if isinstance(value, float):
         if math.isinf(value):
             return "inf" if value > 0 else "-inf"
@@ -72,11 +69,7 @@ def _jsonable(value):
 
 
 def _fmt_num(value) -> str:
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        return repr(value)
-    return str(value)
+    return str(_jsonable(value))
 
 
 def _summary_lines(data: dict) -> list:
@@ -91,15 +84,13 @@ def _summary_lines(data: dict) -> list:
         for key in sorted(body):
             if key == "verdict":
                 continue
-            value = body[key]
+            value = body[key]  # already JSON-safe: inf and nan are strings
             if isinstance(value, bool):
                 details.append(f"{key}={'true' if value else 'false'}")
-            elif isinstance(value, (int, float)):
-                details.append(f"{key}={_fmt_num(value)}")
-            elif isinstance(value, str):
+            elif isinstance(value, (int, float, str)):
                 details.append(f"{key}={value}")
             elif value and verdict != "pass":
-                details.append(f"{key}={json.dumps(_jsonable(value), sort_keys=True)}")
+                details.append(f"{key}={json.dumps(value, sort_keys=True)}")
         suffix = f" ({', '.join(details)})" if details else ""
         lines.append(f"{name}: {verdict}{suffix}")
     if "all_pass" in data:
@@ -142,45 +133,31 @@ def _parse_with(fn, *args):
         raise _InputError(str(exc), exc) from exc
 
 
-def _tolerances_from(args):
-    kwargs = {}
-    for flag, field in _TOL_FIELDS:
-        value = getattr(args, flag, None)
-        if value is not None:
-            kwargs[field] = value
-    if not kwargs:
-        return None
-    return _approx.ConditionTolerances(**kwargs)
+def _load(parse, path):
+    return _parse_with(parse, _read_text(path))
+
+
+def _tolerances_from(config):
+    given = {k: v for k, v in config["tolerances"].items() if v is not None}
+    return _approx.ConditionTolerances(**given) if given else None
 
 
 def _config_from(args) -> dict:
-    inputs = []
-    for attr in getattr(args, "inputs_from", ()):
-        value = getattr(args, attr)
-        if isinstance(value, list):
-            inputs.extend(value)
+    """The run configuration, read off the command's declared arguments.
+    Every tolerance and cap key is present, None when not given."""
+    config = {"subcommand": f"{args.group} {args.action}", "inputs": [],
+              "outputs": {}, "params": {},
+              "tolerances": dict.fromkeys(_TOL_KEYS.values()),
+              "caps": {"vertices": None}, "seed": 0, "version": __version__}
+    for role, name, key, _ in args.declared:
+        value = getattr(args, name.lstrip("-").replace("-", "_"))
+        if role == "inputs":
+            config["inputs"] += value if isinstance(value, list) else [value]
+        elif role == "seed":
+            config["seed"] = value
         else:
-            inputs.append(value)
-    outputs = {}
-    for attr in ("report", "dot", "out_matrix", "out_meta", "out"):
-        if hasattr(args, attr):
-            outputs[attr.replace("_", "-")] = getattr(args, attr)
-    params = {}
-    for attr in ("expression", "depth", "branching", "scale", "radius",
-                 "base", "max_depth"):
-        if hasattr(args, attr):
-            params[attr.replace("_", "-")] = getattr(args, attr)
-    return {
-        "subcommand": args.subcommand,
-        "inputs": inputs,
-        "outputs": outputs,
-        "params": params,
-        "tolerances": {field: getattr(args, flag, None)
-                       for flag, field in _TOL_FIELDS},
-        "caps": {"vertices": getattr(args, "cap_vertices", None)},
-        "seed": getattr(args, "seed", 0),
-        "version": __version__,
-    }
+            config[role][key] = value
+    return config
 
 
 def _write_text(path, text):
@@ -191,30 +168,38 @@ def _write_text(path, text):
         raise _InputError(f"cannot write {path}: {exc.strerror}", exc) from exc
 
 
-def _condition_result(rep, config, extra=None):
-    report = {"config": config}
-    report.update(rep.to_dict())
-    if extra:
-        report.update(extra)
-    _, summary = render_report(report)
-    return (0 if rep.all_pass() else 1), report, summary
+def _condition_result(rep, config, **extra):
+    report = {"config": config, **rep.to_dict(), **extra}
+    return (0 if rep.all_pass() else 1), report, render_report(report)[1]
 
 
 # ---------------------------------------------------------------------------
-# command handlers
+# command handlers: (args, config) -> (exit code, report, stdout text).
+# They reach library functions through their modules at call time.
+
+
+def _check_matrix(args, config, load, check):
+    """Load a matrix and its sidecar, check them, and record which path
+    proved the matrix a metric."""
+    x = _parse_with(load, args.matrix, args.meta)
+    return _condition_result(check(x, _tolerances_from(config)), config,
+                             matrix_validation=x.space.validation)
+
+
+def _expression_result(config, expr):
+    out = _boundary.format_expr(expr)
+    return 0, {"config": config, "expression": out}, out + "\n"
 
 
 def _cmd_coxeter_classify(args, config):
-    c = _parse_with(_coxeter.parse_coxeter, _read_text(args.input))
-    e = _coxeter.classify_endedness(c)
+    e = _coxeter.classify_endedness(_load(_coxeter.parse_coxeter, args.input))
     report = {"config": config, "tag": e.tag, "virtually_free": e.virtually_free}
     text = e.tag + (" (virtually free)\n" if e.virtually_free else "\n")
     return 0, report, text
 
 
 def _cmd_coxeter_nerve(args, config):
-    c = _parse_with(_coxeter.parse_coxeter, _read_text(args.input))
-    n = _coxeter.nerve(c)
+    n = _coxeter.nerve(_load(_coxeter.parse_coxeter, args.input))
     faces = sorted(sorted(f) for f in n.maximal_faces)
     flag, infinity_large = n.is_flag(), n.is_infinity_large()
     report = {"config": config, "vertices": sorted(n.vertices),
@@ -230,15 +215,8 @@ def _cmd_coxeter_nerve(args, config):
     return 0, report, "\n".join(lines) + "\n"
 
 
-def _cmd_coxeter_boundary(args, config):
-    c = _parse_with(_coxeter.parse_coxeter, _read_text(args.input))
-    expr = _boundary.normalize(_coxeter.boundary_expression(c))
-    out = _boundary.format_expr(expr)
-    return 0, {"config": config, "expression": out}, out + "\n"
-
-
 def _cmd_nerve_decompose(args, config):
-    n = _parse_with(_coxeter.SimplicialComplex.from_json, _read_text(args.input))
+    n = _load(_coxeter.SimplicialComplex.from_json, args.input)
     listed = sorted(sorted(f) for f in n.terminal_factors())
     infinity_large = n.is_infinity_large()
     report = {"config": config, "factors": listed,
@@ -250,28 +228,28 @@ def _cmd_nerve_decompose(args, config):
 
 
 def _cmd_gog_reduce(args, config):
-    g = _parse_with(_gog.from_json, _read_text(args.input))
+    g = _load(_gog.from_json, args.input)
     reduced = _gog.reduce(g, rng=random.Random(args.seed))
     doc = _gog.to_json(reduced)
     report = {"config": config, "graph": json.loads(doc)}
     return 0, report, doc + ("\n" if not doc.endswith("\n") else "")
 
 
-def _ball_for(args, g):
+def _ball_for(args):
+    g = _load(_gog.from_json, args.input)
     if args.base is not None and args.base not in g.vertex_groups:
         raise _InputError(f"base vertex {args.base!r} is not in the graph")
     base = args.base if args.base is not None else sorted(g.vertex_groups)[0]
     ball = _gog.bass_serre_ball(g, base, args.radius)
-    cap = getattr(args, "cap_vertices", None)
+    cap = args.cap_vertices
     if cap is not None and ball.size() > cap:
         raise _InputError(
             f"ball has {ball.size()} vertices, exceeding --cap-vertices {cap}")
-    return base, ball
+    return g, base, ball
 
 
 def _cmd_gog_check(args, config):
-    g = _parse_with(_gog.from_json, _read_text(args.input))
-    base, ball = _ball_for(args, g)
+    g, base, ball = _ball_for(args)
     sep = _gog.check_separation(ball, g)
     non_elementary = _gog.is_non_elementary(g)
     report = {"config": config, "base": base, "radius": args.radius,
@@ -285,14 +263,9 @@ def _cmd_gog_check(args, config):
 
 
 def _cmd_gog_ball(args, config):
-    g = _parse_with(_gog.from_json, _read_text(args.input))
-    base, ball = _ball_for(args, g)
+    _, base, ball = _ball_for(args)
     counts = ball.counts_by_depth()
-    sizes = []
-    total = 0
-    for c in counts:
-        total += c
-        sizes.append(total)
+    sizes = list(itertools.accumulate(counts))
     report = {"config": config, "base": base, "radius": args.radius,
               "counts_by_depth": counts, "sizes_by_radius": sizes,
               "size": ball.size()}
@@ -305,22 +278,8 @@ def _cmd_gog_ball(args, config):
     return 0, report, "\n".join(lines) + "\n"
 
 
-def _cmd_gog_boundary(args, config):
-    g = _parse_with(_gog.from_json, _read_text(args.input))
-    expr = _boundary.normalize(_gog.boundary_expression(g))
-    out = _boundary.format_expr(expr)
-    return 0, {"config": config, "expression": out}, out + "\n"
-
-
-def _cmd_amalgam_normalize(args, config):
-    expr = _parse_with(_boundary.parse_expr, args.expression)
-    out = _boundary.format_expr(_boundary.normalize(expr))
-    return 0, {"config": config, "expression": out}, out + "\n"
-
-
 def _cmd_approx_build(args, config):
-    spaces = [_parse_with(_metric.space_from_json, _read_text(p))
-              for p in args.spaces]
+    spaces = [_load(_metric.space_from_json, p) for p in args.spaces]
     # parameter refusals (bad depth, branching, scale) are input errors
     a = _parse_with(_approx.build_approx, spaces, args.depth, args.branching,
                     args.scale)
@@ -331,23 +290,8 @@ def _cmd_approx_build(args, config):
              f"ends: {len(a.ends)}"]
     if args.out_matrix:
         _approx.save_bundle(a, args.out_matrix, args.out_meta)
-        lines.append(f"wrote {args.out_matrix}")
-        lines.append(f"wrote {args.out_meta}")
+        lines += [f"wrote {args.out_matrix}", f"wrote {args.out_meta}"]
     return 0, report, "\n".join(lines) + "\n"
-
-
-def _cmd_approx_check(args, config):
-    a = _parse_with(_approx.load_bundle, args.matrix, args.meta)
-    rep = _approx.check_conditions(a, _tolerances_from(args))
-    return _condition_result(rep, config,
-                             {"matrix_validation": a.space.validation})
-
-
-def _cmd_regular_check(args, config):
-    s = _parse_with(_characterize.load_structure, args.matrix, args.meta)
-    rep = _characterize.check_regularity(s, _tolerances_from(args))
-    return _condition_result(rep, config,
-                             {"matrix_validation": s.space.validation})
 
 
 def _cmd_regular_merge(args, config):
@@ -364,8 +308,7 @@ def _cmd_regular_merge(args, config):
     if args.out_matrix:
         _characterize.save_structure(result.structure, args.out_matrix,
                                      args.out_meta)
-        lines.append(f"wrote {args.out_matrix}")
-        lines.append(f"wrote {args.out_meta}")
+        lines += [f"wrote {args.out_matrix}", f"wrote {args.out_meta}"]
     return 0, report, "\n".join(lines) + "\n"
 
 
@@ -384,14 +327,13 @@ def _cmd_label_build(args, config):
 
 def _cmd_label_verify(args, config):
     s = _parse_with(_characterize.load_structure, args.matrix, args.meta)
-    lab = _parse_with(_characterize.labelling_from_json,
-                      _read_text(args.labelling))
-    rep = _characterize.verify_labelling(lab, s, _tolerances_from(args))
+    lab = _load(_characterize.labelling_from_json, args.labelling)
+    rep = _characterize.verify_labelling(lab, s, _tolerances_from(config))
     return _condition_result(rep, config)
 
 
 # ---------------------------------------------------------------------------
-# parser construction
+# command declarations
 
 
 def _positive_int(text):
@@ -408,179 +350,174 @@ def _nonneg_int(text):
     return value
 
 
-def _add_common(sp):
-    sp.add_argument("--seed", type=int, default=0,
-                    help="random seed recorded in the report (default 0)")
-    sp.add_argument("--report", metavar="PATH",
-                    help="write the full JSON report to this file")
+def _arg(role, name, key=None, **options):
+    """One argument of a leaf command: (role, name, key, options).
+
+    The role is the part of the report's config that records the value:
+    "inputs", "outputs", "params", "tolerances", "caps" or "seed"; the key
+    is its name there.  The options go to ``add_argument``.
+    """
+    return role, name, key or name.lstrip("-"), options
 
 
-def _add_tols(sp):
-    for name in ("iso", "null", "boundary", "density", "separation"):
-        sp.add_argument(f"--tol-{name}", type=float, default=None,
-                        metavar="X", help=f"override the {name} tolerance")
+_SEED_REPORT = (
+    _arg("seed", "--seed", type=int, default=0,
+         help="random seed recorded in the report (default 0)"),
+    _arg("outputs", "--report", metavar="PATH",
+         help="write the full JSON report to this file"),
+)
 
 
-def _leaf(sub, name, handler, subcommand, inputs_from, help_text):
-    sp = sub.add_parser(name, help=help_text)
-    sp.set_defaults(handler=handler, subcommand=subcommand,
-                    inputs_from=inputs_from)
-    return sp
+def _command(group, action, help_text, handler, *args):
+    """One leaf command; every command takes --seed and --report."""
+    return group, action, help_text, handler, args + _SEED_REPORT
+
+
+def _matrix_meta(sidecar):
+    return (_arg("inputs", "matrix", help="distance matrix CSV"),
+            _arg("inputs", "meta", help=f"{sidecar} JSON sidecar"))
+
+
+def _out_matrix_meta(matrix, meta):
+    return (_arg("outputs", "--out-matrix", metavar="PATH",
+                 help=f"write {matrix} here"),
+            _arg("outputs", "--out-meta", metavar="PATH",
+                 help=f"write {meta} here"))
+
+
+_TOL_KEYS = {"iso": "iso", "null": "null", "boundary": "boundary_gap",
+             "density": "density_gap", "separation": "separation_gap"}
+
+
+def _tols(*names):
+    return tuple(_arg("tolerances", f"--tol-{name}", _TOL_KEYS[name],
+                      type=float, metavar="X",
+                      help=f"override the {name} tolerance")
+                 for name in names)
+
+
+_COXETER_INPUT = _arg("inputs", "input", help="Coxeter system JSON file")
+_GOG_INPUT = _arg("inputs", "input", help="graph of groups JSON file")
+_STRUCTURE = _matrix_meta("regular-structure")
+_BALL = (
+    _arg("params", "--radius", type=_nonneg_int, required=True,
+         help="ball radius in the Bass-Serre tree"),
+    _arg("params", "--base",
+         help="base vertex (default: first in sorted order)"),
+    _arg("caps", "--cap-vertices", "vertices", type=_positive_int,
+         help="refuse balls larger than this"),
+)
+
+_GROUPS = {
+    "coxeter": "Coxeter system pipeline",
+    "nerve": "simplicial complex analysis",
+    "gog": "graph of groups pipeline",
+    "amalgam": "boundary expression algebra",
+    "approx": "finite approximations",
+    "regular": "regular family checks",
+    "label": "tree labellings",
+}
+
+_COMMANDS = (
+    _command("coxeter", "classify", "endedness class of a Coxeter system",
+             _cmd_coxeter_classify, _COXETER_INPUT),
+    _command("coxeter", "nerve", "finite-type nerve of a Coxeter system",
+             _cmd_coxeter_nerve, _COXETER_INPUT,
+             _arg("outputs", "--dot", metavar="PATH",
+                  help="write the nerve skeleton as DOT")),
+    _command("coxeter", "boundary", "normalized boundary expression",
+             lambda args, config: _expression_result(
+                 config, _coxeter.boundary_expression(
+                     _load(_coxeter.parse_coxeter, args.input))),
+             _COXETER_INPUT),
+    _command("nerve", "decompose", "terminal join factors of a complex",
+             _cmd_nerve_decompose,
+             _arg("inputs", "input", help="simplicial complex JSON file")),
+    _command("gog", "reduce", "collapse trivial edges",
+             _cmd_gog_reduce, _GOG_INPUT),
+    _command("gog", "check", "separation checks on a Bass-Serre ball",
+             _cmd_gog_check, _GOG_INPUT, *_BALL),
+    _command("gog", "ball", "Bass-Serre tree ball sizes",
+             _cmd_gog_ball, _GOG_INPUT, *_BALL,
+             _arg("outputs", "--dot", metavar="PATH",
+                  help="write the ball as DOT")),
+    _command("gog", "boundary", "normalized boundary expression",
+             lambda args, config: _expression_result(
+                 config, _gog.boundary_expression(
+                     _load(_gog.from_json, args.input))),
+             _GOG_INPUT),
+    _command("amalgam", "normalize", "normalize a boundary expression",
+             lambda args, config: _expression_result(
+                 config, _boundary.normalize(
+                     _parse_with(_boundary.parse_expr, args.expression))),
+             _arg("params", "expression",
+                  help="expression text, e.g. 'Amalgam(Empty)'")),
+    _command("approx", "build", "build a finite approximation",
+             _cmd_approx_build,
+             _arg("inputs", "--spaces", nargs="+", required=True,
+                  metavar="PATH",
+                  help="finite metric space JSON files, one per class"),
+             _arg("params", "--depth", type=_nonneg_int, required=True,
+                  help="tree depth of the approximation"),
+             _arg("params", "--branching", type=_positive_int, required=True,
+                  help="children per tree vertex"),
+             _arg("params", "--scale", type=float, required=True,
+                  help="per-level contraction factor in (0, 1/2]"),
+             *_out_matrix_meta("the distance matrix CSV", "the JSON sidecar")),
+    _command("approx", "check", "verify the approximation conditions",
+             lambda args, config: _check_matrix(
+                 args, config, _approx.load_bundle, _approx.check_conditions),
+             *_matrix_meta("approximation"),
+             *_tols("iso", "boundary", "density", "separation")),
+    _command("regular", "check", "verify family regularity",
+             lambda args, config: _check_matrix(
+                 args, config, _characterize.load_structure,
+                 _characterize.check_regularity),
+             *_STRUCTURE,
+             *_tols("iso", "null", "boundary", "density", "separation")),
+    _command("regular", "merge", "merge a multi-class family",
+             _cmd_regular_merge, *_STRUCTURE,
+             *_out_matrix_meta("the merged structure matrix",
+                               "the merged structure sidecar")),
+    _command("label", "build", "build a tree labelling",
+             _cmd_label_build, *_STRUCTURE,
+             _arg("params", "--max-depth", type=_nonneg_int, required=True,
+                  help="depth budget for the labelling tree"),
+             _arg("outputs", "--out", metavar="PATH",
+                  help="write the labelling JSON here")),
+    _command("label", "verify", "verify a tree labelling",
+             _cmd_label_verify, *_STRUCTURE,
+             _arg("inputs", "labelling", help="labelling JSON file"),
+             *_tols("separation")),
+)
 
 
 @functools.cache
 def _build_parser() -> _Parser:
-    """The argument parser, built once per process: parsing leaves it
-    unchanged, and building it costs more than most commands."""
+    """The argument parser, built once per process from ``_COMMANDS``:
+    parsing leaves it unchanged, and building it costs more than most
+    commands."""
     parser = _Parser(prog="denseamalgam",
                      description="Boundary expressions, finite approximations "
                                  "and regularity checks for dense amalgams.")
     sub = parser.add_subparsers(dest="group", metavar="command",
                                 parser_class=_Parser)
-
-    cox = sub.add_parser("coxeter", help="Coxeter system pipeline")
-    cox_sub = cox.add_subparsers(dest="action", metavar="action",
-                                 parser_class=_Parser)
-    sp = _leaf(cox_sub, "classify", _cmd_coxeter_classify, "coxeter classify",
-               ("input",), "endedness class of a Coxeter system")
-    sp.add_argument("input", help="Coxeter system JSON file")
-    _add_common(sp)
-    sp = _leaf(cox_sub, "nerve", _cmd_coxeter_nerve, "coxeter nerve",
-               ("input",), "finite-type nerve of a Coxeter system")
-    sp.add_argument("input", help="Coxeter system JSON file")
-    sp.add_argument("--dot", metavar="PATH",
-                    help="write the nerve skeleton as DOT")
-    _add_common(sp)
-    sp = _leaf(cox_sub, "boundary", _cmd_coxeter_boundary, "coxeter boundary",
-               ("input",), "normalized boundary expression")
-    sp.add_argument("input", help="Coxeter system JSON file")
-    _add_common(sp)
-
-    nerve = sub.add_parser("nerve", help="simplicial complex analysis")
-    nerve_sub = nerve.add_subparsers(dest="action", metavar="action",
-                                     parser_class=_Parser)
-    sp = _leaf(nerve_sub, "decompose", _cmd_nerve_decompose, "nerve decompose",
-               ("input",), "terminal join factors of a complex")
-    sp.add_argument("input", help="simplicial complex JSON file")
-    _add_common(sp)
-
-    gog = sub.add_parser("gog", help="graph of groups pipeline")
-    gog_sub = gog.add_subparsers(dest="action", metavar="action",
-                                 parser_class=_Parser)
-    sp = _leaf(gog_sub, "reduce", _cmd_gog_reduce, "gog reduce",
-               ("input",), "collapse trivial edges")
-    sp.add_argument("input", help="graph of groups JSON file")
-    _add_common(sp)
-    sp = _leaf(gog_sub, "check", _cmd_gog_check, "gog check",
-               ("input",), "separation checks on a Bass-Serre ball")
-    sp.add_argument("input", help="graph of groups JSON file")
-    sp.add_argument("--radius", type=_nonneg_int, required=True,
-                    help="ball radius in the Bass-Serre tree")
-    sp.add_argument("--base", default=None,
-                    help="base vertex (default: first in sorted order)")
-    sp.add_argument("--cap-vertices", type=_positive_int, default=None,
-                    help="refuse balls larger than this")
-    _add_common(sp)
-    sp = _leaf(gog_sub, "ball", _cmd_gog_ball, "gog ball",
-               ("input",), "Bass-Serre tree ball sizes")
-    sp.add_argument("input", help="graph of groups JSON file")
-    sp.add_argument("--radius", type=_nonneg_int, required=True,
-                    help="ball radius in the Bass-Serre tree")
-    sp.add_argument("--base", default=None,
-                    help="base vertex (default: first in sorted order)")
-    sp.add_argument("--cap-vertices", type=_positive_int, default=None,
-                    help="refuse balls larger than this")
-    sp.add_argument("--dot", metavar="PATH", help="write the ball as DOT")
-    _add_common(sp)
-    sp = _leaf(gog_sub, "boundary", _cmd_gog_boundary, "gog boundary",
-               ("input",), "normalized boundary expression")
-    sp.add_argument("input", help="graph of groups JSON file")
-    _add_common(sp)
-
-    am = sub.add_parser("amalgam", help="boundary expression algebra")
-    am_sub = am.add_subparsers(dest="action", metavar="action",
-                               parser_class=_Parser)
-    sp = _leaf(am_sub, "normalize", _cmd_amalgam_normalize,
-               "amalgam normalize", (), "normalize a boundary expression")
-    sp.add_argument("expression", help="expression text, e.g. 'Amalgam(Empty)'")
-    _add_common(sp)
-
-    ap = sub.add_parser("approx", help="finite approximations")
-    ap_sub = ap.add_subparsers(dest="action", metavar="action",
-                               parser_class=_Parser)
-    sp = _leaf(ap_sub, "build", _cmd_approx_build, "approx build",
-               ("spaces",), "build a finite approximation")
-    sp.add_argument("--spaces", nargs="+", required=True, metavar="PATH",
-                    help="finite metric space JSON files, one per class")
-    sp.add_argument("--depth", type=_nonneg_int, required=True,
-                    help="tree depth of the approximation")
-    sp.add_argument("--branching", type=_positive_int, required=True,
-                    help="children per tree vertex")
-    sp.add_argument("--scale", type=float, required=True,
-                    help="per-level contraction factor in (0, 1/2]")
-    sp.add_argument("--out-matrix", metavar="PATH",
-                    help="write the distance matrix CSV here")
-    sp.add_argument("--out-meta", metavar="PATH",
-                    help="write the JSON sidecar here")
-    _add_common(sp)
-    sp = _leaf(ap_sub, "check", _cmd_approx_check, "approx check",
-               ("matrix", "meta"), "verify the approximation conditions")
-    sp.add_argument("matrix", help="distance matrix CSV")
-    sp.add_argument("meta", help="approximation JSON sidecar")
-    _add_tols(sp)
-    _add_common(sp)
-
-    reg = sub.add_parser("regular", help="regular family checks")
-    reg_sub = reg.add_subparsers(dest="action", metavar="action",
-                                 parser_class=_Parser)
-    sp = _leaf(reg_sub, "check", _cmd_regular_check, "regular check",
-               ("matrix", "meta"), "verify family regularity")
-    sp.add_argument("matrix", help="distance matrix CSV")
-    sp.add_argument("meta", help="regular-structure JSON sidecar")
-    _add_tols(sp)
-    _add_common(sp)
-    sp = _leaf(reg_sub, "merge", _cmd_regular_merge, "regular merge",
-               ("matrix", "meta"), "merge a multi-class family")
-    sp.add_argument("matrix", help="distance matrix CSV")
-    sp.add_argument("meta", help="regular-structure JSON sidecar")
-    sp.add_argument("--out-matrix", metavar="PATH",
-                    help="write the merged structure matrix here")
-    sp.add_argument("--out-meta", metavar="PATH",
-                    help="write the merged structure sidecar here")
-    _add_common(sp)
-
-    lab = sub.add_parser("label", help="tree labellings")
-    lab_sub = lab.add_subparsers(dest="action", metavar="action",
-                                 parser_class=_Parser)
-    sp = _leaf(lab_sub, "build", _cmd_label_build, "label build",
-               ("matrix", "meta"), "build a tree labelling")
-    sp.add_argument("matrix", help="distance matrix CSV")
-    sp.add_argument("meta", help="regular-structure JSON sidecar")
-    sp.add_argument("--max-depth", type=_nonneg_int, required=True,
-                    help="depth budget for the labelling tree")
-    sp.add_argument("--out", metavar="PATH",
-                    help="write the labelling JSON here")
-    _add_common(sp)
-    sp = _leaf(lab_sub, "verify", _cmd_label_verify, "label verify",
-               ("matrix", "meta", "labelling"), "verify a tree labelling")
-    sp.add_argument("matrix", help="distance matrix CSV")
-    sp.add_argument("meta", help="regular-structure JSON sidecar")
-    sp.add_argument("labelling", help="labelling JSON file")
-    _add_tols(sp)
-    _add_common(sp)
-
+    actions = {group: sub.add_parser(group, help=help_text).add_subparsers(
+                   dest="action", metavar="action", parser_class=_Parser)
+               for group, help_text in _GROUPS.items()}
+    for group, action, help_text, handler, declared in _COMMANDS:
+        sp = actions[group].add_parser(action, help=help_text)
+        sp.set_defaults(handler=handler, declared=declared)
+        for _, name, _, options in declared:
+            sp.add_argument(name, **options)
     return parser
 
 
-def _emit_error(exc, config, args, code: int) -> int:
-    name = type(exc.original).__name__ if isinstance(exc, _InputError) \
-        and exc.original is not None else type(exc).__name__
-    payload = {"error": {"type": name, "message": str(exc)}}
-    if config is not None:
-        payload["config"] = config
+def _emit_error(exc, config, report_path, code: int) -> int:
+    name = type(getattr(exc, "original", None) or exc).__name__
+    payload = {"error": {"type": name, "message": str(exc)}, "config": config}
     text = json.dumps(_jsonable(payload), indent=2, sort_keys=True)
     print(text)
-    report_path = getattr(args, "report", None)
     if report_path:
         try:
             _write_text(report_path, text + "\n")
@@ -593,25 +530,20 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if not hasattr(args, "handler"):
+            parser.error("a subcommand is required")
     except SystemExit as exc:
         return int(exc.code or 0)
-    handler = getattr(args, "handler", None)
-    if handler is None:
-        payload = {"error": {"type": "UsageError",
-                             "message": "a subcommand is required"}}
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return 2
     config = _config_from(args)
     try:
-        code, report, text = handler(args, config)
+        code, report, text = args.handler(args, config)
     except _InputError as exc:
-        return _emit_error(exc, config, args, 2)
+        return _emit_error(exc, config, args.report, 2)
     except ValueError as exc:
-        return _emit_error(exc, config, args, 1)
+        return _emit_error(exc, config, args.report, 1)
     print(text, end="")
     if args.report:
-        json_text, _ = render_report(report)
-        _write_text(args.report, json_text)
+        _write_text(args.report, render_report(report)[0])
     return code
 
 

@@ -63,10 +63,6 @@ class GroupDescriptor:
         if self.order != INF and self.boundary != EMPTY:
             raise ValueError("finite groups have empty boundary")
 
-    @property
-    def is_finite(self) -> bool:
-        return self.order != INF
-
 
 @dataclass(frozen=True)
 class OrientedEdge:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import denseamalgam
 from denseamalgam import approx as approx_mod
 from denseamalgam import characterize as char_mod
 from denseamalgam import cli as cli_mod
@@ -626,3 +627,139 @@ class TestDeterminism:
         norm1 = run(capsys, "amalgam", "normalize", "Amalgam(Empty)")
         norm2 = run(capsys, "amalgam", "normalize", "Amalgam(Empty)")
         assert norm1 == norm2
+
+
+def leaf_inputs(tmp_path):
+    """Small valid inputs for every leaf command, under their bare names."""
+    write(tmp_path, "cox.json", SQUARE)
+    write(tmp_path, "gog.json", GOG_23)
+    write(tmp_path, "complex.json",
+          SimplicialComplex("ab", [("a", "b")]).to_json())
+    write(tmp_path, "two.json", TWO_SPACE)
+    build_bundle(tmp_path, [TWO_SPACE], 1, 2, 1 / 3)
+    build_structure_files(tmp_path, [TWO_SPACE], 1, 2, 1 / 3)
+    build_structure_files(tmp_path, [TWO_SPACE, TWO_SPACE_B], 0, 2, 1 / 3,
+                          stem="pair")
+    assert main(["label", "build", str(tmp_path / "rs.csv"),
+                 str(tmp_path / "rs.json"), "--max-depth", "3",
+                 "--out", str(tmp_path / "lab.json")]) == 0
+
+
+def expected_config(subcommand, inputs=(), outputs=(), params=(),
+                    tolerances=(), vertices=None, seed=0):
+    return {"subcommand": subcommand, "inputs": list(inputs),
+            "outputs": {"report": "report.json", **dict(outputs)},
+            "params": dict(params),
+            "tolerances": {"boundary_gap": None, "density_gap": None,
+                           "separation_gap": None, "iso": None, "null": None,
+                           **dict(tolerances)},
+            "caps": {"vertices": vertices}, "seed": seed,
+            "version": denseamalgam.__version__}
+
+
+# one case per leaf command: (argv, the config its report must record)
+LEAF_CASES = [
+    (["coxeter", "classify", "cox.json"],
+     expected_config("coxeter classify", ["cox.json"])),
+    (["coxeter", "nerve", "cox.json", "--dot", "nerve.dot"],
+     expected_config("coxeter nerve", ["cox.json"],
+                     outputs={"dot": "nerve.dot"})),
+    (["coxeter", "boundary", "cox.json", "--seed", "5"],
+     expected_config("coxeter boundary", ["cox.json"], seed=5)),
+    (["nerve", "decompose", "complex.json"],
+     expected_config("nerve decompose", ["complex.json"])),
+    (["gog", "reduce", "gog.json", "--seed", "3"],
+     expected_config("gog reduce", ["gog.json"], seed=3)),
+    (["gog", "check", "gog.json", "--radius", "2", "--base", "u",
+      "--cap-vertices", "100"],
+     expected_config("gog check", ["gog.json"],
+                     params={"radius": 2, "base": "u"}, vertices=100)),
+    (["gog", "ball", "gog.json", "--radius", "3", "--dot", "ball.dot"],
+     expected_config("gog ball", ["gog.json"],
+                     outputs={"dot": "ball.dot"},
+                     params={"radius": 3, "base": None})),
+    (["gog", "boundary", "gog.json"],
+     expected_config("gog boundary", ["gog.json"])),
+    (["amalgam", "normalize", "Amalgam(Empty)"],
+     expected_config("amalgam normalize",
+                     params={"expression": "Amalgam(Empty)"})),
+    (["approx", "build", "--spaces", "two.json", "two.json", "--depth", "1",
+      "--branching", "2", "--scale", "0.25", "--out-matrix", "out.csv",
+      "--out-meta", "out.json"],
+     expected_config("approx build", ["two.json", "two.json"],
+                     outputs={"out-matrix": "out.csv",
+                              "out-meta": "out.json"},
+                     params={"depth": 1, "branching": 2, "scale": 0.25})),
+    (["approx", "check", "bundle.csv", "bundle.json", "--tol-iso", "1e-6",
+      "--tol-boundary", "5", "--tol-density", "6", "--tol-separation",
+      "1e-9"],
+     expected_config("approx check", ["bundle.csv", "bundle.json"],
+                     tolerances={"iso": 1e-6, "boundary_gap": 5.0,
+                                 "density_gap": 6.0,
+                                 "separation_gap": 1e-9})),
+    (["regular", "check", "rs.csv", "rs.json", "--tol-iso", "1e-6",
+      "--tol-null", "10", "--tol-boundary", "5", "--tol-density", "6",
+      "--tol-separation", "1e-9"],
+     expected_config("regular check", ["rs.csv", "rs.json"],
+                     tolerances={"iso": 1e-6, "null": 10.0,
+                                 "boundary_gap": 5.0, "density_gap": 6.0,
+                                 "separation_gap": 1e-9})),
+    (["regular", "merge", "pair.csv", "pair.json", "--out-matrix", "m.csv",
+      "--out-meta", "m.json"],
+     expected_config("regular merge", ["pair.csv", "pair.json"],
+                     outputs={"out-matrix": "m.csv", "out-meta": "m.json"})),
+    (["label", "build", "rs.csv", "rs.json", "--max-depth", "3",
+      "--out", "lab2.json"],
+     expected_config("label build", ["rs.csv", "rs.json"],
+                     outputs={"out": "lab2.json"}, params={"max-depth": 3})),
+    (["label", "verify", "rs.csv", "rs.json", "lab.json",
+      "--tol-separation", "0"],
+     expected_config("label verify", ["rs.csv", "rs.json", "lab.json"],
+                     tolerances={"separation_gap": 0.0})),
+]
+
+
+class TestDeclarations:
+    """Each leaf command records exactly its declared arguments, and takes
+    only the tolerance flags its checker reads."""
+
+    @pytest.mark.parametrize("argv, config", LEAF_CASES,
+                             ids=[" ".join(c[0][:2]) for c in LEAF_CASES])
+    def test_report_records_the_declared_config(self, tmp_path, capsys,
+                                                monkeypatch, argv, config):
+        leaf_inputs(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        code, out = run(capsys, *argv, "--report", "report.json")
+        assert code == 0, out
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["config"] == config
+
+    @pytest.mark.parametrize("leaf", [c[0][:2] for c in LEAF_CASES],
+                             ids=[" ".join(c[0][:2]) for c in LEAF_CASES])
+    def test_help(self, capsys, leaf):
+        code, out = run(capsys, *leaf, "--help")
+        assert code == 0
+        assert out.startswith(f"usage: denseamalgam {' '.join(leaf)} ")
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["approx", "check", "bundle.csv", "bundle.json"], "--tol-null"),
+        (["label", "verify", "rs.csv", "rs.json", "lab.json"], "--tol-iso"),
+        (["label", "verify", "rs.csv", "rs.json", "lab.json"], "--tol-null"),
+        (["label", "verify", "rs.csv", "rs.json", "lab.json"],
+         "--tol-boundary"),
+        (["label", "verify", "rs.csv", "rs.json", "lab.json"],
+         "--tol-density"),
+    ], ids=["approx-check-null", "label-verify-iso", "label-verify-null",
+            "label-verify-boundary", "label-verify-density"])
+    def test_unread_tolerance_is_refused(self, tmp_path, capsys, monkeypatch,
+                                        argv, flag):
+        leaf_inputs(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        code, out = run(capsys, *argv, flag, "1", "--report", "report.json")
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["type"] == "UsageError"
+        assert flag in error["message"]
+        assert not (tmp_path / "report.json").exists()
