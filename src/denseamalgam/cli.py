@@ -40,7 +40,11 @@ class _InputError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argparse variant whose usage errors emit a JSON object on stdout."""
+    """Argparse variant whose usage errors emit a JSON object on stdout and
+    that takes options only by their full names, never by a prefix."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         payload = {"error": {"type": "UsageError", "message": message}}

@@ -10,10 +10,14 @@ An oriented edge is a pair (edge slot, head end); `bar` flips the head.  The
 index of an oriented edge a is order(head(a)) / edge_order, infinite exactly
 when the head vertex group is infinite.
 
-A Bass-Serre ball keeps its nodes in a `RootedTree`; the separation check
-is one pass up that tree and one pass down it.
+A Bass-Serre ball is built one level at a time into flat lists, one entry
+per node: its label, its parent id and its entry family, with the parent
+ids held in a `RootedTree`.  Per-node `BallNode` objects are made only when
+`nodes` is read.  The separation check reads the lists, in one pass up the
+tree and one pass down it.
 """
 
+import functools
 import itertools
 import json
 import math
@@ -267,26 +271,41 @@ class BallNode:
 class BassSerreBall:
     """Finite-radius ball of the Bass-Serre tree, with truncation markers.
 
-    `unexplored` lists node ids whose further neighbours were cut off by the
-    radius; separation checks treat their hidden subtrees as unknown rather
-    than absent.
+    Node ids run breadth first from the base node 0, and three flat lists
+    describe node v: `labels[v]` is the graph vertex it lies over,
+    `tree.parent[v]` its parent id (-1 at the base) and `entries[v]` the
+    oriented edge family it occupies toward its parent (None at the base).
+    Depth d holds the ids levels[d] to levels[d + 1] - 1.  `unexplored`
+    lists node ids whose further neighbours were cut off by the radius;
+    separation checks treat their hidden subtrees as unknown rather than
+    absent.
     """
 
-    def __init__(self, graph, base, radius, nodes, unexplored):
+    def __init__(self, graph, base, radius, labels, parents, entries, levels,
+                 unexplored):
         self.graph = graph
         self.base = base
         self.radius = radius
-        self.nodes = tuple(nodes)
+        self.labels = labels
+        self.entries = entries
+        self.levels = levels
         self.unexplored = frozenset(unexplored)
-        self.tree = RootedTree([-1 if node.parent is None else node.parent
-                                for node in self.nodes])
+        self.tree = RootedTree(parents)
         self.children = self.tree.children
 
+    @functools.cached_property
+    def nodes(self):
+        """The nodes as `BallNode`s in id order, built on first use."""
+        parent, depth = self.tree.parent, self.tree.depth
+        return tuple(BallNode(v, self.labels[v], depth[v],
+                              parent[v] if v else None, self.entries[v])
+                     for v in range(len(self.labels)))
+
     def size(self) -> int:
-        return len(self.nodes)
+        return len(self.labels)
 
     def counts_by_depth(self):
-        return [self.tree.depth.count(d) for d in range(self.radius + 1)]
+        return [hi - lo for lo, hi in zip(self.levels, self.levels[1:])]
 
     def subtree_ids(self, node_id):
         """The node's subtree, a set view of its pre-order interval."""
@@ -294,12 +313,11 @@ class BassSerreBall:
 
     def to_dot(self) -> str:
         lines = ["graph ball {"]
-        for node in self.nodes:
-            shape = ', style=dashed' if node.id in self.unexplored else ''
-            lines.append(f'  n{node.id} [label="{node.label}"{shape}];')
-        for node in self.nodes:
-            if node.parent is not None:
-                lines.append(f"  n{node.parent} -- n{node.id};")
+        for v, label in enumerate(self.labels):
+            shape = ', style=dashed' if v in self.unexplored else ''
+            lines.append(f'  n{v} [label="{label}"{shape}];')
+        parent = self.tree.parent
+        lines.extend(f"  n{parent[v]} -- n{v};" for v in range(1, len(parent)))
         lines.append("}")
         return "\n".join(lines)
 
@@ -308,10 +326,14 @@ def bass_serre_ball(g: GraphOfGroups, base, radius: int,
                     cap: int = _BALL_RADIUS_CAP) -> BassSerreBall:
     """Breadth-first ball of the Bass-Serre tree around a vertex over `base`.
 
-    Children of a node over v come in families, one per oriented edge with
-    head v, with index(a) members each; the family through which the node was
-    entered has one member fewer.  Each graph vertex's degree and families
-    (edge, index, tail, bar) are computed once, not per node.
+    Children of a node over v come in families, one per oriented edge a with
+    head v, with index(a) members each entering through bar(a); the family
+    through which the node was entered has one member fewer.  So a node's
+    children depend only on the oriented edge it was entered through (or on
+    its being the base), and each such state's children are listed once.
+    The ball grows one level at a time: the states of a level's children,
+    and their parent ids, extend two flat lists in one call each, and the
+    labels and entries are read off the states at the end.
     """
     if base not in g.vertex_groups:
         raise ValueError(f"unknown base vertex {base!r}")
@@ -323,24 +345,36 @@ def bass_serre_ball(g: GraphOfGroups, base, radius: int,
         if g.vertex_groups[name].order == INF:
             raise ValueError(f"tree not locally finite at {name}")
 
-    degree = {v: g.degree(v) for v in g.vertices}
-    families = {v: [(a, g.index(a), g.tail(a), g.bar(a))
-                    for a in g.oriented_edges() if g.head(a) == v]
+    # State k < len(oriented): entered through oriented[k]; the last state is
+    # the base.  bar(oriented[k]) is oriented[k ^ 1].
+    oriented = g.oriented_edges()
+    root = len(oriented)
+    over = [g.head(a) for a in oriented] + [base]
+    families = {v: [(k, g.index(a)) for k, a in enumerate(oriented)
+                    if g.head(a) == v]
                 for v in g.vertices}
-    nodes = [BallNode(0, base, 0, None, None)]
-    unexplored = []
-    for node in nodes:  # grows while it is read: breadth first
-        if node.depth == radius:
-            remaining = degree[node.label] - (0 if node.parent is None else 1)
-            if remaining > 0:
-                unexplored.append(node.id)
-            continue
-        for a, index, tail, bar in families[node.label]:
-            count = index - (1 if a == node.entry else 0)
-            for _ in range(count):
-                nodes.append(BallNode(len(nodes), tail, node.depth + 1,
-                                      node.id, bar))
-    return BassSerreBall(g, base, radius, nodes, unexplored)
+    kids = [[k ^ 1 for k, index in families[over[s]]
+             for _ in range(index - (k == s))]
+            for s in range(root + 1)]
+    state, parents, levels = [root], [-1], [0, 1]
+    for _ in range(radius):
+        lo, hi = levels[-2], levels[-1]
+        level = [kids[s] for s in state[lo:hi]]
+        state.extend(itertools.chain.from_iterable(level))
+        parents.extend(itertools.chain.from_iterable(
+            map(itertools.repeat, range(lo, hi), map(len, level))))
+        levels.append(len(state))
+    unexplored = [v for v in range(levels[-2], levels[-1]) if kids[state[v]]]
+    labels = list(map(over.__getitem__, state))
+    entries = list(map((oriented + [None]).__getitem__, state))
+    return BassSerreBall(g, base, radius, labels, parents, entries, levels,
+                         unexplored)
+
+
+def _worst(verdicts):
+    """The first of "fail", "inconclusive" and "pass" that occurs."""
+    return ("fail" if "fail" in verdicts
+            else "inconclusive" if "inconclusive" in verdicts else "pass")
 
 
 def check_separation(ball: BassSerreBall, g: GraphOfGroups) -> dict:
@@ -349,23 +383,32 @@ def check_separation(ball: BassSerreBall, g: GraphOfGroups) -> dict:
     (1) every tree edge splits the tree into two halves each containing
     lifts of every vertex; (2) some tree vertex splits it into at least
     three unbounded pieces.  Sides cut off by the radius report
-    'inconclusive' rather than 'fail'.  The pass up gives each subtree's
-    label bitmask, and its count of unexplored nodes is a difference of
-    prefix counts across its pre-order interval; the pass down gives the
-    label bitmask of the rest of the ball beyond each edge.
+    'inconclusive' rather than 'fail'.  Everything is read from the ball's
+    flat lists.  The pass up gives each subtree's label bitmask, and its
+    count of unexplored nodes is a difference of prefix counts, over a list
+    of unexplored flags in pre-order, across its pre-order interval; the
+    pass down gives the label bitmask of the rest of the ball beyond each
+    edge.  One pass from each node to its parent counts the unbounded
+    pieces at every node, and each edge's verdicts are looked up from the
+    four booleans that decide them.
     """
     tree = ball.tree
     n = len(tree)
+    parent = tree.parent
     bits = {v: 1 << i for i, v in enumerate(g.vertices)}
     full = (1 << len(g.vertices)) - 1
-    label = [bits[node.label] for node in ball.nodes]
+    label = list(map(bits.__getitem__, ball.labels))
     sub_mask = list(label)
-    for v in reversed(range(1, n)):  # children come after their parents
-        sub_mask[tree.parent[v]] |= sub_mask[v]
-    before = list(itertools.accumulate(
-        (u in ball.unexplored for u in tree.pre), initial=0))
-    spans = [ball.subtree_ids(v) for v in range(n)]
-    sub_open = [before[s.stop] - before[s.start] for s in spans]
+    for v in range(n - 1, 0, -1):  # children come after their parents
+        sub_mask[parent[v]] |= sub_mask[v]
+    unexplored = [False] * n
+    for u in ball.unexplored:
+        unexplored[u] = True
+    before = list(itertools.accumulate(map(unexplored.__getitem__, tree.pre),
+                                       initial=0))
+    sub_open = [before[s.stop] - before[s.start]
+                for s in map(ball.subtree_ids, range(n))]
+    all_open = sub_open[0]
     rest_mask = [0] * n
     for p in range(n):  # parents before children
         kids = tree.children[p]
@@ -375,33 +418,32 @@ def check_separation(ball: BassSerreBall, g: GraphOfGroups) -> dict:
                 rest_mask[c] |= seen
                 seen |= sub_mask[c]
 
-    def side_verdict(mask, n_open):
-        if mask == full:
-            return "pass"
-        return "inconclusive" if n_open else "fail"
+    def side(complete, truncated):
+        return "pass" if complete else "inconclusive" if truncated else "fail"
 
+    # An edge's (subtree, rest, verdict) for each value of the four booleans
+    # that decide it: whether its subtree has every label and whether it
+    # has an unexplored node, then the same for the rest of the ball.
+    triples = {}
+    for key in itertools.product((False, True), repeat=4):
+        sides = side(*key[:2]), side(*key[2:])
+        triples[key] = (*sides, _worst(sides))
     edge_checks = []
     for v in range(1, n):
-        v1 = side_verdict(sub_mask[v], sub_open[v])
-        v2 = side_verdict(rest_mask[v], sub_open[0] - sub_open[v])
-        verdict = ("fail" if "fail" in (v1, v2)
-                   else "inconclusive" if "inconclusive" in (v1, v2) else "pass")
-        edge_checks.append({"edge": [tree.parent[v], v],
+        v1, v2, verdict = triples[sub_mask[v] == full, sub_open[v] > 0,
+                                  rest_mask[v] == full, all_open > sub_open[v]]
+        edge_checks.append({"edge": [parent[v], v],
                             "subtree": v1, "rest": v2, "verdict": verdict})
-    if any(c["verdict"] == "fail" for c in edge_checks):
-        edge_overall = "fail"
-    elif not edge_checks or any(c["verdict"] == "inconclusive" for c in edge_checks):
-        edge_overall = "inconclusive"
-    else:
-        edge_overall = "pass"
+    edge_overall = (_worst({c["verdict"] for c in edge_checks})
+                    if edge_checks else "inconclusive")
 
-    three_way_nodes = []
-    for v in range(n):
-        unbounded = sum(1 for c in tree.children[v] if sub_open[c])
-        if v and sub_open[0] > sub_open[v]:
-            unbounded += 1
-        if unbounded >= 3:
-            three_way_nodes.append(v)
+    unbounded = [0] * n  # pieces at each node that reach an unexplored node
+    for v in range(1, n):
+        if sub_open[v]:
+            unbounded[parent[v]] += 1
+        if all_open > sub_open[v]:
+            unbounded[v] += 1
+    three_way_nodes = [v for v in range(n) if unbounded[v] >= 3]
     if three_way_nodes:
         three_way = "pass"
     elif all(g.degree(v) <= 2 for v in g.vertices):

@@ -763,3 +763,22 @@ class TestDeclarations:
         assert error["type"] == "UsageError"
         assert flag in error["message"]
         assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("argv, prefix", [
+        (["label", "verify", "rs.csv", "rs.json", "lab.json"], "--tol"),
+        (["approx", "build", "--spaces", "two.json", "--branching", "2",
+          "--scale", "0.25", "--out-matrix", "out.csv", "--out-meta",
+          "out.json"], "--dep"),
+    ], ids=["label-verify-tol", "approx-build-dep"])
+    def test_option_prefix_is_refused(self, tmp_path, capsys, monkeypatch,
+                                      argv, prefix):
+        leaf_inputs(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        code, out = run(capsys, *argv, prefix, "1", "--report", "report.json")
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["type"] == "UsageError"
+        assert prefix in error["message"]
+        assert not (tmp_path / "report.json").exists()
+        assert not (tmp_path / "out.csv").exists()

@@ -459,12 +459,29 @@ def naive_ball(g, base, radius):
     return nodes, unexplored
 
 
+def naive_dot(nodes, unexplored):
+    """The DOT text of a `naive_ball` result: one line per node in id
+    order, unexplored ones dashed, then one line per edge."""
+    lines = ["graph ball {"]
+    for nid, (label, _, _, _) in enumerate(nodes):
+        shape = ", style=dashed" if nid in unexplored else ""
+        lines.append(f'  n{nid} [label="{label}"{shape}];')
+    for nid, (_, _, parent, _) in enumerate(nodes):
+        if parent is not None:
+            lines.append(f"  n{parent} -- n{nid};")
+    lines.append("}")
+    return "\n".join(lines)
+
+
+BALL_GRAPHS = pytest.mark.parametrize("g, base", [
+    (Z3_Z4, "p"), (Z3_Z4, "q"), (Z2_Z3, "w"), (loop_graph(), "v"),
+    (D_INF_SPLITTING, "u"),
+    (gg({"a": 2, "b": 3, "c": 2}, [("a", "b", 1), ("b", "c", 1)]), "b")],
+    ids=["z3*z4-p", "z3*z4-q", "z2*z3", "loop", "d-infinity", "three-vertex"])
+
+
 class TestBallOracle:
-    @pytest.mark.parametrize("g, base", [
-        (Z3_Z4, "p"), (Z3_Z4, "q"), (Z2_Z3, "w"), (loop_graph(), "v"),
-        (D_INF_SPLITTING, "u"),
-        (gg({"a": 2, "b": 3, "c": 2}, [("a", "b", 1), ("b", "c", 1)]), "b")],
-        ids=["z3*z4-p", "z3*z4-q", "z2*z3", "loop", "d-infinity", "three-vertex"])
+    @BALL_GRAPHS
     @pytest.mark.parametrize("radius", range(10))
     def test_matches_breadth_first_search(self, g, base, radius):
         ball = bass_serre_ball(g, base, radius)
@@ -472,6 +489,36 @@ class TestBallOracle:
         assert [(n.label, n.depth, n.parent, n.entry) for n in ball.nodes] == nodes
         assert [n.id for n in ball.nodes] == list(range(len(nodes)))
         assert ball.unexplored == frozenset(unexplored)
+
+    @BALL_GRAPHS
+    @pytest.mark.parametrize("radius", range(10))
+    def test_flat_lists_match_breadth_first_search(self, g, base, radius):
+        ball = bass_serre_ball(g, base, radius)
+        nodes, _ = naive_ball(g, base, radius)
+        assert ball.labels == [label for label, _, _, _ in nodes]
+        assert ball.tree.parent == tuple(-1 if parent is None else parent
+                                         for _, _, parent, _ in nodes)
+        assert ball.entries == [entry for _, _, _, entry in nodes]
+        depths = [depth for _, depth, _, _ in nodes]
+        assert ball.counts_by_depth() == [depths.count(d)
+                                          for d in range(radius + 1)]
+        assert ball.size() == len(nodes)
+
+    @BALL_GRAPHS
+    @pytest.mark.parametrize("radius", range(7))
+    def test_dot_matches_breadth_first_search(self, g, base, radius):
+        nodes, unexplored = naive_ball(g, base, radius)
+        assert (bass_serre_ball(g, base, radius).to_dot()
+                == naive_dot(nodes, set(unexplored)))
+
+    @pytest.mark.parametrize("g, base, degrees", [
+        (Z2_Z3, "u", (2, 3)), (Z3_Z4, "p", (3, 4)), (Z3_Z4, "q", (4, 3))],
+        ids=["z2*z3-u", "z3*z4-p", "z3*z4-q"])
+    def test_counts_at_the_radius_cap(self, g, base, degrees):
+        ball = bass_serre_ball(g, base, 12)
+        counts = biregular_level_counts(*degrees, 12)
+        assert ball.counts_by_depth() == counts
+        assert ball.size() == sum(counts)
 
     def test_random_graphs(self):
         rng = random.Random(7)
