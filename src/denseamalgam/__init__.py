@@ -1,5 +1,14 @@
 """Boundary expressions of groups as dense amalgams, their normal-form
-algebra, and finite metric approximations of the amalgam construction."""
+algebra, and finite metric approximations of the amalgam construction.
+
+The group-theory layers (boundary, simplicial, coxeter, graphs_of_groups)
+are imported with the package.  The metric-space layers (metric, approx,
+characterize) are built on numpy; each is imported the first time one of
+its exported names is read, so code that uses only the group-theory names
+never imports numpy.
+"""
+
+import importlib
 
 from .boundary import (
     Amalgam,
@@ -41,40 +50,41 @@ from .graphs_of_groups import (
     trivial_edges,
 )
 from .graphs_of_groups import boundary_expression as gog_boundary_expression
-from .metric import (
-    FiniteMetricSpace,
-    disjoint_union,
-    read_matrix_csv,
-    space_from_json,
-    space_to_json,
-    write_matrix_csv,
-)
-from .approx import (
-    AmalgamApprox,
-    ConditionReport,
-    ConditionTolerances,
-    basic_open_set,
-    build_approx,
-    check_conditions,
-    half_space,
-    load_bundle,
-    save_bundle,
-)
-from .characterize import (
-    MergeResult,
-    RegularStructure,
-    TLabelling,
-    as_regular_structure,
-    build_t_labelling,
-    check_regularity,
-    labelling_from_json,
-    labelling_to_json,
-    load_structure,
-    merge_families,
-    quotient_profile,
-    save_structure,
-    verify_labelling,
-)
+
+# exported name -> the numpy-backed module that defines it
+_ON_FIRST_USE = {
+    name: module
+    for module, names in (
+        ("metric", ("FiniteMetricSpace", "disjoint_union", "read_matrix_csv",
+                    "space_from_json", "space_to_json", "write_matrix_csv")),
+        ("approx", ("AmalgamApprox", "ConditionReport", "ConditionTolerances",
+                    "basic_open_set", "build_approx", "check_conditions",
+                    "half_space", "load_bundle", "save_bundle")),
+        ("characterize", ("MergeResult", "RegularStructure", "TLabelling",
+                          "as_regular_structure", "build_t_labelling",
+                          "check_regularity", "labelling_from_json",
+                          "labelling_to_json", "load_structure",
+                          "merge_families", "quotient_profile",
+                          "save_structure", "verify_labelling")),
+    )
+    for name in names
+}
+
+
+def __getattr__(name):
+    """Import the module of a metric-space name and keep the name here, so
+    later reads are plain attribute lookups (PEP 562)."""
+    module = _ON_FIRST_USE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(
+        importlib.import_module(f".{module}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted(globals().keys() | _ON_FIRST_USE.keys())
+
 
 __all__ = [
     "AmalgamApprox",

@@ -11,24 +11,46 @@ Exit codes: 0 when the command succeeds and every requested check passes,
 cannot be read or parsed (a machine-readable error object goes to stdout).
 All output is a pure function of (inputs, flags, seed), so repeated runs
 are byte-identical.
+
+The approximation, regularity and labelling commands reach the numpy-backed
+modules (metric, approx, characterize) through stand-ins that import them
+on first use; the group-theory commands never import numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import itertools
 import json
 import math
 import random
 
 from . import __version__
-from . import approx as _approx
 from . import boundary as _boundary
-from . import characterize as _characterize
 from . import coxeter as _coxeter
 from . import graphs_of_groups as _gog
-from . import metric as _metric
+
+
+class _OnFirstUse:
+    """Stands for the numpy-backed module `name`, as the global `_name`,
+    until a handler first reads one of its attributes.  That read imports
+    the module and puts it in place of the stand-in, so every later read is
+    a plain global lookup."""
+
+    def __init__(self, name):
+        self._name = name
+
+    def __getattr__(self, attr):
+        module = importlib.import_module(f".{self._name}", __package__)
+        globals()["_" + self._name] = module
+        return getattr(module, attr)
+
+
+_approx = _OnFirstUse("approx")
+_characterize = _OnFirstUse("characterize")
+_metric = _OnFirstUse("metric")
 
 
 class _InputError(Exception):

@@ -5,7 +5,8 @@ orders m(s,t) in {1,2,...} with m(s,s)=1 (infinity allowed off-diagonal).
 Finiteness of the generated group depends only on the labelled diagram
 (vertices S, edges where m >= 3); it is decided against the classification of
 finite irreducible systems, with the positive-definiteness of the cosine
-matrix available as an independent numerical route.
+matrix available as an independent numerical route (the one use of numpy
+here, imported when that route is first called).
 
 The nerve has a vertex per generator and a simplex per subset generating a
 finite special subgroup.  Finite type passes to subsets, so the nerve is
@@ -20,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 import json
 import math
-
-import numpy as np
 
 from .boundary import (
     Amalgam,
@@ -267,9 +266,11 @@ def is_finite_type(c: CoxeterSystem, subset=None) -> bool:
                for comp in _diagram_components(c, mask))
 
 
-def cosine_matrix(c: CoxeterSystem, subset=None) -> np.ndarray:
-    """Symmetric bilinear form of the subset: 1 on the diagonal and
-    -cos(pi/m(s,t)) off it (-1 for infinite orders)."""
+def cosine_matrix(c: CoxeterSystem, subset=None):
+    """Symmetric bilinear form of the subset, as a numpy array: 1 on the
+    diagonal and -cos(pi/m(s,t)) off it (-1 for infinite orders)."""
+    import numpy as np
+
     members = c.subset_tuple(subset) if subset is not None else c.generators
     n = len(members)
     b = np.ones((n, n), dtype=np.float64)
@@ -288,6 +289,8 @@ def gram_pd_test(c: CoxeterSystem, subset=None, tol=1e-9) -> bool:
     members = c.subset_tuple(subset) if subset is not None else c.generators
     if not members:
         return True
+    import numpy as np
+
     eigenvalues = np.linalg.eigvalsh(cosine_matrix(c, members))
     return bool(eigenvalues[0] > tol)
 

@@ -180,23 +180,43 @@ class GraphOfGroups:
 # ---------------------------------------------------------------------------
 # Reduction by elementary collapses.
 
+# The collapse rule works on a vertex-group dict and an edge list, so that
+# `reduce` builds (and validates) one GraphOfGroups at the end rather than
+# one per collapse.  A collapse keeps a graph valid: the absorbed order
+# equals the edge order, which divides the survivor's order.
+
+def _trivial(vertex_groups, edges):
+    found = []
+    for e, (v, w, order) in enumerate(edges):
+        if v == w:
+            continue
+        for s in (0, 1):
+            # index 1: the edge group is all of the head's group
+            if vertex_groups[(v, w)[s]].order == order:
+                found.append(OrientedEdge(e, s))
+                break
+    found.sort(key=lambda a: (tuple(sorted(edges[a.edge][:2])), a.edge))
+    return found
+
+
+def _collapse(vertex_groups, edges, a):
+    absorbed = edges[a.edge][a.to_end]
+    survivor = edges[a.edge][1 - a.to_end]
+    kept = {name: desc for name, desc in vertex_groups.items()
+            if name != absorbed}
+    moved = [(survivor if v == absorbed else v,
+              survivor if w == absorbed else w, order)
+             for pos, (v, w, order) in enumerate(edges) if pos != a.edge]
+    return kept, moved
+
+
 def trivial_edges(g: GraphOfGroups):
     """Collapsible edges: non-loops whose inclusion into one end is onto.
 
     Returns one oriented edge per collapsible slot, oriented so that the head
     is the absorbed end (index 1); ordered by sorted end names then slot.
     """
-    found = []
-    for e in range(len(g.edges)):
-        if g.is_loop(e):
-            continue
-        for s in (0, 1):
-            a = OrientedEdge(e, s)
-            if g.index(a) == 1:
-                found.append(a)
-                break
-    found.sort(key=lambda a: (tuple(sorted(g.edges[a.edge][:2])), a.edge))
-    return found
+    return _trivial(g.vertex_groups, g.edges)
 
 
 def elementary_collapse(g: GraphOfGroups, e) -> GraphOfGroups:
@@ -212,32 +232,21 @@ def elementary_collapse(g: GraphOfGroups, e) -> GraphOfGroups:
         if not matches:
             raise ValueError(f"edge {e} is not trivial")
         a = matches[0]
-    absorbed = g.head(a)
-    survivor = g.tail(a)
-    vertex_groups = {name: desc for name, desc in g.vertex_groups.items()
-                     if name != absorbed}
-    edges = []
-    for pos, (v, w, order) in enumerate(g.edges):
-        if pos == a.edge:
-            continue
-        v = survivor if v == absorbed else v
-        w = survivor if w == absorbed else w
-        edges.append((v, w, order))
-    return GraphOfGroups(vertex_groups, edges)
+    return GraphOfGroups(*_collapse(g.vertex_groups, g.edges, a))
 
 
 def reduce(g: GraphOfGroups, rng=None) -> GraphOfGroups:
     """Collapse trivial edges until none remain.
 
     Deterministic order (first trivial edge) unless rng picks one at random;
-    the reduced isomorphism type does not depend on the order.
+    the reduced isomorphism type does not depend on the order.  A graph with
+    no trivial edge is returned as it is.
     """
-    while True:
-        trivial = trivial_edges(g)
-        if not trivial:
-            return g
+    vertex_groups, edges = g.vertex_groups, g.edges
+    while trivial := _trivial(vertex_groups, edges):
         choice = trivial[rng.randrange(len(trivial))] if rng is not None else trivial[0]
-        g = elementary_collapse(g, choice)
+        vertex_groups, edges = _collapse(vertex_groups, edges, choice)
+    return g if edges is g.edges else GraphOfGroups(vertex_groups, edges)
 
 
 def is_non_elementary(g: GraphOfGroups) -> bool:

@@ -185,7 +185,9 @@ def write_matrix_csv(x: FiniteMetricSpace, path):
     """Write `matrix_csv_text` of x to path, a block of rows at a time."""
     blocks = _matrix_csv_blocks(x)
     header = next(blocks)  # point names are checked before the file opens
-    with open(path, "w", newline="") as fh:
+    encoding = locale.getpreferredencoding(False)
+    header.encode(encoding)  # and so is their encoding: a failure leaves no file
+    with open(path, "w", encoding=encoding, newline="") as fh:
         fh.write(header)
         fh.writelines(blocks)
 

@@ -317,6 +317,18 @@ class TestOperationFailures:
         assert code == 1
         assert out.rstrip().endswith("overall: fail")
 
+    def test_unencodable_point_name_writes_no_file(self, tmp_path, capsys):
+        source = json.dumps({"points": ["a", "b\ud800"],
+                             "dist": [[0, 1], [1, 0]]})
+        matrix, meta = tmp_path / "m.csv", tmp_path / "m.json"
+        code, out = run(capsys, "approx", "build", "--spaces",
+                        write(tmp_path, "src.json", source), "--depth", "1",
+                        "--branching", "2", "--scale", "0.25",
+                        "--out-matrix", str(matrix), "--out-meta", str(meta))
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "UnicodeEncodeError"
+        assert not matrix.exists() and not meta.exists()
+
     def test_labelling_gate_failure_exits_1(self, tmp_path, capsys):
         # one subset covering the space leaves (a3) with an infinite gap
         space = FiniteMetricSpace(["a", "b"], [[0, 1], [1, 0]])
