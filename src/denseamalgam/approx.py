@@ -483,14 +483,21 @@ def half_space(a: AmalgamApprox, head, tail) -> set:
 
 @dataclass
 class ConditionTolerances:
-    """Gaps for the finite condition checks; None means the construction's
-    own residual budget, resolved against the approximation being checked."""
+    """Gaps for the finite condition checks.  None leaves a gap to the
+    checker, which derives it from the space being checked; `resolve` is
+    the one place such a default is filled in."""
 
     boundary_gap: float = None
     density_gap: float = None
     separation_gap: float = None
     iso: float = 1e-9
     null: float = None
+
+    def resolve(self, **defaults) -> dict:
+        """The tolerances a checker reads and records: one per keyword, the
+        field's value when set and the keyword's default when it is None."""
+        return {key: default if getattr(self, key) is None
+                else getattr(self, key) for key, default in defaults.items()}
 
 
 @dataclass
@@ -523,13 +530,11 @@ def check_conditions(a: AmalgamApprox, tol: ConditionTolerances = None) -> Condi
     scale^(level - depth) for shallower points: the truncation only provides
     geometry at each copy's own scale.
     """
-    if tol is None:
-        tol = ConditionTolerances()
     union_diam, default_gap, default_sep = _default_gaps(a)
-    boundary_gap = tol.boundary_gap if tol.boundary_gap is not None else default_gap
-    density_gap = tol.density_gap if tol.density_gap is not None else default_gap
-    separation_gap = (tol.separation_gap if tol.separation_gap is not None
-                      else default_sep)
+    resolved = (tol or ConditionTolerances()).resolve(
+        boundary_gap=default_gap, density_gap=default_gap,
+        separation_gap=default_sep, iso=None)
+    boundary_gap, density_gap, separation_gap, iso = resolved.values()
     dist = a.space.dist
     idx = a.space.index
     scale, depth = a.scale, a.depth
@@ -544,7 +549,7 @@ def check_conditions(a: AmalgamApprox, tol: ConditionTolerances = None) -> Condi
         got = a.space.submatrix(names)
         worst_dev = max(worst_dev, float(np.abs(got - expected).max()))
     conditions["a1"] = {
-        "verdict": "pass" if worst_dev <= tol.iso else "fail",
+        "verdict": "pass" if worst_dev <= iso else "fail",
         "max_deviation": worst_dev,
     }
 
@@ -633,12 +638,7 @@ def check_conditions(a: AmalgamApprox, tol: ConditionTolerances = None) -> Condi
         "worst_pair": worst_pair,
     }
 
-    return ConditionReport(conditions, {
-        "boundary_gap": boundary_gap,
-        "density_gap": density_gap,
-        "separation_gap": separation_gap,
-        "iso": tol.iso,
-    })
+    return ConditionReport(conditions, resolved)
 
 
 # ---------------------------------------------------------------------------
@@ -682,7 +682,10 @@ def _check_labels(labels, sources):
 
 
 def _read_sidecar(sidecar_path):
-    """The sidecar's fields, tree map and checked source spaces."""
+    """The sidecar's fields, tree map and checked source spaces.  A missing
+    field, or a tree, ends, r0, mu or source-space list of the wrong type,
+    is refused with ValueError; depth, branching and scale are the recipe,
+    and a faulty recipe leaves the matrix to the full scan."""
     with open(sidecar_path) as fh:
         sidecar = json.load(fh)
     if not isinstance(sidecar, dict) or sidecar.get("kind") != "amalgam-approx":
@@ -695,8 +698,15 @@ def _read_sidecar(sidecar_path):
                    for s in sidecar["source_spaces"]]
     except KeyError as missing:
         raise ValueError(f"sidecar lacks field {missing}") from None
+    except TypeError:
+        raise ValueError("sidecar source_spaces must list spaces, each with "
+                         "'points' and 'dist'") from None
     if not sources:
         raise ValueError("sidecar lists no source spaces")
+    if not all(isinstance(doc, dict) for doc in (tree_parent, fields["ends"])):
+        raise ValueError("sidecar tree and ends must be objects")
+    if not all(isinstance(fields[key], (int, float)) for key in ("r0", "mu")):
+        raise ValueError("sidecar r0 and mu must be numbers")
     _check_labels(fields["labels"], sources)
     return fields, tree_parent, sources
 

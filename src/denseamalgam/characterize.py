@@ -211,30 +211,24 @@ def load_structure(matrix_path, sidecar_path) -> RegularStructure:
         approximation=recipe if space.validation == "rebuild" else None)
 
 
-def _resolve_tolerances(s: RegularStructure, tol) -> dict:
-    """Fill unset gaps from the structure's own scales.
+def _default_tolerances(s: RegularStructure) -> dict:
+    """The regularity check's defaults, from the structure's own scales,
+    as keywords of `ConditionTolerances.resolve`.
 
     Boundary and density default to twice the largest subset diameter (the
     whole-space diameter when all subsets are singletons); the null cutoff
     defaults to the largest subset diameter, so the default check reports
     the diameter profile without imposing a decay rate; the separation
     scale defaults to half the smallest gap between two subsets, recording
-    the achieved separation rather than imposing one.
+    the achieved separation rather than imposing one.  iso has no default
+    of its own.
     """
-    if tol is None:
-        tol = ConditionTolerances()
     max_diam = max(s.tables.diam.tolist())
     base = 2 * max_diam if max_diam > 0 else s.space.diam()
     between = s.tables.between[np.triu_indices(len(s), 1)]
-    sep_default = float(between.min()) / 2 if len(s) > 1 else 0.0
-    return {
-        "iso": tol.iso,
-        "null": tol.null if tol.null is not None else max_diam,
-        "boundary_gap": tol.boundary_gap if tol.boundary_gap is not None else base,
-        "density_gap": tol.density_gap if tol.density_gap is not None else base,
-        "separation_gap": (tol.separation_gap if tol.separation_gap is not None
-                           else sep_default),
-    }
+    return {"iso": None, "null": max_diam, "boundary_gap": base,
+            "density_gap": base,
+            "separation_gap": float(between.min()) / 2 if len(s) > 1 else 0.0}
 
 
 def _atom_distances(s: RegularStructure) -> np.ndarray:
@@ -298,7 +292,7 @@ def check_regularity(s: RegularStructure, tol: ConditionTolerances = None) -> Co
     atoms (subsets and residual points) whose set distance is at most the
     separation scale.
     """
-    resolved = _resolve_tolerances(s, tol)
+    resolved = (tol or ConditionTolerances()).resolve(**_default_tolerances(s))
     dist = s.space.dist
     tables = s.tables
     n_sub = len(s)
@@ -620,7 +614,7 @@ def build_t_labelling(s: RegularStructure, max_depth: int) -> TLabelling:
         raise ValueError("labelling needs a structure that passes the "
                          "regularity checks; failing: " + ", ".join(failing))
 
-    link_eps = _resolve_tolerances(s, None)["separation_gap"]
+    link_eps = report.tolerances["separation_gap"]
     dist = s.space.dist
     near = s.tables.near
     diams = s.tables.diam.tolist()
@@ -742,8 +736,7 @@ def verify_labelling(l: TLabelling, s: RegularStructure,
     tolerance (any positive gap when unset), containment of the subtree's
     subsets, and disjointness from ancestor subsets.
     """
-    resolved = {"separation_gap": tol.separation_gap
-                if tol is not None and tol.separation_gap is not None else 0.0}
+    resolved = (tol or ConditionTolerances()).resolve(separation_gap=0.0)
     dist = s.space.dist
     conditions = {}
     tree = l.tree()

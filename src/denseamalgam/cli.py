@@ -12,45 +12,27 @@ cannot be read or parsed (a machine-readable error object goes to stdout).
 All output is a pure function of (inputs, flags, seed), so repeated runs
 are byte-identical.
 
-The approximation, regularity and labelling commands reach the numpy-backed
-modules (metric, approx, characterize) through stand-ins that import them
-on first use; the group-theory commands never import numpy.
+The approximation, regularity and labelling commands read their
+numpy-backed names (`load_bundle`, `check_regularity`, ...) from the
+package, which imports their modules on first use; the group-theory
+commands never import numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import importlib
 import itertools
 import json
 import math
 import random
 
+import denseamalgam as _package
+
 from . import __version__
 from . import boundary as _boundary
 from . import coxeter as _coxeter
 from . import graphs_of_groups as _gog
-
-
-class _OnFirstUse:
-    """Stands for the numpy-backed module `name`, as the global `_name`,
-    until a handler first reads one of its attributes.  That read imports
-    the module and puts it in place of the stand-in, so every later read is
-    a plain global lookup."""
-
-    def __init__(self, name):
-        self._name = name
-
-    def __getattr__(self, attr):
-        module = importlib.import_module(f".{self._name}", __package__)
-        globals()["_" + self._name] = module
-        return getattr(module, attr)
-
-
-_approx = _OnFirstUse("approx")
-_characterize = _OnFirstUse("characterize")
-_metric = _OnFirstUse("metric")
 
 
 class _InputError(Exception):
@@ -164,8 +146,8 @@ def _load(parse, path):
 
 
 def _tolerances_from(config):
-    given = {k: v for k, v in config["tolerances"].items() if v is not None}
-    return _approx.ConditionTolerances(**given) if given else None
+    return _package.ConditionTolerances(
+        **{k: v for k, v in config["tolerances"].items() if v is not None})
 
 
 def _config_from(args) -> dict:
@@ -201,7 +183,8 @@ def _condition_result(rep, config, **extra):
 
 # ---------------------------------------------------------------------------
 # command handlers: (args, config) -> (exit code, report, stdout text).
-# They reach library functions through their modules at call time.
+# They reach library functions at call time: the group-theory ones through
+# their modules, the numpy-backed ones through the package.
 
 
 def _check_matrix(args, config, load, check):
@@ -305,9 +288,9 @@ def _cmd_gog_ball(args, config):
 
 
 def _cmd_approx_build(args, config):
-    spaces = [_load(_metric.space_from_json, p) for p in args.spaces]
+    spaces = [_load(_package.space_from_json, p) for p in args.spaces]
     # parameter refusals (bad depth, branching, scale) are input errors
-    a = _parse_with(_approx.build_approx, spaces, args.depth, args.branching,
+    a = _parse_with(_package.build_approx, spaces, args.depth, args.branching,
                     args.scale)
     report = {"config": config, "points": len(a.space),
               "tree_vertices": len(a.vertices), "ends": len(a.ends),
@@ -315,14 +298,14 @@ def _cmd_approx_build(args, config):
     lines = [f"points: {len(a.space)}", f"tree vertices: {len(a.vertices)}",
              f"ends: {len(a.ends)}"]
     if args.out_matrix:
-        _approx.save_bundle(a, args.out_matrix, args.out_meta)
+        _package.save_bundle(a, args.out_matrix, args.out_meta)
         lines += [f"wrote {args.out_matrix}", f"wrote {args.out_meta}"]
     return 0, report, "\n".join(lines) + "\n"
 
 
 def _cmd_regular_merge(args, config):
-    s = _parse_with(_characterize.load_structure, args.matrix, args.meta)
-    result = _characterize.merge_families(s)
+    s = _parse_with(_package.load_structure, args.matrix, args.meta)
+    result = _package.merge_families(s)
     report = {"config": config}
     report.update(result.to_dict())
     lines = [f"rounds: {len(result.rounds)}",
@@ -332,16 +315,16 @@ def _cmd_regular_merge(args, config):
         lines.append(f"  round {pos}: members {members} "
                      f"diam {_fmt_num(r['diam'])}")
     if args.out_matrix:
-        _characterize.save_structure(result.structure, args.out_matrix,
-                                     args.out_meta)
+        _package.save_structure(result.structure, args.out_matrix,
+                                args.out_meta)
         lines += [f"wrote {args.out_matrix}", f"wrote {args.out_meta}"]
     return 0, report, "\n".join(lines) + "\n"
 
 
 def _cmd_label_build(args, config):
-    s = _parse_with(_characterize.load_structure, args.matrix, args.meta)
-    lab = _characterize.build_t_labelling(s, args.max_depth)
-    doc = _characterize.labelling_to_json(lab)
+    s = _parse_with(_package.load_structure, args.matrix, args.meta)
+    lab = _package.build_t_labelling(s, args.max_depth)
+    doc = _package.labelling_to_json(lab)
     report = {"config": config, "labelling": json.loads(doc)}
     lines = [f"tree vertices: {len(lab.assignment)}",
              f"levels: {len(lab.tree().levels())}"]
@@ -352,9 +335,9 @@ def _cmd_label_build(args, config):
 
 
 def _cmd_label_verify(args, config):
-    s = _parse_with(_characterize.load_structure, args.matrix, args.meta)
-    lab = _load(_characterize.labelling_from_json, args.labelling)
-    rep = _characterize.verify_labelling(lab, s, _tolerances_from(config))
+    s = _parse_with(_package.load_structure, args.matrix, args.meta)
+    lab = _load(_package.labelling_from_json, args.labelling)
+    rep = _package.verify_labelling(lab, s, _tolerances_from(config))
     return _condition_result(rep, config)
 
 
@@ -492,13 +475,14 @@ _COMMANDS = (
              *_out_matrix_meta("the distance matrix CSV", "the JSON sidecar")),
     _command("approx", "check", "verify the approximation conditions",
              lambda args, config: _check_matrix(
-                 args, config, _approx.load_bundle, _approx.check_conditions),
+                 args, config, _package.load_bundle,
+                 _package.check_conditions),
              *_matrix_meta("approximation"),
              *_tols("iso", "boundary", "density", "separation")),
     _command("regular", "check", "verify family regularity",
              lambda args, config: _check_matrix(
-                 args, config, _characterize.load_structure,
-                 _characterize.check_regularity),
+                 args, config, _package.load_structure,
+                 _package.check_regularity),
              *_STRUCTURE,
              *_tols("iso", "null", "boundary", "density", "separation")),
     _command("regular", "merge", "merge a multi-class family",

@@ -12,16 +12,15 @@ when the head vertex group is infinite.
 
 A Bass-Serre ball is built one level at a time into flat lists, one entry
 per node: its label, its parent id and its entry family, with the parent
-ids held in a `RootedTree`.  Per-node `BallNode` objects are made only when
-`nodes` is read.  The separation check reads the lists, in one pass up the
+ids held in a `RootedTree`.  The lists are the ball's only representation;
+a node is its id.  The separation check reads them, in one pass up the
 tree and one pass down it.
 """
 
-import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .boundary import (
     Amalgam,
@@ -268,15 +267,6 @@ def is_non_elementary(g: GraphOfGroups) -> bool:
 # ---------------------------------------------------------------------------
 # Bass-Serre balls.
 
-@dataclass(frozen=True)
-class BallNode:
-    id: int
-    label: str
-    depth: int
-    parent: object  # parent node id or None
-    entry: object   # OrientedEdge family occupied at this node toward parent
-
-
 class BassSerreBall:
     """Finite-radius ball of the Bass-Serre tree, with truncation markers.
 
@@ -301,14 +291,6 @@ class BassSerreBall:
         self.unexplored = frozenset(unexplored)
         self.tree = RootedTree(parents)
         self.children = self.tree.children
-
-    @functools.cached_property
-    def nodes(self):
-        """The nodes as `BallNode`s in id order, built on first use."""
-        parent, depth = self.tree.parent, self.tree.depth
-        return tuple(BallNode(v, self.labels[v], depth[v],
-                              parent[v] if v else None, self.entries[v])
-                     for v in range(len(self.labels)))
 
     def size(self) -> int:
         return len(self.labels)
@@ -515,6 +497,9 @@ def from_json(text: str) -> GraphOfGroups:
                 f"order must be a positive integer or \"inf\", got {order!r}",
                 location=name)
         boundary_text = body.get("boundary")
+        if not isinstance(boundary_text, (str, type(None))):
+            raise GogParseError("'boundary' must be an expression string",
+                                location=name)
         if order == INF:
             if boundary_text is None:
                 raise GogParseError(
@@ -543,7 +528,8 @@ def from_json(text: str) -> GraphOfGroups:
             raise GogParseError("edge needs 'ends' and 'edge_order'",
                                 location=f"edge {pos}")
         ends = body["ends"]
-        if not isinstance(ends, list) or len(ends) != 2:
+        if (not isinstance(ends, list) or len(ends) != 2
+                or not all(isinstance(end, str) for end in ends)):
             raise GogParseError("'ends' must list two vertices",
                                 location=f"edge {pos}")
         edges.append((ends[0], ends[1], body["edge_order"]))

@@ -464,8 +464,10 @@ class SimplicialComplex:
                 or not all(isinstance(v, str) for v in vertices)):
             raise ValueError("'vertices' must be a list of strings")
         if (not isinstance(faces, list)
-                or not all(isinstance(f, list) for f in faces)):
-            raise ValueError("'maximal_faces' must be a list of lists")
+                or not all(isinstance(f, list) for f in faces)
+                or not all(isinstance(v, str) for f in faces for v in f)):
+            raise ValueError("'maximal_faces' must be a list of lists of "
+                             "strings")
         return cls(vertices, [frozenset(f) for f in faces])
 
     def to_dot(self) -> str:

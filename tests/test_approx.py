@@ -448,6 +448,16 @@ class TestCheckConditions:
             boundary_gap=100.0, density_gap=100.0, separation_gap=1e-9))
         assert loose.all_pass()
 
+    def test_resolve_fills_only_unset_fields(self):
+        tol = ConditionTolerances(boundary_gap=2.0, iso=0.5)
+        assert tol.resolve(boundary_gap=1.0, density_gap=3.0, iso=None) == {
+            "boundary_gap": 2.0, "density_gap": 3.0, "iso": 0.5}
+        assert tol.resolve(separation_gap=0.0) == {"separation_gap": 0.0}
+        a = build_approx([TWO], 2, 2, 1 / 3)
+        defaults = check_conditions(a).tolerances
+        assert check_conditions(a, ConditionTolerances(
+            density_gap=7.0)).tolerances == {**defaults, "density_gap": 7.0}
+
     @pytest.mark.parametrize("xs, depth, branching, scale", [
         ([TWO], 3, 3, 1 / 3), ([circle_net()], 3, 2, 1 / 3),
         ([TWO], 3, 3, 1.0), ([circle_net(), TWO], 2, 3, 0.4),

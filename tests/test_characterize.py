@@ -15,9 +15,9 @@ from denseamalgam.characterize import (
     TLabelling,
     _atom_distances,
     _components,
+    _default_tolerances,
     _match_shapes,
     _normalized,
-    _resolve_tolerances,
     as_regular_structure,
     build_t_labelling,
     check_regularity,
@@ -494,7 +494,8 @@ def assert_tables_match_oracles(s):
 
 
 def assert_regularity_matches_oracle(s, tol=None):
-    assert _resolve_tolerances(s, tol) == oracle_tolerances(s, tol)
+    assert ((tol or ConditionTolerances()).resolve(**_default_tolerances(s))
+            == oracle_tolerances(s, tol))
     assert check_regularity(s, tol).to_dict() == regularity_oracle(s, tol).to_dict()
 
 
@@ -513,7 +514,7 @@ class TestBlockMinimum:
             assert got[i, j] == s.space.dist[np.ix_(blocks[i], blocks[j])].min()
         per_pair = [oracle_set_distance(s, i, j)
                     for i, j in itertools.combinations(range(len(s)), 2)]
-        assert _resolve_tolerances(s, None)["separation_gap"] == (
+        assert _default_tolerances(s)["separation_gap"] == (
             min(per_pair) / 2 if per_pair else 0.0)
 
 

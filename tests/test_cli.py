@@ -155,6 +155,22 @@ class TestInputErrors:
         assert code == 2
         assert json.loads(out)["error"]["type"] == "UsageError"
 
+    @pytest.mark.parametrize("argv, text, error", [
+        (["gog", "boundary"], '{"vertices": {"u": {"order": 2}, "v": '
+         '{"order": 3}}, "edges": [{"ends": [["u"], "v"], "edge_order": 1}]}',
+         "GogParseError"),
+        (["gog", "boundary"], '{"vertices": {"u": {"order": 2, "boundary": '
+         '5}, "v": {"order": 3}}, "edges": [{"ends": ["u", "v"], '
+         '"edge_order": 1}]}', "GogParseError"),
+        (["nerve", "decompose"], '{"vertices": ["a", "b"], '
+         '"maximal_faces": [[["a"]], ["b"]]}', "ValueError"),
+    ], ids=["gog-list-end", "gog-number-boundary", "nerve-list-entry"])
+    def test_mistyped_entry_exits_2(self, tmp_path, capsys, argv, text,
+                                    error):
+        code, out = run(capsys, *argv, write(tmp_path, "doc.json", text))
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == error
+
     def test_bad_scale_is_input_error(self, tmp_path, capsys):
         src = write(tmp_path, "two.json", TWO_SPACE)
         code, out = run(capsys, "approx", "build", "--spaces", src,
@@ -210,7 +226,14 @@ class TestMalformedTrees:
         (lambda doc: doc["source_spaces"].clear(), "no source spaces"),
         (lambda doc: doc["labels"]["t|0|a"].update({"class": 3}),
          "names no point"),
-    ], ids=["list", "no-kind", "no-source-point", "no-sources", "bad-class"])
+        (lambda doc: doc.update({"tree": 5}), "tree and ends must be objects"),
+        (lambda doc: doc.update({"ends": [1]}),
+         "tree and ends must be objects"),
+        (lambda doc: doc.update({"source_spaces": 5}),
+         "source_spaces must list spaces"),
+        (lambda doc: doc.update({"r0": "1"}), "r0 and mu must be numbers"),
+    ], ids=["list", "no-kind", "no-source-point", "no-sources", "bad-class",
+            "tree-number", "ends-list", "sources-number", "r0-text"])
     def test_approx_check_refuses_malformed_sidecar(self, tmp_path, capsys,
                                                     tamper, message):
         matrix, meta = build_bundle(tmp_path, [TWO_SPACE], 1, 2, 1 / 3)

@@ -286,7 +286,7 @@ class TestBassSerreBall:
     def test_radius_zero(self):
         ball = bass_serre_ball(Z2_Z3, "u", 0)
         assert ball.size() == 1
-        assert ball.nodes[0].label == "u"
+        assert ball.labels[0] == "u"
         assert ball.unexplored == {0}
 
     def test_loop_gives_line(self):
@@ -317,11 +317,11 @@ class TestBassSerreBall:
                 continue  # keep radius-3 balls small
             base = g.vertices[0]
             ball = bass_serre_ball(g, base, 3)
-            for node in ball.nodes:
-                if node.depth == ball.radius:
+            for nid, (label, depth, parent, _) in enumerate(ball_nodes(ball)):
+                if depth == ball.radius:
                     continue
-                expected = g.degree(node.label) - (0 if node.parent is None else 1)
-                assert len(ball.children[node.id]) == expected
+                expected = g.degree(label) - (0 if parent is None else 1)
+                assert len(ball.children[nid]) == expected
 
     def test_infinite_vertex_rejected(self):
         g = gg({"u": INF, "w": 2}, [("u", "w", 2)],
@@ -351,8 +351,7 @@ class TestSeparation:
         ball = bass_serre_ball(Z2_Z3, "u", 4)
         report = check_separation(ball, Z2_Z3)
         assert report["three_way"] == "pass"
-        labels = {node.id: node.label for node in ball.nodes}
-        assert all(labels[i] == "w" for i in report["three_way_nodes"])
+        assert all(ball.labels[i] == "w" for i in report["three_way_nodes"])
         assert report["three_way_nodes"] != []
 
     def test_radius_zero_inconclusive(self):
@@ -382,12 +381,20 @@ class TestSeparation:
                    for c in report["edge_checks"])
 
 
+def ball_nodes(ball):
+    """(label, depth, parent, entry) per node in id order, read from the
+    ball's flat lists; the parent is None at the base."""
+    return [(label, depth, None if parent < 0 else parent, entry)
+            for label, depth, parent, entry in zip(
+                ball.labels, ball.tree.depth, ball.tree.parent, ball.entries)]
+
+
 def quadratic_separation(ball, g):
     """check_separation as first written: one subtree walk per node, and
     each side's labels and truncation read from its own id set."""
     labels = set(g.vertices)
-    all_ids = frozenset(node.id for node in ball.nodes)
-    by_id = {node.id: node for node in ball.nodes}
+    nodes = ball_nodes(ball)
+    all_ids = frozenset(range(len(nodes)))
 
     def subtree_ids(node_id):
         out = [node_id]
@@ -399,21 +406,21 @@ def quadratic_separation(ball, g):
         return frozenset(out)
 
     def side_verdict(ids):
-        if {by_id[i].label for i in ids} >= labels:
+        if {nodes[i][0] for i in ids} >= labels:
             return "pass"
         if any(i in ball.unexplored for i in ids):
             return "inconclusive"
         return "fail"
 
     edge_checks = []
-    for node in ball.nodes:
-        if node.parent is None:
+    for nid, (_, _, parent, _) in enumerate(nodes):
+        if parent is None:
             continue
-        inside = subtree_ids(node.id)
+        inside = subtree_ids(nid)
         v1, v2 = side_verdict(inside), side_verdict(all_ids - inside)
         verdict = ("fail" if "fail" in (v1, v2)
                    else "inconclusive" if "inconclusive" in (v1, v2) else "pass")
-        edge_checks.append({"edge": [node.parent, node.id],
+        edge_checks.append({"edge": [parent, nid],
                             "subtree": v1, "rest": v2, "verdict": verdict})
     if any(c["verdict"] == "fail" for c in edge_checks):
         edge_overall = "fail"
@@ -422,12 +429,12 @@ def quadratic_separation(ball, g):
     else:
         edge_overall = "pass"
     three_way_nodes = []
-    for node in ball.nodes:
-        pieces = [subtree_ids(c) for c in ball.children[node.id]]
-        if node.parent is not None:
-            pieces.append(all_ids - subtree_ids(node.id))
+    for nid, (_, _, parent, _) in enumerate(nodes):
+        pieces = [subtree_ids(c) for c in ball.children[nid]]
+        if parent is not None:
+            pieces.append(all_ids - subtree_ids(nid))
         if sum(1 for p in pieces if p & ball.unexplored) >= 3:
-            three_way_nodes.append(node.id)
+            three_way_nodes.append(nid)
     if three_way_nodes:
         three_way = "pass"
     elif all(g.degree(v) <= 2 for v in g.vertices):
@@ -486,8 +493,7 @@ class TestBallOracle:
     def test_matches_breadth_first_search(self, g, base, radius):
         ball = bass_serre_ball(g, base, radius)
         nodes, unexplored = naive_ball(g, base, radius)
-        assert [(n.label, n.depth, n.parent, n.entry) for n in ball.nodes] == nodes
-        assert [n.id for n in ball.nodes] == list(range(len(nodes)))
+        assert ball_nodes(ball) == nodes
         assert ball.unexplored == frozenset(unexplored)
 
     @BALL_GRAPHS
@@ -532,8 +538,7 @@ class TestBallOracle:
                     break
                 nodes, unexplored = naive_ball(g, base, radius)
                 ball = bass_serre_ball(g, base, radius)
-                assert [(n.label, n.depth, n.parent, n.entry)
-                        for n in ball.nodes] == nodes
+                assert ball_nodes(ball) == nodes
                 assert ball.unexplored == frozenset(unexplored)
                 assert check_separation(ball, g) == quadratic_separation(ball, g)
                 size = len(nodes)
@@ -563,14 +568,14 @@ class TestSeparationOracle:
 
     def test_subtree_ids_are_the_walked_subtrees(self):
         ball = bass_serre_ball(Z3_Z4, "q", 4)
-        for node in ball.nodes:
-            walked = {node.id}
-            stack = [node.id]
+        for nid in range(ball.size()):
+            walked = {nid}
+            stack = [nid]
             while stack:
                 kids = ball.children[stack.pop()]
                 walked.update(kids)
                 stack.extend(kids)
-            assert ball.subtree_ids(node.id) == walked
+            assert ball.subtree_ids(nid) == walked
 
 
 class TestBoundary:
@@ -653,3 +658,12 @@ class TestJson:
         with pytest.raises(GogParseError, match="two vertices"):
             from_json('{"vertices": {"u": {"order": 2}},'
                       ' "edges": [{"ends": ["u"], "edge_order": 1}]}')
+        with pytest.raises(GogParseError, match="two vertices"):
+            from_json('{"vertices": {"u": {"order": 2}, "v": {"order": 3}},'
+                      ' "edges": [{"ends": [["u"], "v"], "edge_order": 1}]}')
+        with pytest.raises(GogParseError, match="expression string"):
+            from_json('{"vertices": {"u": {"order": 2, "boundary": 5}},'
+                      ' "edges": []}')
+        with pytest.raises(GogParseError, match="expression string"):
+            from_json('{"vertices": {"u": {"order": "inf", "boundary": 5}},'
+                      ' "edges": []}')

@@ -20,6 +20,7 @@ GOG_23 = ('{"vertices": {"u": {"order": 2}, "v": {"order": 3}}, '
           '"edges": [{"ends": ["u", "v"], "edge_order": 1}]}')
 COMPLEX = '{"vertices": ["a", "b", "c"], "maximal_faces": [["a", "b"], ["c"]]}'
 TWO_SPACE = '{"points": ["a", "b"], "dist": [[0, 1], [1, 0]]}'
+TWO_SPACE_B = '{"points": ["u", "v"], "dist": [[0, 1], [1, 0]]}'
 
 
 def fresh_python(code, cwd):
@@ -77,11 +78,22 @@ def test_group_commands_do_not_import_numpy(tmp_path):
 def test_metric_commands_match_in_process(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "two.json").write_text(TWO_SPACE)
+    # two classes, so that `regular merge` has something to merge
+    structure = denseamalgam.as_regular_structure(denseamalgam.build_approx(
+        [denseamalgam.space_from_json(TWO_SPACE),
+         denseamalgam.space_from_json(TWO_SPACE_B)], 1, 3, 1 / 3))
+    denseamalgam.save_structure(structure, "s.csv", "s.json")
     chain = [
         ["approx", "build", "--spaces", "two.json", "--depth", "2",
          "--branching", "2", "--scale", "0.3", "--out-matrix", "m.csv",
          "--out-meta", "m.json"],
         ["approx", "check", "m.csv", "m.json"],
+        ["regular", "check", "s.csv", "s.json"],
+        ["regular", "merge", "s.csv", "s.json", "--out-matrix", "mm.csv",
+         "--out-meta", "mm.json"],
+        ["label", "build", "s.csv", "s.json", "--max-depth", "8",
+         "--out", "lab.json"],
+        ["label", "verify", "s.csv", "s.json", "lab.json"],
     ]
     expected = []
     for argv in chain:

@@ -416,6 +416,15 @@ class TestSerialization:
             c = random_complex(rng, rng.randint(1, 6))
             assert SimplicialComplex.from_json(c.to_json()) == c
 
+    @pytest.mark.parametrize("doc", [
+        {"vertices": ["a", "b"], "maximal_faces": [[["a"]], ["b"]]},
+        {"vertices": ["a", "b"], "maximal_faces": [["a", 1], ["b"]]},
+        {"vertices": ["a"], "maximal_faces": ["a"]},
+    ], ids=["list-entry", "number-entry", "face-not-list"])
+    def test_malformed_faces_are_refused(self, doc):
+        with pytest.raises(ValueError, match="list of lists of strings"):
+            SimplicialComplex.from_json(json.dumps(doc))
+
     def test_json_shape(self):
         data = json.loads(path_abc().to_json())
         assert data == {"vertices": ["a", "b", "c"],
