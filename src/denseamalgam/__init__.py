@@ -31,7 +31,6 @@ from .coxeter import (
     CoxeterSystem,
     EndednessClass,
     classify_endedness,
-    gram_pd_test,
     is_finite_type,
     nerve,
     parse_coxeter,
@@ -127,7 +126,6 @@ __all__ = [
     "equal_normal",
     "format_expr",
     "gog_boundary_expression",
-    "gram_pd_test",
     "half_space",
     "is_finite_type",
     "is_non_elementary",

@@ -683,9 +683,10 @@ def _check_labels(labels, sources):
 
 def _read_sidecar(sidecar_path):
     """The sidecar's fields, tree map and checked source spaces.  A missing
-    field, or a tree, ends, r0, mu or source-space list of the wrong type,
-    is refused with ValueError; depth, branching and scale are the recipe,
-    and a faulty recipe leaves the matrix to the full scan."""
+    field, a field of the wrong type, or an end that is no point labelled
+    as an end, is refused with ValueError; depth, branching and scale are
+    the recipe, and a recipe with values out of range leaves the matrix to
+    the full scan."""
     with open(sidecar_path) as fh:
         sidecar = json.load(fh)
     if not isinstance(sidecar, dict) or sidecar.get("kind") != "amalgam-approx":
@@ -705,9 +706,17 @@ def _read_sidecar(sidecar_path):
         raise ValueError("sidecar lists no source spaces")
     if not all(isinstance(doc, dict) for doc in (tree_parent, fields["ends"])):
         raise ValueError("sidecar tree and ends must be objects")
-    if not all(isinstance(fields[key], (int, float)) for key in ("r0", "mu")):
-        raise ValueError("sidecar r0 and mu must be numbers")
-    _check_labels(fields["labels"], sources)
+    for key in ("depth", "branching", "scale", "r0", "mu"):
+        if not isinstance(fields[key], (int, float)):
+            raise ValueError("sidecar depth, branching, scale, r0 and mu must "
+                             f"be numbers, got {key} = {fields[key]!r}")
+    labels = fields["labels"]
+    _check_labels(labels, sources)
+    for leaf, end in fields["ends"].items():
+        label = labels.get(end) if isinstance(end, str) else None
+        if label is None or label["kind"] != "end":
+            raise ValueError(f"sidecar ends entry {leaf!r}: {end!r} is no "
+                             "point labelled as an end")
     return fields, tree_parent, sources
 
 

@@ -4,16 +4,17 @@ A system is a finite generator tuple S together with the symmetric matrix of
 orders m(s,t) in {1,2,...} with m(s,s)=1 (infinity allowed off-diagonal).
 Finiteness of the generated group depends only on the labelled diagram
 (vertices S, edges where m >= 3); it is decided against the classification of
-finite irreducible systems, with the positive-definiteness of the cosine
-matrix available as an independent numerical route (the one use of numpy
-here, imported when that route is first called).
+finite irreducible systems.
 
 The nerve has a vertex per generator and a simplex per subset generating a
-finite special subgroup.  Finite type passes to subsets, so the nerve is
-found by growing finite-type generator bitmasks one generator at a time and
-keeping those that cannot grow; only finite-type subsets are ever visited.
-Endedness of the group and its boundary expression are read off the matrix
-and the nerve's splitting structure, building the nerve at most once.
+finite special subgroup.  It is built factor by factor: over a direct
+product (a disconnected diagram) it is the join of the factors' nerves, over
+a free product (infinite orders between the parts) their disjoint union.
+An indecomposable set of generators is searched by growing finite-type
+generator bitmasks one generator at a time and keeping those that cannot
+grow; only finite-type subsets are ever visited.  Endedness of the group and
+its boundary expression are read off the matrix and the nerve's splitting
+structure, building the nerve at most once.
 """
 
 from __future__ import annotations
@@ -98,9 +99,12 @@ class CoxeterSystem:
                         location=f"m[{s},{t}]")
         self._m = m
         # per generator, the bitmask of its diagram neighbours (m >= 3,
-        # infinity included)
+        # infinity included) and of the generators it has a finite order with
         self._diagram = tuple(
             sum(1 << j for j, t in enumerate(generators) if m[(s, t)] >= 3)
+            for s in generators)
+        self._finite_orders = tuple(
+            sum(1 << j for j, t in enumerate(generators) if m[(s, t)] != INF)
             for s in generators)
 
     def order(self, s, t):
@@ -158,26 +162,29 @@ def parse_coxeter(text: str) -> CoxeterSystem:
 # ---------------------------------------------------------------------------
 # Finite-type recognition against the classification of finite systems.
 
-def _component(c: CoxeterSystem, mask: int, seed: int) -> int:
-    """Bitmask of the diagram component of `mask` containing the bit `seed`.
+def _component(rows, mask: int, seed: int) -> int:
+    """Bitmask of the component of `mask` containing the bit `seed`, in the
+    graph whose generator i has the neighbour bitmask rows[i].
 
-    Diagram edges join generators with m >= 3 (including infinity); m = 2
+    With `CoxeterSystem._diagram` as rows this is the diagram component:
+    diagram edges join generators with m >= 3 (including infinity); m = 2
     commutes and disconnects.
     """
     comp = frontier = seed
     while frontier:
         low = frontier & -frontier
-        grown = c._diagram[low.bit_length() - 1] & mask & ~comp
+        grown = rows[low.bit_length() - 1] & mask & ~comp
         comp |= grown
         frontier = (frontier ^ low) | grown
     return comp
 
 
-def _diagram_components(c: CoxeterSystem, mask: int):
-    """Connected components of the diagram restricted to `mask`, as bitmasks."""
+def _components(rows, mask: int):
+    """Connected components of the graph `rows` restricted to `mask`, as
+    bitmasks."""
     comps = []
     while mask:
-        comp = _component(c, mask, mask & -mask)
+        comp = _component(rows, mask, mask & -mask)
         comps.append(comp)
         mask &= ~comp
     return comps
@@ -263,36 +270,7 @@ def is_finite_type(c: CoxeterSystem, subset=None) -> bool:
     for s in members:
         mask |= 1 << c._index[s]
     return all(_component_is_finite(c, comp)
-               for comp in _diagram_components(c, mask))
-
-
-def cosine_matrix(c: CoxeterSystem, subset=None):
-    """Symmetric bilinear form of the subset, as a numpy array: 1 on the
-    diagonal and -cos(pi/m(s,t)) off it (-1 for infinite orders)."""
-    import numpy as np
-
-    members = c.subset_tuple(subset) if subset is not None else c.generators
-    n = len(members)
-    b = np.ones((n, n), dtype=np.float64)
-    for i, s in enumerate(members):
-        for j, t in enumerate(members):
-            if i == j:
-                continue
-            m = c.order(s, t)
-            b[i, j] = -1.0 if m == INF else -math.cos(math.pi / m)
-    return b
-
-
-def gram_pd_test(c: CoxeterSystem, subset=None, tol=1e-9) -> bool:
-    """Numerical finiteness oracle: the cosine matrix is positive definite
-    (smallest eigenvalue > tol).  Independent of the catalogue route."""
-    members = c.subset_tuple(subset) if subset is not None else c.generators
-    if not members:
-        return True
-    import numpy as np
-
-    eigenvalues = np.linalg.eigvalsh(cosine_matrix(c, members))
-    return bool(eigenvalues[0] > tol)
+               for comp in _components(c._diagram, mask))
 
 
 # ---------------------------------------------------------------------------
@@ -302,16 +280,37 @@ def nerve(c: CoxeterSystem) -> SimplicialComplex:
     """Nerve of the system: vertices are generators, simplices the subsets
     spanning finite special subgroups.
 
-    Finite type passes to subsets, so the maximal faces are found Bron–
-    Kerbosch style over generator bitmasks: a finite-type set r grows by the
-    candidates p that keep it finite, the excluded generators x having been
-    tried on an earlier branch.  A generator v joins r exactly when its
-    diagram component in r + v is finite (an infinite order is a diagram
-    edge, so this also asks for finite orders with r); the other components
-    are untouched.  Component verdicts are memoised by bitmask.  When r + p
-    is itself finite it is the one maximal face below the node, kept unless
-    some excluded generator still joins it.  Only finite-type subsets are
-    visited, never all 2^n.
+    The maximal faces of a generator set M are found by splitting M before
+    any search, and recursing on the parts:
+
+    1. If the diagram restricted to M has components M_1, ..., M_k with
+       k >= 2, the maximal faces of M are the unions F_1 + ... + F_k of one
+       maximal face F_i of each M_i (the nerve is the join of the parts'
+       nerves).  Finite type is decided per diagram component, and every
+       diagram component of a subset F of M lies in one M_i, so F is finite
+       type exactly when each F & M_i is.  F is then maximal exactly when
+       each F & M_i is maximal in M_i: a finite-type G above F meets each
+       M_i in a finite-type set above F & M_i, and a finite-type F' of M_i
+       above F & M_i gives the finite-type (F - M_i) + F' above F.
+    2. Otherwise, if the graph of finite orders (m < infinity) restricted
+       to M has components M_1, ..., M_k with k >= 2, the maximal faces of
+       M are those of the M_i, listed one part after the other (the nerve
+       is the disjoint union of the parts' nerves).  Between two parts
+       every order is infinite, and a pair with m = infinity generates the
+       infinite dihedral group, so no finite-type set meets two parts.  A
+       maximal face of M_i is nonempty (a single generator is finite type),
+       so it lies below no face of another part.
+    3. Otherwise M is searched Bron–Kerbosch style over generator bitmasks:
+       a finite-type set r grows by the candidates p that keep it finite,
+       the excluded generators x having been tried on an earlier branch.  A
+       generator v joins r exactly when its diagram component in r + v is
+       finite (an infinite order is a diagram edge, so this also asks for
+       finite orders with r); the other components are untouched.  When
+       r + p is itself finite it is the one maximal face below the node,
+       kept unless some excluded generator still joins it.
+
+    All searches share one memo of component verdicts, keyed by bitmask.
+    Only finite-type subsets are visited, never all 2^n.
     """
     n = len(c.generators)
     if n > _NERVE_GENERATOR_CAP:
@@ -331,13 +330,11 @@ def nerve(c: CoxeterSystem) -> SimplicialComplex:
         while rest:
             low = rest & -rest
             rest ^= low
-            if finite(_component(c, r | low, low)):
+            if finite(_component(c._diagram, r | low, low)):
                 out |= low
         return out
 
-    maximal = []
-
-    def grow(r, p, x):
+    def grow(r, p, x, maximal):
         top = r | p
         # a generator commuting with all of top joins every finite subset
         # of it: if excluded, nothing below is maximal; if a candidate,
@@ -353,7 +350,7 @@ def nerve(c: CoxeterSystem) -> SimplicialComplex:
             return
         r |= alone
         p &= ~alone
-        if all(finite(comp) for comp in _diagram_components(c, top)):
+        if all(finite(comp) for comp in _components(c._diagram, top)):
             if not joiners(top, x):
                 maximal.append(top)
             return
@@ -361,12 +358,28 @@ def nerve(c: CoxeterSystem) -> SimplicialComplex:
             low = p & -p
             p ^= low
             grown = r | low
-            grow(grown, joiners(grown, p), joiners(grown, x))
+            grow(grown, joiners(grown, p), joiners(grown, x), maximal)
             x |= low
 
-    grow(0, (1 << n) - 1, 0)
+    def faces(mask):
+        """The maximal finite-type subsets of `mask`, as bitmasks."""
+        parts = _components(c._diagram, mask)
+        if len(parts) > 1:
+            out = [0]
+            for part in parts:
+                below = faces(part)
+                out = [f | g for f in out for g in below]
+            return out
+        parts = _components(c._finite_orders, mask)
+        if len(parts) > 1:
+            return [f for part in parts for f in faces(part)]
+        maximal = []
+        grow(0, mask, 0, maximal)
+        return maximal
+
     return SimplicialComplex(c.generators, [
-        [s for i, s in enumerate(c.generators) if m >> i & 1] for m in maximal])
+        [s for i, s in enumerate(c.generators) if m >> i & 1]
+        for m in faces((1 << n) - 1)])
 
 
 def _endedness(c: CoxeterSystem):

@@ -117,6 +117,36 @@ def random_coxeter_matrix(rng: random.Random, n, entries=(2, 3, 4, 5, 6, math.in
     return rows
 
 
+def cosine_matrix(c, subset=None):
+    """Symmetric bilinear form of the subset, as a numpy array: 1 on the
+    diagonal and -cos(pi/m(s,t)) off it (-1 for infinite orders)."""
+    import numpy as np
+
+    members = c.subset_tuple(subset) if subset is not None else c.generators
+    n = len(members)
+    b = np.ones((n, n), dtype=np.float64)
+    for i, s in enumerate(members):
+        for j, t in enumerate(members):
+            if i == j:
+                continue
+            m = c.order(s, t)
+            b[i, j] = -1.0 if m == INF else -math.cos(math.pi / m)
+    return b
+
+
+def gram_pd_test(c, subset=None, tol=1e-9):
+    """Finite-type oracle: the cosine matrix is positive definite (smallest
+    eigenvalue > tol).  Independent of the catalogue route of
+    `is_finite_type`."""
+    members = c.subset_tuple(subset) if subset is not None else c.generators
+    if not members:
+        return True
+    import numpy as np
+
+    eigenvalues = np.linalg.eigvalsh(cosine_matrix(c, members))
+    return bool(eigenvalues[0] > tol)
+
+
 def from_pairs(n, order):
     """System on g00, g01, ... with m(s, t) = order(i, j) for i < j."""
     names = [f"g{i:02d}" for i in range(n)]

@@ -37,6 +37,7 @@ from denseamalgam.metric import FiniteMetricSpace
 from denseamalgam.simplicial import SimplicialComplex
 from conftest import (
     clique_complex,
+    gram_pd_test,
     random_complex,
     random_coxeter_matrix,
     random_expr,
@@ -104,7 +105,7 @@ def test_criterion_02_coxeter_finiteness():
     def check(names, matrix):
         nonlocal disagreements, checked
         c = cox.CoxeterSystem(names, matrix)
-        if cox.is_finite_type(c) != cox.gram_pd_test(c, tol=1e-9):
+        if cox.is_finite_type(c) != gram_pd_test(c, tol=1e-9):
             disagreements += 1
         checked += 1
 

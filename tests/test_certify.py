@@ -6,6 +6,7 @@ back to the full check, which still refuses what is not a metric.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -201,16 +202,28 @@ class TestRebuild:
         lambda doc: doc.update(scale=0.25),
         lambda doc: doc.update(scale=0.75),
         lambda doc: doc.update(branching=True),
-        lambda doc: doc.update(depth="2"),
         lambda doc: doc["source_spaces"][0].update(dist=[[0, 2], [2, 0]]),
     ], ids=["other-scale", "scale-out-of-range", "bool-branching",
-            "text-depth", "other-source"])
+            "other-source"])
     def test_wrong_recipe_falls_back_to_the_scan(self, tmp_path, edit):
         a = build_approx([SOURCES["two"]], 2, 2, 1 / 3)
         matrix, side = bundle_files(tmp_path, a)
         edit_sidecar(side, edit)
         b = load_bundle(matrix, side)
         assert b.space.validation == "scan" and b.space == a.space
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.update(depth="2"), "got depth = '2'"),
+        (lambda doc: doc.update(branching=[2]), "got branching = [2]"),
+        (lambda doc: doc.update(scale="x"), "got scale = 'x'"),
+    ], ids=["text-depth", "list-branching", "text-scale"])
+    def test_recipe_of_the_wrong_type_is_refused(self, tmp_path, edit,
+                                                 message):
+        a = build_approx([SOURCES["two"]], 2, 2, 1 / 3)
+        matrix, side = bundle_files(tmp_path, a)
+        edit_sidecar(side, edit)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_bundle(matrix, side)
 
     @pytest.mark.parametrize("edit", [
         lambda doc: doc["approximation"].update(scale=0.2),

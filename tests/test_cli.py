@@ -232,8 +232,15 @@ class TestMalformedTrees:
         (lambda doc: doc.update({"source_spaces": 5}),
          "source_spaces must list spaces"),
         (lambda doc: doc.update({"r0": "1"}), "r0 and mu must be numbers"),
+        (lambda doc: doc.update({"ends": {"t.0": 5}}),
+         "ends entry 't.0': 5 is no point labelled as an end"),
+        (lambda doc: doc["ends"].update({"t.1": "nope"}),
+         "ends entry 't.1': 'nope' is no point labelled as an end"),
+        (lambda doc: doc["ends"].update({"t.1": "t|0|a"}),
+         "ends entry 't.1': 't|0|a' is no point labelled as an end"),
     ], ids=["list", "no-kind", "no-source-point", "no-sources", "bad-class",
-            "tree-number", "ends-list", "sources-number", "r0-text"])
+            "tree-number", "ends-list", "sources-number", "r0-text",
+            "end-number", "end-unknown", "end-copy-point"])
     def test_approx_check_refuses_malformed_sidecar(self, tmp_path, capsys,
                                                     tamper, message):
         matrix, meta = build_bundle(tmp_path, [TWO_SPACE], 1, 2, 1 / 3)

@@ -9,26 +9,33 @@ exhaustive small systems is strong evidence for both.
 import itertools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from denseamalgam.boundary import Amalgam, Atom, CANTOR, EMPTY, POINT_PAIR, normalize
+from denseamalgam.cli import main
 from denseamalgam.coxeter import (
     INF,
     CoxeterParseError,
     CoxeterSystem,
     boundary_expression,
     classify_endedness,
-    cosine_matrix,
-    gram_pd_test,
     is_finite_type,
     nerve,
     parse_coxeter,
     subsystem_boundary_atom,
 )
 from denseamalgam.simplicial import SimplicialComplex
-from conftest import block_product, from_pairs, product_system, random_coxeter_matrix
+from conftest import (
+    block_product,
+    cosine_matrix,
+    from_pairs,
+    gram_pd_test,
+    product_system,
+    random_coxeter_matrix,
+)
 
 
 def system(names, **orders):
@@ -76,6 +83,40 @@ def nerve_oracle(c):
             maximal.append(mask)
     return SimplicialComplex(gens, [
         [s for i, s in enumerate(gens) if m >> i & 1] for m in maximal])
+
+
+def random_blocks(rng, cap=12):
+    """Two or more random systems of 1-4 generators each, on disjoint
+    generators, with at most `cap` generators in all."""
+    blocks, size = [], 0
+    while len(blocks) < 2 or rng.random() < 0.7:
+        k = rng.randint(1, 4)
+        if size + k > cap:
+            break
+        tag = f"b{len(blocks)}."
+        blocks.append(CoxeterSystem([tag + str(i) for i in range(k)],
+                                    random_coxeter_matrix(rng, k)))
+        size += k
+    return blocks
+
+
+def combined(rng, factors, between):
+    """The direct (between=2) or free (between=INF) product of systems on
+    disjoint generators, with the generators shuffled."""
+    owner = {s: f for f in factors for s in f.generators}
+    names = list(owner)
+    rng.shuffle(names)
+    return CoxeterSystem(names, {
+        (s, t): owner[s].order(s, t) if owner[s] is owner[t] else between
+        for s in names for t in names})
+
+
+# `coxeter nerve` and `coxeter boundary` stdout on benchmark-shaped systems
+# (free products of one-ended blocks and direct products of two halves, at
+# 16 and 12 generators), recorded from the single-search nerve that preceded
+# the split into direct and free factors
+GOLDENS = json.loads(
+    (Path(__file__).parent / "coxeter_goldens.json").read_text())
 
 
 class TestParsing:
@@ -290,6 +331,42 @@ class TestNerve:
         l = nerve(c)
         assert l == nerve_oracle(c)
         assert sorted(map(len, l.maximal_faces)) == [14] * 4
+
+    @pytest.mark.parametrize("between", [2, INF], ids=["direct", "free"])
+    def test_matches_oracle_on_products_of_blocks(self, rng, between):
+        for _ in range(60):
+            c = combined(rng, random_blocks(rng), between)
+            assert nerve(c) == nerve_oracle(c)
+
+    @pytest.mark.parametrize("outer, inner", [(2, INF), (INF, 2)],
+                             ids=["direct-of-free", "free-of-direct"])
+    def test_matches_oracle_on_nested_products(self, rng, outer, inner):
+        for _ in range(60):
+            blocks = random_blocks(rng)
+            cut = rng.randint(1, len(blocks) - 1)
+            c = combined(rng, [combined(rng, blocks[:cut], inner),
+                               combined(rng, blocks[cut:], inner)], outer)
+            assert nerve(c) == nerve_oracle(c)
+
+    def test_direct_product_nerve_is_the_join(self, rng):
+        for _ in range(40):
+            factors = random_blocks(rng)
+            join = SimplicialComplex(
+                [s for f in factors for s in f.generators],
+                [frozenset().union(*faces) for faces in itertools.product(
+                    *(nerve(f).maximal_faces for f in factors))])
+            assert nerve(combined(rng, factors, 2)) == join
+
+    @pytest.mark.parametrize("golden", GOLDENS, ids=[
+        f"{len(g['generators'])}-{k}" for k, g in enumerate(GOLDENS)])
+    def test_benchmark_shapes_print_as_recorded(self, tmp_path, capsys,
+                                                golden):
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps({"generators": golden["generators"],
+                                    "m": golden["m"]}))
+        for command in ("nerve", "boundary"):
+            assert main(["coxeter", command, str(path)]) == 0
+            assert capsys.readouterr().out == golden[command]
 
     def test_generator_cap(self):
         names = [f"g{i}" for i in range(17)]
