@@ -26,7 +26,7 @@ from .boundary import (
     normalize,
     parse_expr,
 )
-from .simplicial import SimplicialComplex, Splitting
+from .simplicial import SimplicialComplex
 from .coxeter import (
     CoxeterSystem,
     EndednessClass,
@@ -108,7 +108,6 @@ __all__ = [
     "PointPair",
     "RegularStructure",
     "SimplicialComplex",
-    "Splitting",
     "TLabelling",
     "amalgam_of",
     "as_regular_structure",

@@ -32,7 +32,7 @@ from .boundary import (
     POINT_PAIR,
     normalize,
 )
-from .simplicial import SimplicialComplex
+from .simplicial import SimplicialComplex, component, components
 
 INF = math.inf
 
@@ -162,34 +162,6 @@ def parse_coxeter(text: str) -> CoxeterSystem:
 # ---------------------------------------------------------------------------
 # Finite-type recognition against the classification of finite systems.
 
-def _component(rows, mask: int, seed: int) -> int:
-    """Bitmask of the component of `mask` containing the bit `seed`, in the
-    graph whose generator i has the neighbour bitmask rows[i].
-
-    With `CoxeterSystem._diagram` as rows this is the diagram component:
-    diagram edges join generators with m >= 3 (including infinity); m = 2
-    commutes and disconnects.
-    """
-    comp = frontier = seed
-    while frontier:
-        low = frontier & -frontier
-        grown = rows[low.bit_length() - 1] & mask & ~comp
-        comp |= grown
-        frontier = (frontier ^ low) | grown
-    return comp
-
-
-def _components(rows, mask: int):
-    """Connected components of the graph `rows` restricted to `mask`, as
-    bitmasks."""
-    comps = []
-    while mask:
-        comp = _component(rows, mask, mask & -mask)
-        comps.append(comp)
-        mask &= ~comp
-    return comps
-
-
 def _component_is_finite(c: CoxeterSystem, comp: int) -> bool:
     """Does this connected diagram component (a bitmask) define a finite
     group?"""
@@ -270,7 +242,7 @@ def is_finite_type(c: CoxeterSystem, subset=None) -> bool:
     for s in members:
         mask |= 1 << c._index[s]
     return all(_component_is_finite(c, comp)
-               for comp in _components(c._diagram, mask))
+               for comp in components(c._diagram, mask))
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +302,7 @@ def nerve(c: CoxeterSystem) -> SimplicialComplex:
         while rest:
             low = rest & -rest
             rest ^= low
-            if finite(_component(c._diagram, r | low, low)):
+            if finite(component(c._diagram, r | low, low)):
                 out |= low
         return out
 
@@ -350,7 +322,7 @@ def nerve(c: CoxeterSystem) -> SimplicialComplex:
             return
         r |= alone
         p &= ~alone
-        if all(finite(comp) for comp in _components(c._diagram, top)):
+        if all(finite(comp) for comp in components(c._diagram, top)):
             if not joiners(top, x):
                 maximal.append(top)
             return
@@ -363,14 +335,14 @@ def nerve(c: CoxeterSystem) -> SimplicialComplex:
 
     def faces(mask):
         """The maximal finite-type subsets of `mask`, as bitmasks."""
-        parts = _components(c._diagram, mask)
+        parts = components(c._diagram, mask)
         if len(parts) > 1:
             out = [0]
             for part in parts:
                 below = faces(part)
                 out = [f | g for f in out for g in below]
             return out
-        parts = _components(c._finite_orders, mask)
+        parts = components(c._finite_orders, mask)
         if len(parts) > 1:
             return [f for part in parts for f in faces(part)]
         maximal = []
@@ -396,9 +368,9 @@ def _endedness(c: CoxeterSystem):
             if all(c.order(u, v) == 2 for u in (s, t) for v in rest) \
                     and is_finite_type(c, rest):
                 return EndednessClass("two_ended"), None
+    # not finite type, so the nerve is not one simplex on every generator
     l = nerve(c)
-    is_simplex = len(l.maximal_faces) == 1 and l.maximal_faces[0] == frozenset(gens)
-    if not is_simplex and l.is_irreducible():
+    if l.is_irreducible():
         return EndednessClass("one_ended"), l
     return EndednessClass("infinitely_many_ends",
                           virtually_free=l.is_infinity_large()), l

@@ -31,6 +31,7 @@ from .boundary import (
     normalize,
     parse_expr,
 )
+from .simplicial import dot_id
 from .tree import RootedTree
 
 INF = math.inf
@@ -306,7 +307,7 @@ class BassSerreBall:
         lines = ["graph ball {"]
         for v, label in enumerate(self.labels):
             shape = ', style=dashed' if v in self.unexplored else ''
-            lines.append(f'  n{v} [label="{label}"{shape}];')
+            lines.append(f"  n{v} [label={dot_id(label)}{shape}];")
         parent = self.tree.parent
         lines.extend(f"  n{parent[v]} -- n{v};" for v in range(1, len(parent)))
         lines.append("}")

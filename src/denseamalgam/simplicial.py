@@ -7,8 +7,7 @@ whose intersection is a single shared simplex or empty; a complex with no
 splitting is irreducible.  Splitting recursively and collecting the pieces
 that admit no further splitting yields the terminal factors, which are
 independent of the order in which splittings are chosen.  The recursion
-therefore takes the first splitting at each step; enumerate_splittings lists
-them all.
+therefore takes the first splitting at each step and lists no others.
 
 A face or the empty set S splits the complex exactly when removing S
 disconnects the 1-skeleton: every face is a clique, so it lies in S plus at
@@ -24,31 +23,57 @@ decomposition, Tarjan 1985, Berry-Pogorelcnik-Simonet 2010).
 
 Internally vertex subsets are bitmasks over the vertex tuple, which keeps the
 separator/component searches cheap for the sizes this module is meant for
-(tens of vertices at most).
+(tens of vertices at most).  The component search is shared with the
+Coxeter diagrams of `coxeter`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import json
 
-# enumerate_splittings refuses a separator leaving more components than this:
-# there are 2^(k-1) - 1 splittings around it
-_FULL_BIPARTITION_COMPONENT_LIMIT = 12
+
+def component(rows, mask: int, seed: int) -> int:
+    """Bitmask of the component of `mask` containing the bit `seed`, in the
+    graph whose vertex i has the neighbour bitmask rows[i]."""
+    comp = frontier = seed
+    while frontier:
+        low = frontier & -frontier
+        grown = rows[low.bit_length() - 1] & mask & ~comp
+        comp |= grown
+        frontier = (frontier ^ low) | grown
+    return comp
 
 
-@dataclass(frozen=True)
-class Splitting:
-    """Two proper full subcomplexes covering the complex.
+def components(rows, mask: int):
+    """Connected components of the graph `rows` restricted to `mask`, as
+    bitmasks, in the order of their lowest bits."""
+    comps = []
+    while mask:
+        comp = component(rows, mask, mask & -mask)
+        comps.append(comp)
+        mask &= ~comp
+    return comps
 
-    part1/part2 are the vertex sets of the parts; separator is their
-    intersection (empty or a simplex).  part1 is the lexicographically
-    smaller part.
+
+def dot_id(name) -> str:
+    """`name` as a quoted DOT ID, with backslash and double quote escaped."""
+    return '"' + str(name).replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def _maximal_masks(masks):
+    """The inclusion-maximal members of the distinct `masks`.
+
+    A mask lies only inside masks with more bits, and if inside any then
+    inside a maximal one; so each mask is compared only with the maximal
+    masks of larger size, and masks of equal size never with each other.
     """
-
-    part1: frozenset
-    part2: frozenset
-    separator: frozenset
+    by_size = {}
+    for m in masks:
+        by_size.setdefault(bin(m).count("1"), []).append(m)
+    kept = []
+    for size in sorted(by_size, reverse=True):
+        kept += [m for m in by_size[size] if not any(m & o == m for o in kept)]
+    return kept
 
 
 class SimplicialComplex:
@@ -74,10 +99,8 @@ class SimplicialComplex:
             masks.append(mask)
         if len(set(masks)) != len(masks):
             raise ValueError("duplicate maximal faces")
-        for m in masks:
-            for other in masks:
-                if m != other and m & other == m:
-                    raise ValueError("maximal faces must form an antichain")
+        if len(_maximal_masks(masks)) != len(masks):
+            raise ValueError("maximal faces must form an antichain")
         covered = 0
         for m in masks:
             covered |= m
@@ -121,40 +144,6 @@ class SimplicialComplex:
     def is_face_mask(self, mask: int) -> bool:
         return mask != 0 and any(mask & ~m == 0 for m in self._masks)
 
-    def simplex_masks(self):
-        """All nonempty faces, as masks (deduplicated across maximal faces)."""
-        seen = set()
-        for m in self._masks:
-            sub = m
-            while True:
-                if sub and sub not in seen:
-                    seen.add(sub)
-                if sub == 0:
-                    break
-                sub = (sub - 1) & m
-        return seen
-
-    def _component_masks(self, within: int):
-        """Connected components of the full subcomplex on the mask `within`."""
-        comps = []
-        remaining = within
-        while remaining:
-            seed = remaining & -remaining
-            comp = seed
-            frontier = seed
-            while frontier:
-                grown = comp
-                rest = frontier
-                while rest:
-                    low = rest & -rest
-                    grown |= self._adjacency[low.bit_length() - 1] & within
-                    rest ^= low
-                frontier = grown & ~comp
-                comp = grown
-            comps.append(comp)
-            remaining &= ~comp
-        return comps
-
     def _neighbourhood(self, mask: int) -> int:
         """Vertices adjacent to some vertex of `mask`, outside `mask`."""
         out = 0
@@ -165,11 +154,6 @@ class SimplicialComplex:
             rest ^= low
         return out & ~mask
 
-    def _full_subcomplex_masks(self, within: int):
-        """Maximal faces (as masks) of the full subcomplex on `within`."""
-        cut = {m & within for m in self._masks if m & within}
-        return [m for m in cut if not any(m != o and m & o == m for o in cut)]
-
     # -- public operations -------------------------------------------------
 
     def is_face(self, vs) -> bool:
@@ -177,22 +161,6 @@ class SimplicialComplex:
         if not vs:
             return False
         return self.is_face_mask(self.mask_of(vs))
-
-    def simplices(self):
-        """All nonempty faces as frozensets."""
-        return {self.vertex_set(m) for m in self.simplex_masks()}
-
-    def full_subcomplex(self, vs) -> "SimplicialComplex":
-        vs = frozenset(vs)
-        if not vs:
-            raise ValueError("full subcomplex of the empty vertex set is not a complex")
-        unknown = vs - set(self.vertices)
-        if unknown:
-            raise ValueError(f"unknown vertices: {sorted(unknown)}")
-        within = self.mask_of(vs)
-        faces = [self.vertex_set(m) for m in self._full_subcomplex_masks(within)]
-        sub_vertices = tuple(v for v in self.vertices if v in vs)
-        return SimplicialComplex(sub_vertices, faces)
 
     def is_flag(self) -> bool:
         """Every clique of the 1-skeleton spans a face."""
@@ -297,23 +265,6 @@ class SimplicialComplex:
 
     # -- splittings ---------------------------------------------------------
 
-    def _separations(self, within: int):
-        """(sep, comps) for each simplex separator of the full subcomplex on
-        `within` that leaves two or more components: the empty separator
-        first, then faces in mask order.  Exhaustive over every sub-simplex:
-        enumerate_splittings lists from it, and it is the oracle for
-        _first_splitting."""
-        faces = set()
-        for m in self._full_subcomplex_masks(within):
-            sub = m
-            while sub:
-                faces.add(sub)
-                sub = (sub - 1) & m
-        for sep in [0] + sorted(faces):
-            comps = self._component_masks(within & ~sep)
-            if len(comps) >= 2:
-                yield sep, comps
-
     def _first_splitting(self, within: int):
         """The first splitting of the full subcomplex on `within`, as masks
         (p1, p2, sep) with p1 < p2, or None when it is irreducible.
@@ -330,8 +281,7 @@ class SimplicialComplex:
         any other component C misses F.  C is connected and its neighbours
         lie in S', inside F, so C is a component of within - F; N(C) lies
         in S', and the other components of within - S' lie outside C + N(C).
-        So C is found at F, where the exhaustive _separations scan tries
-        every sub-simplex of F.
+        So C is found at F, without trying the sub-simplices of F.
         """
         seen = set()
         for m in (0,) + self._masks:
@@ -339,42 +289,12 @@ class SimplicialComplex:
             if face in seen:
                 continue
             seen.add(face)
-            for comp in self._component_masks(within & ~face):
+            for comp in components(self._adjacency, within & ~face):
                 sep = self._neighbourhood(comp) & within
                 if comp | sep != within:
                     p1, p2 = sep | comp, within & ~comp
                     return (p1, p2, sep) if p1 < p2 else (p2, p1, sep)
         return None
-
-    def enumerate_splittings(self):
-        """All splittings, in a deterministic order.
-
-        Refuses (ValueError) a complex where some simplex separator leaves
-        more than 12 components, rather than list only some splittings.
-        Each unordered pair of parts is listed once: the parts meet in
-        their separator, and around one separator each bipartition of the
-        components is produced once.
-        """
-        within = self._full_mask()
-        splittings = []
-        for sep, comps in self._separations(within):
-            k = len(comps)
-            if k > _FULL_BIPARTITION_COMPONENT_LIMIT:
-                raise ValueError(
-                    f"a separator leaves {k} components; listing every "
-                    f"splitting is capped at "
-                    f"{_FULL_BIPARTITION_COMPONENT_LIMIT} components")
-            for bits in range(2 ** (k - 1) - 1):
-                # bits picks a proper subset of comps[1:] to join comps[0]
-                g1 = comps[0]
-                for i in range(k - 1):
-                    if bits >> i & 1:
-                        g1 |= comps[i + 1]
-                a, b = sorted((self.vertex_set(sep | g1),
-                               self.vertex_set(within & ~g1)), key=sorted)
-                splittings.append(Splitting(a, b, self.vertex_set(sep)))
-        splittings.sort(key=lambda s: (sorted(s.separator), sorted(s.part1), sorted(s.part2)))
-        return splittings
 
     def is_irreducible(self) -> bool:
         return self._first_splitting(self._full_mask()) is None
@@ -407,31 +327,8 @@ class SimplicialComplex:
             memo[mask] = result
             return result
 
-        leaves = recurse(self._full_mask())
-        return {
-            self.vertex_set(m)
-            for m in leaves
-            if not any(m != o and m & o == m for o in leaves)
-        }
-
-    def maximally_full_irreducible(self, bound=12):
-        """Inclusion-maximal vertex sets spanning irreducible full subcomplexes.
-
-        Brute force over all vertex subsets, each tested by the exhaustive
-        _separations scan; refuses vertex counts above `bound`.  Serves as
-        the order-free characterization of the terminal factors, independent
-        of the per-face test that terminal_factors uses.
-        """
-        n = len(self.vertices)
-        if n > bound:
-            raise ValueError(f"brute-force search over {n} vertices exceeds bound {bound}")
-        irreducible = [mask for mask in range(1, 1 << n)
-                       if next(self._separations(mask), None) is None]
-        maximal = [
-            m for m in irreducible
-            if not any(m != o and m & o == m for o in irreducible)
-        ]
-        return {self.vertex_set(m) for m in maximal}
+        return {self.vertex_set(m)
+                for m in _maximal_masks(recurse(self._full_mask()))}
 
     def is_infinity_large(self) -> bool:
         """Flag and chordal: every terminal factor of every full subcomplex is
@@ -474,9 +371,9 @@ class SimplicialComplex:
         """DOT rendering of the 1-skeleton."""
         lines = ["graph skeleton {"]
         for v in self.vertices:
-            lines.append(f'  "{v}";')
+            lines.append(f"  {dot_id(v)};")
         for u, v in self.edges():
-            lines.append(f'  "{u}" -- "{v}";')
+            lines.append(f"  {dot_id(u)} -- {dot_id(v)};")
         lines.append("}")
         return "\n".join(lines) + "\n"
 

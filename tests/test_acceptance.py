@@ -42,7 +42,7 @@ from conftest import (
     random_coxeter_matrix,
     random_expr,
 )
-from test_simplicial import random_order_factors
+from test_simplicial import maximal_irreducibles, random_order_factors
 
 INF = math.inf
 
@@ -132,7 +132,7 @@ def test_criterion_03_terminal_factors():
     t0 = time.monotonic()
     for i in range(100):
         c = random_complex(rng, rng.randint(1, 8))
-        brute = c.maximally_full_irreducible()
+        brute = maximal_irreducibles(c)
         if (c.terminal_factors() != brute
                 or random_order_factors(c, random.Random(i)) != brute):
             mismatches += 1

@@ -1,6 +1,9 @@
 """Exit codes, golden outputs, reports, and byte determinism of the CLI."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -12,6 +15,8 @@ from denseamalgam.cli import main, render_report
 from denseamalgam.graphs_of_groups import from_json as gog_from_json
 from denseamalgam.metric import FiniteMetricSpace
 from denseamalgam.simplicial import SimplicialComplex
+
+SRC = os.path.dirname(os.path.dirname(denseamalgam.__file__))
 
 D_INFTY = '{"generators": ["s", "t"], "m": [[1, "inf"], ["inf", 1]]}'
 KLEIN_FOUR = '{"generators": ["a", "b"], "m": [[1, 2], [2, 1]]}'
@@ -486,6 +491,32 @@ class TestPipelines:
         code2, out2 = run(capsys, "nerve", "decompose", path, "--seed", "99")
         assert code2 == 0
         assert out2 == out  # factor set does not depend on the seed
+
+    def test_nerve_decompose_thirteen_petals(self, tmp_path):
+        # 13 squares on a common vertex: removing it leaves 13 components
+        vertices = ["h"] + [f"{v}{i}" for i in range(13) for v in "xyz"]
+        faces = [pair for i in range(13) for pair in (
+            ["h", f"x{i}"], [f"x{i}", f"y{i}"], [f"y{i}", f"z{i}"],
+            [f"z{i}", "h"])]
+        path = write(tmp_path, "petals13.json", json.dumps(
+            {"vertices": vertices, "maximal_faces": faces}))
+        code = ("import contextlib, io, json, sys\n"
+                "from denseamalgam import cli\n"
+                "out = io.StringIO()\n"
+                "with contextlib.redirect_stdout(out):\n"
+                f"    code = cli.main(['nerve', 'decompose', {path!r}])\n"
+                "print(json.dumps([code, out.getvalue(),\n"
+                "                  'numpy' in sys.modules]))\n")
+        env = dict(os.environ, PYTHONPATH=SRC)
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        exit_code, out, numpy_loaded = json.loads(done.stdout)
+        assert exit_code == 0 and not numpy_loaded
+        lines = out.splitlines()
+        assert lines[0] == "terminal factors: 13"
+        assert sorted(lines[1:14]) == sorted(
+            f"  h x{i} y{i} z{i}" for i in range(13))
 
     def test_gog_reduce_emits_loadable_graph(self, tmp_path, capsys):
         path = write(tmp_path, "gog.json", GOG_23)

@@ -9,6 +9,7 @@ import itertools
 import json
 import math
 import random
+import re
 
 import pytest
 
@@ -344,6 +345,13 @@ class TestBassSerreBall:
         assert dot.startswith("graph ball {")
         assert 'label="u"' in dot and 'label="w"' in dot
         assert "n0 -- n1" in dot
+
+    def test_dot_labels_read_back(self):
+        g = gg({'a"b': 2, "c\\": 3}, [('a"b', "c\\", 1)])
+        ball = bass_serre_ball(g, 'a"b', 2)
+        quoted = re.findall(r'label="((?:[^"\\]|\\.)*)"', ball.to_dot())
+        assert [re.sub(r"\\(.)", r"\1", q) for q in quoted] == ball.labels
+        assert set(ball.labels) == {'a"b', "c\\"}
 
 
 class TestSeparation:

@@ -3,16 +3,19 @@
 The independent oracle here enumerates splittings straight from the
 definition: unordered pairs of proper nonempty vertex subsets whose full
 subcomplexes cover every maximal face and intersect in the empty set or in a
-single simplex.  The library's component-based enumeration must agree.
+single simplex.  The library's first splitting, irreducibility test and
+terminal factors must agree with it; where the definition is too slow (2^n
+vertex subsets), an exhaustive scan over every simplex separator stands in.
 """
 
 import itertools
 import json
 import random
+import re
 
 import pytest
 
-from denseamalgam.simplicial import SimplicialComplex, Splitting
+from denseamalgam.simplicial import SimplicialComplex, components
 from denseamalgam.coxeter import nerve
 from conftest import (block_product, clique_complex, product_system,
                       random_complex, random_graph_complex)
@@ -30,8 +33,18 @@ def empty_triangle():
     return SimplicialComplex("abc", [{"a", "b"}, {"b", "c"}, {"a", "c"}])
 
 
-def splittings_by_definition(c):
-    """Enumerate splittings directly from the covering-pair definition."""
+def full_subcomplex(c, vs):
+    """The full subcomplex of c on the vertex set vs: the faces of c inside
+    vs, kept by their maximal members."""
+    vs = frozenset(vs)
+    cut = {f & vs for f in c.maximal_faces if f & vs}
+    return SimplicialComplex([v for v in c.vertices if v in vs],
+                             [f for f in cut if not any(f < g for g in cut)])
+
+
+def _splittings_by_definition(c):
+    """Each splitting of c, straight from the covering-pair definition, as
+    an unordered pair of vertex sets (repeats possible)."""
     verts = frozenset(c.vertices)
     faces = set()
     for f in c.maximal_faces:
@@ -39,7 +52,6 @@ def splittings_by_definition(c):
         for r in range(1, len(members) + 1):
             for sub in itertools.combinations(members, r):
                 faces.add(frozenset(sub))
-    found = set()
     ordered = sorted(verts)
     for r in range(1, len(ordered)):
         for chosen in itertools.combinations(ordered, r):
@@ -50,27 +62,65 @@ def splittings_by_definition(c):
                 if v2 == verts:
                     continue
                 if all(f <= v1 or f <= v2 for f in c.maximal_faces):
-                    found.add(frozenset((v1, v2)))
-    return found
+                    yield frozenset((v1, v2))
+
+
+def splittings_by_definition(c):
+    """Enumerate splittings directly from the covering-pair definition."""
+    return set(_splittings_by_definition(c))
+
+
+def has_splitting_by_definition(c):
+    return next(_splittings_by_definition(c), None) is not None
+
+
+def maximal_irreducibles(c):
+    """Inclusion-maximal vertex sets whose full subcomplex has no splitting
+    by definition: brute force over every vertex subset, the order-free
+    characterization of the terminal factors."""
+    verts = sorted(c.vertices)
+    irreducible = [
+        frozenset(vs)
+        for r in range(1, len(verts) + 1)
+        for vs in itertools.combinations(verts, r)
+        if not has_splitting_by_definition(full_subcomplex(c, vs))]
+    return {f for f in irreducible if not any(f < g for g in irreducible)}
 
 
 def random_order_factors(c, rng):
     """Terminal factors by the splitting recursion, each step drawing its
-    splitting at random from enumerate_splittings.  The factors do not
-    depend on the draws, so terminal_factors must equal this for any rng."""
+    splitting at random from the by-definition splittings of the full
+    subcomplex.  The factors do not depend on the draws, so
+    terminal_factors must equal this for any rng."""
     leaves = set()
 
     def recurse(vs):
-        splits = c.full_subcomplex(vs).enumerate_splittings()
+        splits = sorted(splittings_by_definition(full_subcomplex(c, vs)),
+                        key=lambda pair: sorted(sorted(p) for p in pair))
         if not splits:
             leaves.add(vs)
             return
-        chosen = splits[rng.randrange(len(splits))]
-        recurse(chosen.part1)
-        recurse(chosen.part2)
+        for part in splits[rng.randrange(len(splits))]:
+            recurse(part)
 
     recurse(frozenset(c.vertices))
     return {f for f in leaves if not any(f < g for g in leaves)}
+
+
+def separations(c, within):
+    """(sep, comps) for each simplex separator of the full subcomplex on the
+    mask `within` that leaves two or more components: the empty separator
+    first, then every sub-simplex of its faces in mask order."""
+    faces = set()
+    for m in c._masks:
+        sub = m & within
+        while sub:
+            faces.add(sub)
+            sub = (sub - 1) & m & within
+    for sep in [0] + sorted(faces):
+        comps = components(c._adjacency, within & ~sep)
+        if len(comps) >= 2:
+            yield sep, comps
 
 
 def petals(k):
@@ -87,9 +137,9 @@ def petals(k):
 
 def check_first_splitting(c, within):
     """_first_splitting(within) finds a splitting exactly when the exhaustive
-    _separations scan finds a separator, and what it returns is one."""
+    separator scan finds a separator, and what it returns is one."""
     first = c._first_splitting(within)
-    exhaustive = next(c._separations(within), None)
+    exhaustive = next(separations(c, within), None)
     assert (first is None) == (exhaustive is None), (c, within)
     if first is None:
         return
@@ -114,10 +164,6 @@ def visited_masks(c):
     return visited, factors
 
 
-def as_pair_set(splittings):
-    return {frozenset((s.part1, s.part2)) for s in splittings}
-
-
 class TestConstruction:
     def test_rejects_empty_complex(self):
         with pytest.raises(ValueError, match="at least one vertex"):
@@ -130,6 +176,27 @@ class TestConstruction:
     def test_rejects_nested_maximal_faces(self):
         with pytest.raises(ValueError, match="antichain"):
             SimplicialComplex("ab", [{"a"}, {"a", "b"}])
+
+    @pytest.mark.parametrize("faces", [
+        [{"a", "b"}, {"a"}],
+        [{"a"}, {"a", "b"}, {"c"}],
+        [{"c"}, {"a", "b", "c"}, {"b", "c"}],
+        [{"a", "b", "c"}, {"d"}, {"a", "b"}, {"a"}],
+    ], ids=["larger-first", "smaller-first", "three-levels", "chain-and-more"])
+    def test_rejects_nested_faces_in_any_order(self, faces):
+        verts = sorted(set().union(*faces))
+        with pytest.raises(ValueError, match="antichain"):
+            SimplicialComplex(verts, faces)
+
+    @pytest.mark.parametrize("faces", [
+        [{"a", "b"}, {"b", "c"}, {"a", "c"}],
+        [{"a", "b", "c"}, {"b", "c", "d"}, {"a", "d"}, {"e"}],
+        [{f"x{i}", f"y{j}"} for i in range(4) for j in range(4)],
+    ], ids=["equal-size", "mixed-sizes", "sixteen-edges"])
+    def test_accepts_antichains(self, faces):
+        verts = sorted(set().union(*faces))
+        c = SimplicialComplex(verts, faces)
+        assert set(c.maximal_faces) == {frozenset(f) for f in faces}
 
     def test_rejects_uncovered_vertex(self):
         with pytest.raises(ValueError, match="not covered"):
@@ -160,25 +227,27 @@ class TestFaces:
 
     def test_simplices_of_triangle(self):
         c = SimplicialComplex("abc", [{"a", "b", "c"}])
-        assert len(c.simplices()) == 7  # 3 vertices + 3 edges + 1 triangle
+        subsets = [s for r in range(4) for s in itertools.combinations("abc", r)]
+        # 3 vertices + 3 edges + 1 triangle; the empty set is no face
+        assert sum(c.is_face(s) for s in subsets) == 7
+
+    # full_subcomplex is the test helper the by-definition oracles build on
 
     def test_full_subcomplex_edge(self):
-        c = four_cycle()
-        sub = c.full_subcomplex({"a", "b"})
+        sub = full_subcomplex(four_cycle(), {"a", "b"})
         assert sub == SimplicialComplex("ab", [{"a", "b"}])
 
     def test_full_subcomplex_diagonal(self):
-        c = four_cycle()
-        sub = c.full_subcomplex({"a", "c"})
+        sub = full_subcomplex(four_cycle(), {"a", "c"})
         assert sub == SimplicialComplex("ac", [{"a"}, {"c"}])
 
     def test_full_subcomplex_identity(self):
         c = SimplicialComplex("abc", [{"a", "b", "c"}])
-        assert c.full_subcomplex({"a", "b", "c"}) == c
+        assert full_subcomplex(c, {"a", "b", "c"}) == c
 
     def test_full_subcomplex_rejects_empty(self):
         with pytest.raises(ValueError):
-            path_abc().full_subcomplex(set())
+            full_subcomplex(path_abc(), set())
 
 
 class TestFlagChordal:
@@ -233,19 +302,24 @@ class TestFlagChordal:
             assert c.is_chordal() == (not has_hole)
 
 
+def first_splitting(c):
+    """The first splitting of the whole complex, as vertex sets."""
+    split = c._first_splitting(c._full_mask())
+    return split and tuple(c.vertex_set(m) for m in split)
+
+
 class TestSplittings:
     def test_path_golden(self):
-        (s,) = path_abc().enumerate_splittings()
-        assert s == Splitting(frozenset("ab"), frozenset("bc"), frozenset("b"))
+        assert first_splitting(path_abc()) == (
+            frozenset("ab"), frozenset("bc"), frozenset("b"))
 
     def test_disjoint_vertices_golden(self):
         c = SimplicialComplex("ab", [{"a"}, {"b"}])
-        (s,) = c.enumerate_splittings()
-        assert s.separator == frozenset()
-        assert {s.part1, s.part2} == {frozenset("a"), frozenset("b")}
+        assert first_splitting(c) == (frozenset("a"), frozenset("b"),
+                                      frozenset())
 
     def test_four_cycle_has_no_splitting(self):
-        assert four_cycle().enumerate_splittings() == []
+        assert not splittings_by_definition(four_cycle())
         assert four_cycle().is_irreducible()
 
     def test_empty_triangle_irreducible(self):
@@ -258,39 +332,33 @@ class TestSplittings:
     def test_matches_definition_oracle(self, rng):
         for _ in range(40):
             c = random_complex(rng, rng.randint(1, 7))
-            assert as_pair_set(c.enumerate_splittings()) == splittings_by_definition(c)
+            by_definition = splittings_by_definition(c)
+            assert c.is_irreducible() == (not by_definition)
+            first = first_splitting(c)
+            assert first is None or frozenset(first[:2]) in by_definition
 
     def test_splitting_fields_are_consistent(self, rng):
         for _ in range(40):
             c = random_complex(rng, rng.randint(2, 8))
             verts = frozenset(c.vertices)
-            for s in c.enumerate_splittings():
-                assert s.part1 | s.part2 == verts
-                assert s.part1 & s.part2 == s.separator
-                assert s.separator == frozenset() or c.is_face(s.separator)
-                assert s.part1 - s.separator and s.part2 - s.separator
-                assert all(f <= s.part1 or f <= s.part2 for f in c.maximal_faces)
-                assert sorted(s.part1) <= sorted(s.part2)
+            first = first_splitting(c)
+            if first is None:
+                continue
+            part1, part2, separator = first
+            assert part1 | part2 == verts
+            assert part1 & part2 == separator
+            assert separator == frozenset() or c.is_face(separator)
+            assert part1 - separator and part2 - separator
+            assert all(f <= part1 or f <= part2 for f in c.maximal_faces)
 
-    def test_too_many_components_refused(self):
+    def test_thirteen_petals_split(self):
+        # one separator {h} leaves 13 components; the first splitting still
+        # serves the irreducibility test and the terminal factors
         c = petals(13)
-        with pytest.raises(ValueError, match="leaves 13 components"):
-            c.enumerate_splittings()
-        # any one splitting still serves the irreducibility test and the
-        # terminal factors
         assert not c.is_irreducible()
         expected = {frozenset({"h", f"x{i}", f"y{i}", f"z{i}"})
                     for i in range(13)}
         assert c.terminal_factors() == expected
-
-    def test_output_is_sorted_and_duplicate_free(self, rng):
-        for _ in range(20):
-            c = random_complex(rng, rng.randint(2, 7))
-            ss = c.enumerate_splittings()
-            keys = [(sorted(s.separator), sorted(s.part1), sorted(s.part2)) for s in ss]
-            assert keys == sorted(keys)
-            assert len(set(map(id, ss))) == len(ss)
-            assert len(as_pair_set(ss)) == len(ss)
 
 
 class TestTerminalFactors:
@@ -306,29 +374,24 @@ class TestTerminalFactors:
         c = SimplicialComplex("abcdpqrs", faces)
         expected = {frozenset("abcd"), frozenset("pqrs")}
         assert c.terminal_factors() == expected
-        assert c.maximally_full_irreducible() == expected
+        assert maximal_irreducibles(c) == expected
 
     def test_suspended_edge(self):
         c = SimplicialComplex("abst", [{"a", "s", "t"}, {"b", "s", "t"}])
         expected = {frozenset("ast"), frozenset("bst")}
-        assert c.maximally_full_irreducible() == expected
+        assert maximal_irreducibles(c) == expected
         assert c.terminal_factors() == expected
 
     def test_single_vertex(self):
         c = SimplicialComplex("v", [{"v"}])
-        assert c.maximally_full_irreducible() == {frozenset("v")}
+        assert maximal_irreducibles(c) == {frozenset("v")}
         assert c.terminal_factors() == {frozenset("v")}
-
-    def test_bruteforce_bound(self):
-        c = SimplicialComplex(range(13), [set(range(13))])
-        with pytest.raises(ValueError, match="bound"):
-            c.maximally_full_irreducible(bound=12)
 
     def test_first_splitting_is_a_splitting(self, rng):
         for _ in range(30):
             c = random_complex(rng, rng.randint(1, 7))
             for mask in range(1, 1 << len(c.vertices)):
-                sub = c.full_subcomplex(c.vertex_set(mask))
+                sub = full_subcomplex(c, c.vertex_set(mask))
                 by_definition = splittings_by_definition(sub)
                 first = c._first_splitting(mask)
                 if first is None:
@@ -349,18 +412,41 @@ class TestTerminalFactors:
     def test_matches_bruteforce(self, rng):
         for _ in range(30):
             c = random_complex(rng, rng.randint(1, 8))
-            assert c.terminal_factors() == c.maximally_full_irreducible()
+            assert c.terminal_factors() == maximal_irreducibles(c)
 
     def test_factors_are_irreducible_full_subcomplexes(self, rng):
         for _ in range(30):
             c = random_complex(rng, rng.randint(1, 7))
             for factor in c.terminal_factors():
-                assert c.full_subcomplex(factor).is_irreducible()
+                assert full_subcomplex(c, factor).is_irreducible()
 
 
 class TestPerFaceSplitting:
     """_first_splitting runs one component search per maximal face; the
-    exhaustive _separations scan over every sub-simplex is its oracle."""
+    exhaustive separator scan over every sub-simplex is its oracle."""
+
+    def test_components_match_breadth_first_search(self, rng):
+        for _ in range(60):
+            c = random_graph_complex(rng, rng.randint(1, 10))
+            within = rng.randrange(1, 1 << len(c.vertices))
+            neighbours = {u: set() for u in c.vertices}
+            for u, v in c.edges():
+                neighbours[u].add(v)
+                neighbours[v].add(u)
+            unseen = set(c.vertex_set(within))
+            expected = set()
+            while unseen:
+                comp, frontier = set(), [min(unseen, key=c.vertices.index)]
+                while frontier:
+                    v = frontier.pop()
+                    if v in unseen:
+                        unseen.discard(v)
+                        comp.add(v)
+                        frontier.extend(neighbours[v])
+                expected.add(frozenset(comp))
+            got = components(c._adjacency, within)
+            assert {c.vertex_set(m) for m in got} == expected
+            assert got == sorted(got, key=lambda m: m & -m)
 
     def test_every_full_subcomplex_of_random_complexes(self, rng):
         for k in range(60):
@@ -429,6 +515,22 @@ class TestSerialization:
         data = json.loads(path_abc().to_json())
         assert data == {"vertices": ["a", "b", "c"],
                         "maximal_faces": [["a", "b"], ["b", "c"]]}
+
+    @pytest.mark.parametrize("names", [
+        ['a"b', 'c\\', "d"],
+        ['"', "\\", '\\"', 'x\\"y\\\\'],
+    ], ids=["quote-and-trailing-backslash", "escapes-only"])
+    def test_dot_ids_read_back(self, names):
+        c = SimplicialComplex(names, [set(names)])
+        dot = c.to_dot()
+        read = [re.sub(r"\\(.)", r"\1", q[1:-1])
+                for q in re.findall(r'"(?:[^"\\]|\\.)*"', dot)]
+        assert read == names + [v for edge in c.edges() for v in edge]
+
+    def test_plain_names_render_unchanged(self):
+        assert path_abc().to_dot() == (
+            'graph skeleton {\n  "a";\n  "b";\n  "c";\n'
+            '  "a" -- "b";\n  "b" -- "c";\n}\n')
 
     def test_dot_lists_edges(self):
         dot = path_abc().to_dot()
