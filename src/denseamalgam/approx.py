@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._json import loads
 from .metric import (
     TRIANGLE_SLACK,
     FiniteMetricSpace,
@@ -670,11 +671,14 @@ def _check_labels(labels, sources):
     points = [set(x.points) for x in sources]
     for name, label in labels.items():
         kind = label.get("kind") if isinstance(label, dict) else None
-        if kind not in _LABEL_FIELDS:
+        if not isinstance(kind, str) or kind not in _LABEL_FIELDS:
             raise ValueError(f"label of {name!r} has no kind 'copy' or 'end'")
         for field in _LABEL_FIELDS[kind]:
             if field not in label:
                 raise ValueError(f"label of {name!r} lacks field {field!r}")
+            if isinstance(label[field], (list, dict)):
+                raise ValueError(f"label of {name!r}: field {field!r} must be "
+                                 f"a name or number, got {label[field]!r}")
         if kind == "copy" and (label["class"] not in range(len(sources)) or
                                label["source_point"] not in points[label["class"]]):
             raise ValueError(f"label of {name!r} names no point of the "
@@ -688,7 +692,7 @@ def _read_sidecar(sidecar_path):
     the recipe, and a recipe with values out of range leaves the matrix to
     the full scan."""
     with open(sidecar_path) as fh:
-        sidecar = json.load(fh)
+        sidecar = loads(fh.read())
     if not isinstance(sidecar, dict) or sidecar.get("kind") != "amalgam-approx":
         raise ValueError("sidecar is not an amalgam-approx bundle")
     try:

@@ -235,6 +235,10 @@ def random_order_normalize(e: BoundaryExpr, rng) -> BoundaryExpr:
 
 _RESERVED = {"Empty", "Cantor", "PointPair", "Amalgam"}
 
+# normalize, format_expr and the parser recurse once per level of Amalgam
+# nesting; deeper text is refused before any of them could overflow
+MAX_NESTING = 200
+
 
 class ExprSyntaxError(ValueError):
     def __init__(self, message, position):
@@ -246,6 +250,7 @@ class _Parser:
     def __init__(self, text):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -285,6 +290,9 @@ class _Parser:
             if self.pos >= len(self.text) or self.text[self.pos] != "(":
                 self.error("expected '(' after Amalgam")
             self.pos += 1
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                self.error(f"Amalgam nested deeper than {MAX_NESTING} levels")
             args = [self.parse_expr()]
             while True:
                 self.skip_ws()
@@ -296,6 +304,7 @@ class _Parser:
                     args.append(self.parse_expr())
                 elif ch == ")":
                     self.pos += 1
+                    self.depth -= 1
                     return Amalgam(tuple(args))
                 else:
                     self.error("expected ',' or ')' in Amalgam argument list")

@@ -19,6 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._json import loads
 from ._kernels import floyd_warshall
 from .approx import (
     AmalgamApprox,
@@ -170,7 +171,7 @@ def save_structure(s: RegularStructure, matrix_path, sidecar_path):
 def _read_sidecar(sidecar_path):
     """The sidecar's subsets, classes and approximation recipe (or None)."""
     with open(sidecar_path) as fh:
-        data = json.load(fh)
+        data = loads(fh.read())
     if not isinstance(data, dict) or data.get("kind") != "regular-structure":
         raise ValueError("sidecar is not a regular-structure bundle")
     subsets = data.get("subsets")
@@ -554,7 +555,7 @@ def labelling_to_json(l: TLabelling) -> str:
 
 
 def labelling_from_json(text: str) -> TLabelling:
-    data = json.loads(text)
+    data = loads(text)
     if not isinstance(data, dict) or data.get("kind") != "t-labelling":
         raise ValueError("document is not a t-labelling")
     for key in ("parent", "assignment", "partitions", "radii"):

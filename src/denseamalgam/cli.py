@@ -106,20 +106,22 @@ def _summary_lines(data: dict) -> list:
     return lines
 
 
-def render_report(report) -> tuple:
+def render_report(report, json_text=True) -> tuple:
     """Return (json_text, summary_text) for a report.
 
     Accepts a plain dict or anything with a to_dict method.  The JSON text
-    has sorted keys and a trailing newline; the summary has one line per
-    condition with its achieved gaps, or "no checks requested" when the
-    report carries no conditions.
+    has sorted keys and a trailing newline, and is None unless json_text
+    is true; the summary has one line per condition with its achieved
+    gaps, or "no checks requested" when the report carries no conditions.
+    It reads only the conditions and the overall verdict.
     """
     if hasattr(report, "to_dict"):
         report = report.to_dict()
-    data = _jsonable(report)
-    json_text = json.dumps(data, indent=2, sort_keys=True) + "\n"
-    summary = "\n".join(_summary_lines(data)) + "\n"
-    return json_text, summary
+    text = (json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n"
+            if json_text else None)
+    data = _jsonable({key: report[key] for key in ("conditions", "all_pass")
+                      if key in report})
+    return text, "\n".join(_summary_lines(data)) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +180,8 @@ def _write_text(path, text):
 
 def _condition_result(rep, config, **extra):
     report = {"config": config, **rep.to_dict(), **extra}
-    return (0 if rep.all_pass() else 1), report, render_report(report)[1]
+    return ((0 if rep.all_pass() else 1), report,
+            render_report(report, json_text=False)[1])
 
 
 # ---------------------------------------------------------------------------

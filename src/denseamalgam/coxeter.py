@@ -10,9 +10,9 @@ The nerve has a vertex per generator and a simplex per subset generating a
 finite special subgroup.  It is built factor by factor: over a direct
 product (a disconnected diagram) it is the join of the factors' nerves, over
 a free product (infinite orders between the parts) their disjoint union.
-An indecomposable set of generators is searched by growing finite-type
-generator bitmasks one generator at a time and keeping those that cannot
-grow; only finite-type subsets are ever visited.  Endedness of the group and
+An indecomposable set of generators is searched over finite-type generator
+bitmasks, branching on the generators of an infinite-type subset that a
+face must miss, within a budget of search work.  Endedness of the group and
 its boundary expression are read off the matrix and the nerve's splitting
 structure, building the nerve at most once.
 """
@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import json
 import math
 
+from ._json import loads
 from .boundary import (
     Amalgam,
     Atom,
@@ -32,11 +33,11 @@ from .boundary import (
     POINT_PAIR,
     normalize,
 )
-from .simplicial import SimplicialComplex, component, components
+from .simplicial import SimplicialComplex, components
 
 INF = math.inf
 
-_NERVE_GENERATOR_CAP = 16
+_NERVE_BUDGET = 200_000
 
 
 class CoxeterParseError(ValueError):
@@ -73,23 +74,24 @@ class CoxeterSystem:
             raise CoxeterParseError("duplicate generator names")
         self.generators = generators
         self._index = {s: i for i, s in enumerate(generators)}
-        n = len(generators)
-        m = {}
+        rows = []
         for i, s in enumerate(generators):
+            row = []
             for j, t in enumerate(generators):
                 try:
-                    value = matrix[(s, t)] if isinstance(matrix, dict) else matrix[i][j]
+                    row.append(matrix[(s, t)] if isinstance(matrix, dict)
+                               else matrix[i][j])
                 except (KeyError, IndexError):
                     raise CoxeterParseError("missing matrix entry",
                                             location=f"m[{s},{t}]") from None
-                m[(s, t)] = value
-        for s in generators:
-            if m[(s, s)] != 1:
+            rows.append(row)
+        for i, s in enumerate(generators):
+            if rows[i][i] != 1:
                 raise CoxeterParseError("diagonal entries must be 1",
                                         location=f"m[{s},{s}]")
         for i, s in enumerate(generators):
-            for t in generators[i + 1:]:
-                a, b = m[(s, t)], m[(t, s)]
+            for j, t in enumerate(generators[i + 1:], i + 1):
+                a, b = rows[i][j], rows[j][i]
                 if a != b:
                     raise CoxeterParseError("matrix must be symmetric",
                                             location=f"m[{s},{t}]")
@@ -97,18 +99,17 @@ class CoxeterSystem:
                     raise CoxeterParseError(
                         "off-diagonal entries must be integers >= 2 or infinity",
                         location=f"m[{s},{t}]")
-        self._m = m
-        # per generator, the bitmask of its diagram neighbours (m >= 3,
-        # infinity included) and of the generators it has a finite order with
+        # the orders by generator index; per generator, the bitmask of its
+        # diagram neighbours (m >= 3, infinity included) and of the
+        # generators it has a finite order with
+        self._orders = tuple(map(tuple, rows))
         self._diagram = tuple(
-            sum(1 << j for j, t in enumerate(generators) if m[(s, t)] >= 3)
-            for s in generators)
+            sum(1 << j for j, m in enumerate(row) if m >= 3) for row in rows)
         self._finite_orders = tuple(
-            sum(1 << j for j, t in enumerate(generators) if m[(s, t)] != INF)
-            for s in generators)
+            sum(1 << j for j, m in enumerate(row) if m != INF) for row in rows)
 
     def order(self, s, t):
-        return self._m[(s, t)]
+        return self._orders[self._index[s]][self._index[t]]
 
     def subset_tuple(self, subset):
         subset = frozenset(subset)
@@ -124,7 +125,7 @@ class CoxeterSystem:
 def parse_coxeter(text: str) -> CoxeterSystem:
     """Parse {"generators": [...], "m": [[...]]} with "inf" for infinite orders."""
     try:
-        doc = json.loads(text)
+        doc = loads(text)
     except json.JSONDecodeError as exc:
         raise CoxeterParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -164,68 +165,71 @@ def parse_coxeter(text: str) -> CoxeterSystem:
 
 def _component_is_finite(c: CoxeterSystem, comp: int) -> bool:
     """Does this connected diagram component (a bitmask) define a finite
-    group?"""
-    members = [s for i, s in enumerate(c.generators) if comp >> i & 1]
-    n = len(members)
-    if n == 1:
-        return True
-    edges = []
-    for i, s in enumerate(members):
-        for t in members[i + 1:]:
-            m = c.order(s, t)
-            if m >= 3:
-                if m == INF:
+    group?  Degrees and edges come from the diagram rows, orders from the
+    index table."""
+    diagram = c._diagram
+    n = comp.bit_count()
+    room = 2 * n - 2  # twice the edges of a tree on the n generators
+    branch = None
+    high = None
+    rest = comp
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        i = low.bit_length() - 1
+        row = diagram[i] & comp
+        d = row.bit_count()
+        room -= d
+        if d > 3 or room < 0:
+            return False  # finite diagrams are trees of degree at most 3
+        if d == 3:
+            if branch is not None:
+                return False
+            branch = i
+        row &= -2 << i  # each edge once, from its lower end
+        while row:
+            j = (row & -row).bit_length() - 1
+            row &= row - 1
+            m = c._orders[i][j]
+            if m >= 4:
+                if m == INF or n > 2 and (m >= 6 or high is not None):
                     return False
-                edges.append((s, t, m))
-    if n == 2:
-        return True  # dihedral with finite m
-    if len(edges) != n - 1:
+                high = (i, j, m)
+    if room:
         return False  # a connected non-tree diagram is never finite type
-    degree = {s: 0 for s in members}
-    for s, t, _ in edges:
-        degree[s] += 1
-        degree[t] += 1
-    labels = sorted(m for _, _, m in edges)
-    high = [m for m in labels if m >= 4]
-    if any(m >= 6 for m in high) or len(high) >= 2:
-        return False
-    is_path = max(degree.values()) <= 2
-    if not high:
-        if is_path:
+    if n <= 2:
+        return True  # a single generator, or dihedral with finite m
+    if high is None:
+        if branch is None:
             return True  # type A
-        branch = [s for s in members if degree[s] >= 3]
-        if len(branch) != 1 or degree[branch[0]] != 3:
-            return False
-        legs = _leg_lengths(branch[0], edges)
+        legs = _leg_lengths(c, comp, branch)
         if legs[:2] == [1, 1]:
             return True  # type D
         return legs in ([1, 2, 2], [1, 2, 3], [1, 2, 4])  # E6, E7, E8
-    if not is_path:
+    if branch is not None:
         return False
-    (s, t, m) = next((e for e in edges if e[2] >= 4))
-    terminal = degree[s] == 1 or degree[t] == 1
+    i, j, m = high
+    terminal = (diagram[i] & comp).bit_count() == 1 \
+        or (diagram[j] & comp).bit_count() == 1
     if m == 4:
-        if terminal:
-            return True  # type B
-        return n == 4  # type F4 is the only interior-4 path
+        return terminal or n == 4  # type B; F4 is the only interior-4 path
     # m == 5: H3 and H4 only
     return terminal and n in (3, 4)
 
 
-def _leg_lengths(branch, edges):
-    adj = {}
-    for s, t, _ in edges:
-        adj.setdefault(s, []).append(t)
-        adj.setdefault(t, []).append(s)
+def _leg_lengths(c, comp, branch):
+    """The sorted lengths of the paths leaving the branch generator."""
     legs = []
-    for first in adj[branch]:
-        length = 1
-        prev, cur = branch, first
+    rest = c._diagram[branch] & comp
+    while rest:
+        cur = rest & -rest
+        rest ^= cur
+        prev, length = 1 << branch, 1
         while True:
-            nxt = [u for u in adj[cur] if u != prev]
+            nxt = c._diagram[cur.bit_length() - 1] & comp & ~prev
             if not nxt:
                 break
-            prev, cur = cur, nxt[0]
+            prev, cur = cur, nxt
             length += 1
         legs.append(length)
     return sorted(legs)
@@ -272,101 +276,189 @@ def nerve(c: CoxeterSystem) -> SimplicialComplex:
        infinite dihedral group, so no finite-type set meets two parts.  A
        maximal face of M_i is nonempty (a single generator is finite type),
        so it lies below no face of another part.
-    3. Otherwise M is searched Bron–Kerbosch style over generator bitmasks:
-       a finite-type set r grows by the candidates p that keep it finite,
-       the excluded generators x having been tried on an earlier branch.  A
-       generator v joins r exactly when its diagram component in r + v is
-       finite (an infinite order is a diagram edge, so this also asks for
-       finite orders with r); the other components are untouched.  When
-       r + p is itself finite it is the one maximal face below the node,
-       kept unless some excluded generator still joins it.
+    3. Otherwise M is searched over generator bitmasks.  A search node
+       holds a finite-type set r, the candidates p that each keep r finite,
+       and the excluded generators x; it collects the maximal faces F with
+       r <= F <= r + p that miss x.  A generator v joins r exactly when its
+       diagram component in r + v is finite (an infinite order is a
+       diagram edge, so this also asks for finite orders with r).  The
+       diagram components of r with two or more generators are carried
+       down the search, so that component is v, the generators of r its
+       diagram row meets, and the carried components those lie in: no
+       search per candidate.  At a node:
+       - a finite diagram component of r + p lies in every maximal face
+         below, so it joins r;
+       - if r + p is then finite, it is the one face below, kept unless an
+         excluded generator joins it;
+       - an excluded u whose component in r + p + u is finite joins every
+         face below, so none of them is maximal;
+       - otherwise the smallest infinite component of r + p is thinned to
+         an infinite m.  Finite type is hereditary, so every face below
+         misses some candidate of m.  The node branches on the first
+         candidate v_i of m that a face misses: that branch has v_1, ...,
+         v_(i-1) joined to r and v_i excluded.  The branches are disjoint,
+         so no face is found twice, and once a prefix is infinite no later
+         branch holds a face.
 
     All searches share one memo of component verdicts, keyed by bitmask.
-    Only finite-type subsets are visited, never all 2^n.
+    Only finite-type subsets are visited, never all 2^n.  The work is
+    bounded by `_NERVE_BUDGET`, shared by all parts: one unit per search
+    node and per face a join forms.  A system that needs more is refused
+    with ValueError, never answered with part of its nerve.
     """
     n = len(c.generators)
-    if n > _NERVE_GENERATOR_CAP:
-        raise ValueError(
-            f"nerve computation capped at {_NERVE_GENERATOR_CAP} generators, got {n}")
+    diagram = c._diagram
     memo = {}
+    budget = _NERVE_BUDGET
+
+    def spend(units):
+        nonlocal budget
+        budget -= units
+        if budget < 0:
+            raise ValueError(
+                f"nerve search budget of {_NERVE_BUDGET} nodes and faces "
+                f"exhausted on {n} generators")
 
     def finite(comp):
-        if comp not in memo:
-            memo[comp] = _component_is_finite(c, comp)
-        return memo[comp]
+        verdict = memo.get(comp)
+        if verdict is None:
+            verdict = memo[comp] = _component_is_finite(c, comp)
+        return verdict
 
-    def joiners(r, candidates):
-        """The candidates v for which finite-type r + v is finite type."""
+    def joiners(r, carried, candidates):
+        """The candidates v for which finite-type r + v is finite type.
+        `carried` lists the diagram components of r with two or more
+        generators: the component of v in r + v is v, the generators of r
+        its diagram row meets, and the carried components those lie in."""
         out = 0
-        rest = candidates
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if finite(component(c._diagram, r | low, low)):
-                out |= low
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            row = diagram[low.bit_length() - 1]
+            if row & r:
+                comp = low | row & r
+                for part in carried:
+                    if part & row:
+                        comp |= part
+                if not finite(comp):
+                    continue
+            out |= low
         return out
 
-    def grow(r, p, x, maximal):
-        top = r | p
-        # a generator commuting with all of top joins every finite subset
-        # of it: if excluded, nothing below is maximal; if a candidate,
-        # every maximal face below contains it
-        alone = 0
-        rest = p | x
+    def grow(r, carried, p, x, maximal):
+        """Collect the maximal faces F with r <= F <= r + p that miss x."""
+        spend(1)
+        # a finite diagram component of r + p lies in every maximal face
+        # below: adding it to such a face F leaves the other components of
+        # F as they are and makes it one component of F
+        infinite, given = [], r
+        parts = components(diagram, r | p)
+        for part in parts:
+            if not finite(part):
+                infinite.append(part)
+            elif part & p:
+                r |= part
+                p &= ~part
+                carried = [q for q in carried if not q & part]
+                if part & part - 1:
+                    carried.append(part)
+        if not infinite:
+            if not joiners(r, carried, x):
+                maximal.append(r)
+            return
+        if r != given:
+            x = joiners(r, carried, x)
+        # an excluded generator whose component in r + p + u is finite
+        # joins every face below: none of them is maximal
+        rest = x
         while rest:
             low = rest & -rest
             rest ^= low
-            if not c._diagram[low.bit_length() - 1] & top:
-                alone |= low
-        if alone & x:
-            return
-        r |= alone
-        p &= ~alone
-        if all(finite(comp) for comp in components(c._diagram, top)):
-            if not joiners(top, x):
-                maximal.append(top)
-            return
-        while p:
-            low = p & -p
-            p ^= low
-            grown = r | low
-            grow(grown, joiners(grown, p), joiners(grown, x), maximal)
-            x |= low
+            row = diagram[low.bit_length() - 1]
+            comp = low
+            for part in parts:
+                if part & row:
+                    comp |= part
+            if finite(comp):
+                return
+        # thin the smallest infinite part to an infinite m, dropping
+        # candidates while some diagram component of the rest stays infinite
+        m = min(infinite, key=int.bit_count)
+        rest = m & p
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            for part in components(diagram, m & ~low):
+                if not finite(part):
+                    m = part
+                    rest &= part
+                    break
+        # each face below misses a first candidate v of m: branch on it,
+        # with the candidates before v joined to r and v excluded
+        branch = m & p
+        while branch:
+            low = branch & -branch
+            branch ^= low
+            p &= ~low
+            grow(r, carried, p, x | low, maximal)
+            row = diagram[low.bit_length() - 1]
+            comp = low | row & r
+            kept = []
+            for part in carried:
+                if part & row:
+                    comp |= part
+                else:
+                    kept.append(part)
+            if not finite(comp):
+                return
+            if comp != low:
+                kept.append(comp)
+            r |= low
+            carried = kept
+            p = joiners(r, carried, p)
+            x = joiners(r, carried, x)
 
     def faces(mask):
         """The maximal finite-type subsets of `mask`, as bitmasks."""
-        parts = components(c._diagram, mask)
+        parts = components(diagram, mask)
         if len(parts) > 1:
             out = [0]
             for part in parts:
                 below = faces(part)
+                spend(len(out) * len(below))
                 out = [f | g for f in out for g in below]
             return out
         parts = components(c._finite_orders, mask)
         if len(parts) > 1:
             return [f for part in parts for f in faces(part)]
         maximal = []
-        grow(0, mask, 0, maximal)
+        grow(0, [], mask, 0, maximal)
         return maximal
 
-    return SimplicialComplex(c.generators, [
-        [s for i, s in enumerate(c.generators) if m >> i & 1]
-        for m in faces((1 << n) - 1)])
+    return SimplicialComplex._from_masks(c.generators, faces((1 << n) - 1))
 
 
 def _endedness(c: CoxeterSystem):
     """The endedness class, with the nerve when deciding it needed one
-    (None otherwise)."""
-    gens = c.generators
+    (None otherwise).
+
+    The group is two-ended exactly when some pair i, j with m = infinity
+    commutes with every other generator and the rest is finite type.  On
+    the masks: the diagram rows of i and j meet none of the rest, and
+    every diagram component of the rest is finite.
+    """
     if is_finite_type(c):
         return EndednessClass("finite"), None
-    for i, s in enumerate(gens):
-        for t in gens[i + 1:]:
-            if c.order(s, t) != INF:
-                continue
-            rest = [u for u in gens if u not in (s, t)]
-            if all(c.order(u, v) == 2 for u in (s, t) for v in rest) \
-                    and is_finite_type(c, rest):
+    full = (1 << len(c.generators)) - 1
+    for i, row in enumerate(c._diagram):
+        infinite = full & ~c._finite_orders[i] & -2 << i
+        while infinite:
+            low = infinite & -infinite
+            infinite ^= low
+            rest = full & ~(1 << i | low)
+            if not (row | c._diagram[low.bit_length() - 1]) & rest and all(
+                    _component_is_finite(c, part)
+                    for part in components(c._diagram, rest)):
                 return EndednessClass("two_ended"), None
     # not finite type, so the nerve is not one simplex on every generator
     l = nerve(c)

@@ -22,6 +22,7 @@ import json
 import math
 from dataclasses import dataclass
 
+from ._json import loads
 from .boundary import (
     Amalgam,
     BoundaryExpr,
@@ -476,7 +477,7 @@ def from_json(text: str) -> GraphOfGroups:
     """Parse {"vertices": {name: {"order": n|"inf", "boundary": expr}},
     "edges": [{"ends": [v, w], "edge_order": n}]}."""
     try:
-        doc = json.loads(text)
+        doc = loads(text)
     except json.JSONDecodeError as exc:
         raise GogParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):

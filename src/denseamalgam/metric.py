@@ -9,6 +9,7 @@ import os
 
 import numpy as np
 
+from ._json import loads
 from ._kernels import max_triangle_violation
 
 TRIANGLE_SLACK = 1e-12
@@ -39,7 +40,11 @@ class FiniteMetricSpace:
         if len(set(self.points)) != len(self.points):
             raise ValueError("duplicate point names")
         self.index = {p: i for i, p in enumerate(self.points)}
-        mat = np.array(dist, dtype=np.float64)
+        try:
+            mat = np.array(dist, dtype=np.float64)
+        except TypeError:
+            raise ValueError(f"distance {_non_number(dist)} is not a "
+                             "number") from None
         n = len(self.points)
         if mat.shape != (n, n):
             raise ValueError(f"distance matrix must be {n}x{n}")
@@ -86,6 +91,21 @@ class FiniteMetricSpace:
         return f"FiniteMetricSpace({len(self.points)} points, diam={self.diam():g})"
 
 
+def _non_number(dist) -> str:
+    """Where the nested lists `dist` first hold something not a number."""
+    if not isinstance(dist, list):
+        return f"matrix {dist!r}"
+    for i, row in enumerate(dist):
+        if not isinstance(row, list):
+            return f"row [{i}] {row!r}"
+        for j, value in enumerate(row):
+            try:
+                float(value)
+            except (TypeError, ValueError):
+                return f"entry [{i}][{j}] {value!r}"
+    return "matrix"
+
+
 def disjoint_union(spaces) -> FiniteMetricSpace:
     """Disjoint union; points become (part index, original point) pairs.
 
@@ -125,7 +145,7 @@ def space_to_json(x: FiniteMetricSpace) -> str:
 
 def space_from_json(text: str) -> FiniteMetricSpace:
     try:
-        doc = json.loads(text)
+        doc = loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):

@@ -29,7 +29,10 @@ Coxeter diagrams of `coxeter`.
 
 from __future__ import annotations
 
+import functools
 import json
+
+from ._json import loads
 
 
 def component(rows, mask: int, seed: int) -> int:
@@ -107,14 +110,27 @@ class SimplicialComplex:
         if covered != (1 << len(vertices)) - 1:
             missing = [v for i, v in enumerate(vertices) if not covered >> i & 1]
             raise ValueError(f"vertices not covered by any maximal face: {missing}")
+        self._adopt(vertices, masks)
+
+    @classmethod
+    def _from_masks(cls, vertices, masks):
+        """The complex whose maximal faces are `masks`, bitmasks over
+        `vertices`.  Nothing is checked: the caller guarantees a nonempty
+        antichain of nonempty masks covering every vertex."""
+        self = cls.__new__(cls)
+        self._adopt(tuple(vertices), masks)
+        return self
+
+    def _adopt(self, vertices, masks):
         self.vertices = vertices
-        self._index = index
+        self._index = {v: i for i, v in enumerate(vertices)}
         self._masks = tuple(sorted(masks))
-        self.maximal_faces = tuple(
-            frozenset(vertices[i] for i in range(len(vertices)) if m >> i & 1)
-            for m in self._masks
-        )
         self._adjacency = self._build_adjacency()
+
+    @functools.cached_property
+    def maximal_faces(self):
+        """The maximal faces as vertex sets, in the order of their masks."""
+        return tuple(map(self.vertex_set, self._masks))
 
     # -- mask helpers ------------------------------------------------------
 
@@ -136,7 +152,13 @@ class SimplicialComplex:
         return mask
 
     def vertex_set(self, mask: int) -> frozenset:
-        return frozenset(v for i, v in enumerate(self.vertices) if mask >> i & 1)
+        vs = self.vertices
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(vs[low.bit_length() - 1])
+            mask ^= low
+        return frozenset(out)
 
     def _full_mask(self):
         return (1 << len(self.vertices)) - 1
@@ -347,7 +369,7 @@ class SimplicialComplex:
     @classmethod
     def from_json(cls, text: str) -> "SimplicialComplex":
         try:
-            doc = json.loads(text)
+            doc = loads(text)
         except json.JSONDecodeError as exc:
             raise ValueError(f"invalid JSON: {exc}") from exc
         if not isinstance(doc, dict):

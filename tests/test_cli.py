@@ -176,6 +176,41 @@ class TestInputErrors:
         assert code == 2
         assert json.loads(out)["error"]["type"] == error
 
+    def test_space_with_an_object_distance_exits_2(self, tmp_path, capsys):
+        src = write(tmp_path, "bad.json", '{"points": ["a", "b"], '
+                    '"dist": [[0, {"d": 1}], [1, 0]]}')
+        code, out = run(capsys, "approx", "build", "--spaces", src,
+                        "--depth", "1", "--branching", "2", "--scale", "0.3")
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["type"] == "ValueError"
+        assert "entry [0][1] {'d': 1} is not a number" in error["message"]
+
+    def test_expression_nesting_is_capped(self, capsys):
+        limit = denseamalgam.boundary.MAX_NESTING
+        deep = "Amalgam(" * limit + "Empty" + ")" * limit
+        assert run(capsys, "amalgam", "normalize", deep) == (0, "Cantor\n")
+        code, out = run(capsys, "amalgam", "normalize",
+                        "Amalgam(" + deep + ")")
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["type"] == "ExprSyntaxError"
+        assert f"nested deeper than {limit} levels" in error["message"]
+
+    @pytest.mark.parametrize("argv", [["coxeter", "classify"],
+                                      ["gog", "boundary"]])
+    def test_json_nesting_is_capped(self, tmp_path, capsys, argv):
+        depth = 100_000
+        path = write(tmp_path, "deep.json", '{"generators": ' + "[" * depth
+                     + "]" * depth + "}")
+        code, out = run(capsys, *argv, path)
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["type"] == "ValueError"
+        assert "JSON nested too deeply" in error["message"]
+        assert f"recursion limit of {sys.getrecursionlimit()}" in \
+            error["message"]
+
     def test_bad_scale_is_input_error(self, tmp_path, capsys):
         src = write(tmp_path, "two.json", TWO_SPACE)
         code, out = run(capsys, "approx", "build", "--spaces", src,
@@ -243,9 +278,14 @@ class TestMalformedTrees:
          "ends entry 't.1': 'nope' is no point labelled as an end"),
         (lambda doc: doc["ends"].update({"t.1": "t|0|a"}),
          "ends entry 't.1': 't|0|a' is no point labelled as an end"),
+        (lambda doc: doc["labels"]["t|0|a"].update({"kind": ["copy"]}),
+         "has no kind 'copy' or 'end'"),
+        (lambda doc: doc["labels"]["end|t.0"].update({"leaf": ["t.0"]}),
+         "field 'leaf' must be a name or number"),
     ], ids=["list", "no-kind", "no-source-point", "no-sources", "bad-class",
             "tree-number", "ends-list", "sources-number", "r0-text",
-            "end-number", "end-unknown", "end-copy-point"])
+            "end-number", "end-unknown", "end-copy-point", "kind-list",
+            "leaf-list"])
     def test_approx_check_refuses_malformed_sidecar(self, tmp_path, capsys,
                                                     tamper, message):
         matrix, meta = build_bundle(tmp_path, [TWO_SPACE], 1, 2, 1 / 3)

@@ -9,17 +9,20 @@ exhaustive small systems is strong evidence for both.
 import itertools
 import json
 import math
+import random
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from denseamalgam.boundary import Amalgam, Atom, CANTOR, EMPTY, POINT_PAIR, normalize
+from denseamalgam import coxeter
 from denseamalgam.cli import main
 from denseamalgam.coxeter import (
     INF,
     CoxeterParseError,
     CoxeterSystem,
+    _component_is_finite,
     boundary_expression,
     classify_endedness,
     is_finite_type,
@@ -27,7 +30,7 @@ from denseamalgam.coxeter import (
     parse_coxeter,
     subsystem_boundary_atom,
 )
-from denseamalgam.simplicial import SimplicialComplex
+from denseamalgam.simplicial import SimplicialComplex, component, components
 from conftest import (
     block_product,
     cosine_matrix,
@@ -83,6 +86,85 @@ def nerve_oracle(c):
             maximal.append(mask)
     return SimplicialComplex(gens, [
         [s for i, s in enumerate(gens) if m >> i & 1] for m in maximal])
+
+
+def nerve_by_search(c):
+    """The search `nerve` ran before it carried components and branched on
+    infinite subsets, as an oracle for sizes the 2^n scan cannot reach:
+    Bron–Kerbosch over generator bitmasks on all generators at once (no
+    split by factors), with a diagram component search per candidate."""
+    diagram = c._diagram
+    memo = {}
+
+    def finite(comp):
+        if comp not in memo:
+            memo[comp] = _component_is_finite(c, comp)
+        return memo[comp]
+
+    def joiners(r, candidates):
+        out = 0
+        rest = candidates
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if finite(component(diagram, r | low, low)):
+                out |= low
+        return out
+
+    def grow(r, p, x, maximal):
+        top = r | p
+        alone = 0
+        rest = p | x
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if not diagram[low.bit_length() - 1] & top:
+                alone |= low
+        if alone & x:
+            return
+        r |= alone
+        p &= ~alone
+        if all(finite(comp) for comp in components(diagram, top)):
+            if not joiners(top, x):
+                maximal.append(top)
+            return
+        while p:
+            low = p & -p
+            p ^= low
+            grown = r | low
+            grow(grown, joiners(grown, p), joiners(grown, x), maximal)
+            x |= low
+
+    gens = c.generators
+    maximal = []
+    grow(0, (1 << len(gens)) - 1, 0, maximal)
+    return SimplicialComplex(gens, [
+        [s for i, s in enumerate(gens) if m >> i & 1] for m in maximal])
+
+
+def sparse_threes(n, seed):
+    """Order 3 between each pair of generators at rate 1/8, 2 otherwise:
+    one large diagram component, no split by factors."""
+    draw = random.Random(seed)
+    labels = {(i, j): 3 if draw.random() < 1 / 8 else 2
+              for i in range(n) for j in range(i + 1, n)}
+    return from_pairs(n, lambda i, j: labels[i, j])
+
+
+def two_ended_by_names(c):
+    """The name-based test `_endedness` ran before the masks: some pair
+    with an infinite order commutes with every other generator, and the
+    other generators span a finite-type subset."""
+    gens = c.generators
+    for i, s in enumerate(gens):
+        for t in gens[i + 1:]:
+            if c.order(s, t) != INF:
+                continue
+            rest = [u for u in gens if u not in (s, t)]
+            if all(c.order(u, v) == 2 for u in (s, t) for v in rest) \
+                    and is_finite_type(c, rest):
+                return True
+    return False
 
 
 def random_blocks(rng, cap=12):
@@ -368,12 +450,58 @@ class TestNerve:
             assert main(["coxeter", command, str(path)]) == 0
             assert capsys.readouterr().out == golden[command]
 
-    def test_generator_cap(self):
-        names = [f"g{i}" for i in range(17)]
-        c = CoxeterSystem(names, {(s, t): 1 if s == t else 2
-                                  for s in names for t in names})
-        with pytest.raises(ValueError, match="capped at 16"):
+    @pytest.mark.parametrize("n, seed", [(16, 1), (16, 2), (18, 1),
+                                         (18, 2), (20, 3), (20, 5)])
+    def test_matches_the_retired_search_at_scale(self, n, seed):
+        c = sparse_threes(n, seed)
+        assert nerve(c) == nerve_by_search(c)
+
+    def test_face_masks_build_the_checked_complex(self, rng):
+        for _ in range(40):
+            c = combined(rng, random_blocks(rng), rng.choice((2, INF)))
+            l = nerve(c)
+            checked = SimplicialComplex(l.vertices, l.maximal_faces)
+            assert (l._masks, l._adjacency) == \
+                (checked._masks, checked._adjacency)
+
+    def test_budget_refusal(self):
+        # eighteen commuting infinite dihedral pairs: a join of 2^18 faces
+        c = from_pairs(36, lambda i, j: INF if i % 2 == 0 and j == i + 1
+                       else 2)
+        with pytest.raises(ValueError, match=(
+                f"budget of {coxeter._NERVE_BUDGET} nodes and faces "
+                "exhausted on 36 generators")):
             nerve(c)
+
+    def test_budget_is_spent_by_the_search(self, monkeypatch):
+        c = sparse_threes(20, 5)
+        monkeypatch.setattr(coxeter, "_NERVE_BUDGET", 50)
+        with pytest.raises(ValueError, match="budget of 50 nodes and faces "
+                           "exhausted on 20 generators"):
+            nerve(c)
+
+    def test_benchmark_shapes_stay_far_below_the_budget(self, rng,
+                                                        monkeypatch):
+        monkeypatch.setattr(coxeter, "_NERVE_BUDGET",
+                            coxeter._NERVE_BUDGET // 100)
+        for golden in GOLDENS:
+            nerve(CoxeterSystem(golden["generators"], [
+                [INF if v == "inf" else v for v in row]
+                for row in golden["m"]]))
+        nerve(sparse_threes(16, 1))
+
+    def test_budget_refusal_exits_1_with_the_error_object(self, tmp_path,
+                                                          capsys):
+        n = 36
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps({
+            "generators": [f"s{i}" for i in range(n)],
+            "m": [[1 if i == j else "inf" if i // 2 == j // 2 else 2
+                   for j in range(n)] for i in range(n)]}))
+        assert main(["coxeter", "boundary", str(path)]) == 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "ValueError"
+        assert "exhausted on 36 generators" in error["message"]
 
 
 class TestEndedness:
@@ -412,6 +540,24 @@ class TestEndedness:
         cls = classify_endedness(two_disjoint_cycles())
         assert cls.tag == "infinitely_many_ends"
         assert not cls.virtually_free
+
+    def test_two_ended_verdict_matches_the_name_based_test(self, rng):
+        found = 0
+        for _ in range(2000):
+            n = rng.randint(2, 8)
+            rows = random_coxeter_matrix(rng, n, entries=(2, 2, 2, 3, 4, INF))
+            if rng.random() < 0.5:  # a pair commuting with all the others
+                i, j = rng.sample(range(n), 2)
+                for k in range(n):
+                    for a in (i, j):
+                        if k != a:
+                            rows[a][k] = rows[k][a] = 2
+                rows[i][j] = rows[j][i] = INF
+            c = CoxeterSystem([f"g{k}" for k in range(n)], rows)
+            expected = not is_finite_type(c) and two_ended_by_names(c)
+            assert (classify_endedness(c).tag == "two_ended") == expected
+            found += expected
+        assert found >= 200
 
     def test_virtually_free_flag_matches_class_shape(self, rng):
         for _ in range(60):
