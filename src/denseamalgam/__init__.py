@@ -41,12 +41,11 @@ from .graphs_of_groups import (
     GraphOfGroups,
     GroupDescriptor,
     OrientedEdge,
+    ball_counts,
     bass_serre_ball,
     check_separation,
-    elementary_collapse,
     is_non_elementary,
     reduce,
-    trivial_edges,
 )
 from .graphs_of_groups import boundary_expression as gog_boundary_expression
 
@@ -111,6 +110,7 @@ __all__ = [
     "TLabelling",
     "amalgam_of",
     "as_regular_structure",
+    "ball_counts",
     "basic_open_set",
     "bass_serre_ball",
     "build_approx",
@@ -121,7 +121,6 @@ __all__ = [
     "classify_endedness",
     "coxeter_boundary_expression",
     "disjoint_union",
-    "elementary_collapse",
     "equal_normal",
     "format_expr",
     "gog_boundary_expression",

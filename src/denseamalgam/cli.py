@@ -248,25 +248,28 @@ def _cmd_gog_reduce(args, config):
 
 
 def _ball_for(args):
+    """The graph, the base vertex and the ball's size, after the ball's
+    refusals; the size comes from level counts, so the cap is checked
+    before any ball is built."""
     g = _load(_gog.from_json, args.input)
     if args.base is not None and args.base not in g.vertex_groups:
         raise _InputError(f"base vertex {args.base!r} is not in the graph")
     base = args.base if args.base is not None else sorted(g.vertex_groups)[0]
-    ball = _gog.bass_serre_ball(g, base, args.radius)
+    size = sum(_gog.ball_counts(g, base, args.radius))
     cap = args.cap_vertices
-    if cap is not None and ball.size() > cap:
+    if cap is not None and size > cap:
         raise _InputError(
-            f"ball has {ball.size()} vertices, exceeding --cap-vertices {cap}")
-    return g, base, ball
+            f"ball has {size} vertices, exceeding --cap-vertices {cap}")
+    return g, base, size
 
 
 def _cmd_gog_check(args, config):
-    g, base, ball = _ball_for(args)
-    sep = _gog.check_separation(ball, g)
+    g, base, size = _ball_for(args)
+    sep = _gog.check_separation(g)
     non_elementary = _gog.is_non_elementary(g)
     report = {"config": config, "base": base, "radius": args.radius,
               "separation": sep, "non_elementary": non_elementary}
-    lines = [f"base: {base}", f"ball size: {ball.size()}",
+    lines = [f"base: {base}", f"ball size: {size}",
              f"edge separation: {sep['edge_overall']}",
              f"three-way split: {sep['three_way']}",
              f"non-elementary: {'true' if non_elementary else 'false'}"]
@@ -275,7 +278,8 @@ def _cmd_gog_check(args, config):
 
 
 def _cmd_gog_ball(args, config):
-    _, base, ball = _ball_for(args)
+    g, base, _ = _ball_for(args)
+    ball = _gog.bass_serre_ball(g, base, args.radius)
     counts = ball.counts_by_depth()
     sizes = list(itertools.accumulate(counts))
     report = {"config": config, "base": base, "radius": args.radius,
@@ -447,7 +451,7 @@ _COMMANDS = (
              _arg("inputs", "input", help="simplicial complex JSON file")),
     _command("gog", "reduce", "collapse trivial edges",
              _cmd_gog_reduce, _GOG_INPUT),
-    _command("gog", "check", "separation checks on a Bass-Serre ball",
+    _command("gog", "check", "separation properties of the Bass-Serre tree",
              _cmd_gog_check, _GOG_INPUT, *_BALL),
     _command("gog", "ball", "Bass-Serre tree ball sizes",
              _cmd_gog_ball, _GOG_INPUT, *_BALL,

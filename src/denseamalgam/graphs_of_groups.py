@@ -10,11 +10,14 @@ An oriented edge is a pair (edge slot, head end); `bar` flips the head.  The
 index of an oriented edge a is order(head(a)) / edge_order, infinite exactly
 when the head vertex group is infinite.
 
-A Bass-Serre ball is built one level at a time into flat lists, one entry
-per node: its label, its parent id and its entry family, with the parent
-ids held in a `RootedTree`.  The lists are the ball's only representation;
-a node is its id.  The separation check reads them, in one pass up the
-tree and one pass down it.
+The Bass-Serre tree of a graph with finite vertex groups is homogeneous: the
+half-tree beyond a tree edge depends only on the oriented graph edge it is
+entered through.  So the tree has 2E + 1 entry states, one per oriented edge
+and one for the base node, and `_states` lists each state's children once.
+The separation check and the ball's level counts are decided on these
+states alone; a Bass-Serre ball, built one level at a time into flat lists
+(label, parent id and entry family per node, the parent ids held in a
+`RootedTree`), is needed only to draw it.
 """
 
 import itertools
@@ -211,31 +214,6 @@ def _collapse(vertex_groups, edges, a):
     return kept, moved
 
 
-def trivial_edges(g: GraphOfGroups):
-    """Collapsible edges: non-loops whose inclusion into one end is onto.
-
-    Returns one oriented edge per collapsible slot, oriented so that the head
-    is the absorbed end (index 1); ordered by sorted end names then slot.
-    """
-    return _trivial(g.vertex_groups, g.edges)
-
-
-def elementary_collapse(g: GraphOfGroups, e) -> GraphOfGroups:
-    """Contract a trivial edge; the surviving vertex keeps the tail's group."""
-    if isinstance(e, OrientedEdge):
-        a = e
-        if g.is_loop(a.edge):
-            raise ValueError("cannot collapse a loop")
-        if g.index(a) != 1:
-            raise ValueError("edge is not trivial in this orientation")
-    else:
-        matches = [t for t in trivial_edges(g) if t.edge == e]
-        if not matches:
-            raise ValueError(f"edge {e} is not trivial")
-        a = matches[0]
-    return GraphOfGroups(*_collapse(g.vertex_groups, g.edges, a))
-
-
 def reduce(g: GraphOfGroups, rng=None) -> GraphOfGroups:
     """Collapse trivial edges until none remain.
 
@@ -267,6 +245,142 @@ def is_non_elementary(g: GraphOfGroups) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# The Bass-Serre tree's entry states.
+
+def _states(g: GraphOfGroups, base=None):
+    """The entry states of the Bass-Serre tree: (oriented, over, families,
+    kids).
+
+    State k < 2E is a node entered through oriented[k], so it lies over
+    over[k] = head(oriented[k]) and its parent over the tail; given a
+    `base`, a last state 2E is the base node, over `base`.
+    bar(oriented[k]) is oriented[k ^ 1].
+    `families[v]` lists (k, index(oriented[k])) for the oriented edges with
+    head v.  A node over v has index(a) neighbours through each such a, each
+    over tail(a) and entered through bar(a), and its parent is one of the
+    neighbours through the oriented edge it was entered by.  So `kids[s]`
+    lists state s's children as (child state, multiplicity) pairs, in
+    family order, multiplicities positive.
+    """
+    for name in g.vertices:
+        if g.vertex_groups[name].order == INF:
+            raise ValueError(f"tree not locally finite at {name}")
+    oriented = g.oriented_edges()
+    over = [g.head(a) for a in oriented] + ([] if base is None else [base])
+    families = {v: [(k, g.index(a)) for k, a in enumerate(oriented)
+                    if g.head(a) == v]
+                for v in g.vertices}
+    kids = [[(k ^ 1, index - (k == s)) for k, index in families[over[s]]
+             if index > (k == s)]
+            for s in range(len(over))]
+    return oriented, over, families, kids
+
+
+def _ball_states(g: GraphOfGroups, base, radius, cap):
+    """`_states` with the base state for a ball of this radius, after the
+    ball's refusals."""
+    if base not in g.vertex_groups:
+        raise ValueError(f"unknown base vertex {base!r}")
+    if not isinstance(radius, int) or radius < 0:
+        raise ValueError("radius must be a non-negative integer")
+    if radius > cap:
+        raise ValueError(f"radius {radius} exceeds cap {cap}")
+    return _states(g, base)
+
+
+def ball_counts(g: GraphOfGroups, base, radius: int) -> list:
+    """Node counts at depths 0..radius of `bass_serre_ball(g, base,
+    radius)`, without building it.
+
+    The number of depth-(d + 1) nodes in a state is the sum, over the
+    states at depth d, of their node counts times that child state's
+    multiplicity.  The counts are exact integers; the refusals are the
+    ball's.
+    """
+    kids = _ball_states(g, base, radius, _BALL_RADIUS_CAP)[3]
+    level = [0] * len(kids)
+    level[-1] = 1
+    counts = [1]
+    for _ in range(radius):
+        below = [0] * len(kids)
+        for s, count in enumerate(level):
+            for t, mult in kids[s]:
+                below[t] += count * mult
+        level = below
+        counts.append(sum(level))
+    return counts
+
+
+def check_separation(g: GraphOfGroups) -> dict:
+    """The two separation properties of the Bass-Serre tree T, decided on
+    its entry states.
+
+    (1) Every tree edge splits T into two halves, each containing lifts of
+    every vertex.  (2) Some tree vertex splits T into at least three
+    unbounded pieces.  Both verdicts are "pass" or "fail"; for an edgeless
+    graph T is one vertex, so (1) passes vacuously and (2) fails.  The
+    witnesses are the first oriented edge whose half-tree misses a label,
+    with the labels it misses, and the vertices with three or more
+    infinite pieces.  An infinite vertex group is refused, as by the ball.
+
+    Proof.  Homogeneity: a vertex of T over v has, for each oriented edge a
+    with head v, index(a) neighbours over tail(a) (Serre, *Trees*, I.4).
+    Enter a node y through a tree edge over a, from its neighbour x over
+    tail(a); the half-tree H(a) is the component of T - x holding y.  Then
+    y's other neighbours are index(b) - [b = a] through each b with head
+    head(a), each entered through bar(b), so by induction on depth H(a) is
+    the tree unfolded from state a of `_states`: it depends on a alone.
+    Half-tree and state: removing a tree edge over a leaves H(a) and
+    H(bar(a)), and every edge slot lifts to T, so the halves of all tree
+    edges are exactly the H(a) for the 2E oriented edges a.  Every kid has
+    multiplicity at least 1, so the labels of H(a) are the labels over the
+    states reachable from a, and (1) holds iff every state reaches every
+    label.  Pieces: the components of T - x for x over v are index(b)
+    copies of H(bar(b)) for each b with head v, whatever x was entered by.
+    T is locally finite, so unbounded means infinite, and (2) holds iff
+    some v has at least three such copies that are infinite.  Infinite iff
+    it reaches a cycle: H(a) is locally finite, so by Koenig's lemma it is
+    infinite iff it holds an infinite descending path, whose states walk
+    the finite state graph and so repeat; a reachable cycle unrolls into
+    such a path.  The finite states are thus the least fixpoint of "all
+    kids finite": each state added has a finite unfolding by induction,
+    and a state never added has a kid never added, so an endless path.
+    """
+    oriented, over, families, kids = _states(g)
+    states = range(len(kids))
+    bits = {v: 1 << i for i, v in enumerate(g.vertices)}
+    reach = [bits[v] for v in over]
+    finite = [False] * len(kids)
+    changed = True
+    while changed:  # both at once: labels grow, finite states are added
+        changed = False
+        for s in states:
+            seen = reach[s]
+            for t, _ in kids[s]:
+                seen |= reach[t]
+            done = not finite[s] and all(finite[t] for t, _ in kids[s])
+            if seen != reach[s] or done:
+                reach[s], finite[s], changed = seen, finite[s] or done, True
+    full = (1 << len(g.vertices)) - 1
+    short = next((s for s in states if reach[s] != full), None)
+    witness = None
+    if short is not None:
+        a = oriented[short]
+        witness = {"edge": a.edge, "from": g.tail(a), "to": g.head(a),
+                   "missing": [v for v in g.vertices
+                               if not reach[short] & bits[v]]}
+    three_way_vertices = [
+        v for v in g.vertices
+        if sum(index for k, index in families[v] if not finite[k ^ 1]) >= 3]
+    return {
+        "edge_overall": "pass" if witness is None else "fail",
+        "edge_witness": witness,
+        "three_way": "pass" if three_way_vertices else "fail",
+        "three_way_vertices": three_way_vertices,
+    }
+
+
+# ---------------------------------------------------------------------------
 # Bass-Serre balls.
 
 class BassSerreBall:
@@ -277,9 +391,7 @@ class BassSerreBall:
     `tree.parent[v]` its parent id (-1 at the base) and `entries[v]` the
     oriented edge family it occupies toward its parent (None at the base).
     Depth d holds the ids levels[d] to levels[d + 1] - 1.  `unexplored`
-    lists node ids whose further neighbours were cut off by the radius;
-    separation checks treat their hidden subtrees as unknown rather than
-    absent.
+    lists node ids whose further neighbours were cut off by the radius.
     """
 
     def __init__(self, graph, base, radius, labels, parents, entries, levels,
@@ -319,37 +431,14 @@ def bass_serre_ball(g: GraphOfGroups, base, radius: int,
                     cap: int = _BALL_RADIUS_CAP) -> BassSerreBall:
     """Breadth-first ball of the Bass-Serre tree around a vertex over `base`.
 
-    Children of a node over v come in families, one per oriented edge a with
-    head v, with index(a) members each entering through bar(a); the family
-    through which the node was entered has one member fewer.  So a node's
-    children depend only on the oriented edge it was entered through (or on
-    its being the base), and each such state's children are listed once.
-    The ball grows one level at a time: the states of a level's children,
-    and their parent ids, extend two flat lists in one call each, and the
+    Each of the 2E + 1 states of `_states` lists its children once.  The
+    ball grows one level at a time: the states of a level's children, and
+    their parent ids, extend two flat lists in one call each, and the
     labels and entries are read off the states at the end.
     """
-    if base not in g.vertex_groups:
-        raise ValueError(f"unknown base vertex {base!r}")
-    if not isinstance(radius, int) or radius < 0:
-        raise ValueError("radius must be a non-negative integer")
-    if radius > cap:
-        raise ValueError(f"radius {radius} exceeds cap {cap}")
-    for name in g.vertices:
-        if g.vertex_groups[name].order == INF:
-            raise ValueError(f"tree not locally finite at {name}")
-
-    # State k < len(oriented): entered through oriented[k]; the last state is
-    # the base.  bar(oriented[k]) is oriented[k ^ 1].
-    oriented = g.oriented_edges()
-    root = len(oriented)
-    over = [g.head(a) for a in oriented] + [base]
-    families = {v: [(k, g.index(a)) for k, a in enumerate(oriented)
-                    if g.head(a) == v]
-                for v in g.vertices}
-    kids = [[k ^ 1 for k, index in families[over[s]]
-             for _ in range(index - (k == s))]
-            for s in range(root + 1)]
-    state, parents, levels = [root], [-1], [0, 1]
+    oriented, over, _, kids = _ball_states(g, base, radius, cap)
+    kids = [[t for t, mult in pairs for _ in range(mult)] for pairs in kids]
+    state, parents, levels = [len(oriented)], [-1], [0, 1]
     for _ in range(radius):
         lo, hi = levels[-2], levels[-1]
         level = [kids[s] for s in state[lo:hi]]
@@ -362,93 +451,6 @@ def bass_serre_ball(g: GraphOfGroups, base, radius: int,
     entries = list(map((oriented + [None]).__getitem__, state))
     return BassSerreBall(g, base, radius, labels, parents, entries, levels,
                          unexplored)
-
-
-def _worst(verdicts):
-    """The first of "fail", "inconclusive" and "pass" that occurs."""
-    return ("fail" if "fail" in verdicts
-            else "inconclusive" if "inconclusive" in verdicts else "pass")
-
-
-def check_separation(ball: BassSerreBall, g: GraphOfGroups) -> dict:
-    """Truncation-aware evidence for the two tree separation properties.
-
-    (1) every tree edge splits the tree into two halves each containing
-    lifts of every vertex; (2) some tree vertex splits it into at least
-    three unbounded pieces.  Sides cut off by the radius report
-    'inconclusive' rather than 'fail'.  Everything is read from the ball's
-    flat lists.  The pass up gives each subtree's label bitmask, and its
-    count of unexplored nodes is a difference of prefix counts, over a list
-    of unexplored flags in pre-order, across its pre-order interval; the
-    pass down gives the label bitmask of the rest of the ball beyond each
-    edge.  One pass from each node to its parent counts the unbounded
-    pieces at every node, and each edge's verdicts are looked up from the
-    four booleans that decide them.
-    """
-    tree = ball.tree
-    n = len(tree)
-    parent = tree.parent
-    bits = {v: 1 << i for i, v in enumerate(g.vertices)}
-    full = (1 << len(g.vertices)) - 1
-    label = list(map(bits.__getitem__, ball.labels))
-    sub_mask = list(label)
-    for v in range(n - 1, 0, -1):  # children come after their parents
-        sub_mask[parent[v]] |= sub_mask[v]
-    unexplored = [False] * n
-    for u in ball.unexplored:
-        unexplored[u] = True
-    before = list(itertools.accumulate(map(unexplored.__getitem__, tree.pre),
-                                       initial=0))
-    sub_open = [before[s.stop] - before[s.start]
-                for s in map(ball.subtree_ids, range(n))]
-    all_open = sub_open[0]
-    rest_mask = [0] * n
-    for p in range(n):  # parents before children
-        kids = tree.children[p]
-        for siblings in (kids, kids[::-1]):  # earlier, then later siblings
-            seen = rest_mask[p] | label[p]
-            for c in siblings:
-                rest_mask[c] |= seen
-                seen |= sub_mask[c]
-
-    def side(complete, truncated):
-        return "pass" if complete else "inconclusive" if truncated else "fail"
-
-    # An edge's (subtree, rest, verdict) for each value of the four booleans
-    # that decide it: whether its subtree has every label and whether it
-    # has an unexplored node, then the same for the rest of the ball.
-    triples = {}
-    for key in itertools.product((False, True), repeat=4):
-        sides = side(*key[:2]), side(*key[2:])
-        triples[key] = (*sides, _worst(sides))
-    edge_checks = []
-    for v in range(1, n):
-        v1, v2, verdict = triples[sub_mask[v] == full, sub_open[v] > 0,
-                                  rest_mask[v] == full, all_open > sub_open[v]]
-        edge_checks.append({"edge": [parent[v], v],
-                            "subtree": v1, "rest": v2, "verdict": verdict})
-    edge_overall = (_worst({c["verdict"] for c in edge_checks})
-                    if edge_checks else "inconclusive")
-
-    unbounded = [0] * n  # pieces at each node that reach an unexplored node
-    for v in range(1, n):
-        if sub_open[v]:
-            unbounded[parent[v]] += 1
-        if all_open > sub_open[v]:
-            unbounded[v] += 1
-    three_way_nodes = [v for v in range(n) if unbounded[v] >= 3]
-    if three_way_nodes:
-        three_way = "pass"
-    elif all(g.degree(v) <= 2 for v in g.vertices):
-        three_way = "fail"
-    else:
-        three_way = "inconclusive"
-    return {
-        "edge_checks": edge_checks,
-        "edge_overall": edge_overall,
-        "three_way_nodes": three_way_nodes,
-        "three_way": three_way,
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from denseamalgam.boundary import (
 )
 from denseamalgam.cli import main as cli_main
 from denseamalgam.graphs_of_groups import (
+    ball_counts,
     bass_serre_ball,
     from_json as gog_from_json,
     is_non_elementary,
@@ -251,16 +252,17 @@ def test_criterion_06_bass_serre_balls():
         '{"vertices": {"u": {"order": 2}, "v": {"order": 3}},'
         ' "edges": [{"ends": ["u", "v"], "edge_order": 1}]}')
     got = [bass_serre_ball(g, "u", r).size() for r in range(7)]
+    counted = list(itertools.accumulate(ball_counts(g, "u", 6)))
     oracle = _biregular_ball_sizes(2, 3, 6)
     stated = [1, 3, 7, 11, 19, 27, 43]
     d_infty = gog_from_json(
         '{"vertices": {"p": {"order": 2}, "q": {"order": 2}},'
         ' "edges": [{"ends": ["p", "q"], "edge_order": 1}]}')
-    ok = (got == oracle == stated
+    ok = (got == counted == oracle == stated
           and not is_non_elementary(d_infty)
           and is_non_elementary(g))
     _verdict(6, "bass-serre-balls", ok,
-             f"sizes {got}, oracle {oracle}, "
+             f"sizes {got}, counted {counted}, oracle {oracle}, "
              f"elementary split detected: {not is_non_elementary(d_infty)}")
 
 

@@ -11,6 +11,7 @@ import denseamalgam
 from denseamalgam import approx as approx_mod
 from denseamalgam import characterize as char_mod
 from denseamalgam import cli as cli_mod
+from denseamalgam import graphs_of_groups as gog_mod
 from denseamalgam.cli import main, render_report
 from denseamalgam.graphs_of_groups import from_json as gog_from_json
 from denseamalgam.metric import FiniteMetricSpace
@@ -27,6 +28,12 @@ GOG_23 = ('{"vertices": {"u": {"order": 2}, "v": {"order": 3}}, '
           '"edges": [{"ends": ["u", "v"], "edge_order": 1}]}')
 GOG_D_INFTY = ('{"vertices": {"p": {"order": 2}, "q": {"order": 2}}, '
                '"edges": [{"ends": ["p", "q"], "edge_order": 1}]}')
+# a line of u and w with a finite hair w-h1-h2 at every w node
+GOG_HAIR = json.dumps({
+    "vertices": {v: {"order": 2} for v in ("u", "w", "h1", "h2")},
+    "edges": [{"ends": ["u", "w"], "edge_order": 1},
+              {"ends": ["w", "h1"], "edge_order": 2},
+              {"ends": ["h1", "h2"], "edge_order": 2}]})
 TWO_SPACE = '{"points": ["a", "b"], "dist": [[0, 1], [1, 0]]}'
 TWO_SPACE_B = '{"points": ["u", "v"], "dist": [[0, 1], [1, 0]]}'
 
@@ -102,6 +109,54 @@ class TestGoldens:
         assert code == 0
         assert "ball sizes by radius: 1 3 7 11 19 27 43" in out
 
+    def test_gog_check_z2_z3(self, tmp_path, capsys):
+        path = write(tmp_path, "gog.json", GOG_23)
+        code, out = run(capsys, "gog", "check", path, "--radius", "6",
+                        "--base", "u")
+        assert code == 0
+        assert out == ("base: u\nball size: 43\nedge separation: pass\n"
+                       "three-way split: pass\nnon-elementary: true\n")
+
+    @pytest.mark.parametrize("radius", range(13))
+    def test_gog_check_hair_fails_three_way(self, tmp_path, capsys, radius):
+        # w has degree 3, but its hair is finite: no vertex splits the
+        # tree into three infinite pieces, at any radius
+        path = write(tmp_path, "hair.json", GOG_HAIR)
+        code, out = run(capsys, "gog", "check", path, "--radius", str(radius),
+                        "--base", "u")
+        assert code == 1
+        assert out.splitlines()[2:] == ["edge separation: fail",
+                                        "three-way split: fail",
+                                        "non-elementary: false"]
+
+    def test_gog_check_builds_no_ball(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise RuntimeError("no ball may be built")
+        monkeypatch.setattr(gog_mod, "bass_serre_ball", refuse)
+        path = write(tmp_path, "gog.json", GOG_23)
+        report_path = tmp_path / "rep.json"
+        code, out = run(capsys, "gog", "check", path, "--radius", "12",
+                        "--base", "u", "--report", str(report_path))
+        assert code == 0
+        # 1 + 2 + 4 + 4 + ... + 64 + 64 + 128 nodes
+        assert out.splitlines()[1:3] == ["ball size: 379",
+                                         "edge separation: pass"]
+        assert json.loads(report_path.read_text())["separation"] == {
+            "edge_overall": "pass", "edge_witness": None,
+            "three_way": "pass", "three_way_vertices": ["v"]}
+
+    def test_gog_check_witness_in_report(self, tmp_path, capsys):
+        path = write(tmp_path, "hair.json", GOG_HAIR)
+        report_path = tmp_path / "rep.json"
+        code, _ = run(capsys, "gog", "check", path, "--radius", "3",
+                      "--report", str(report_path))
+        assert code == 1
+        assert json.loads(report_path.read_text())["separation"] == {
+            "edge_overall": "fail",
+            "edge_witness": {"edge": 1, "from": "w", "to": "h1",
+                             "missing": ["u", "w"]},
+            "three_way": "fail", "three_way_vertices": []}
+
     def test_gog_boundary_cantor(self, tmp_path, capsys):
         path = write(tmp_path, "gog.json", GOG_23)
         code, out = run(capsys, "gog", "boundary", path)
@@ -153,6 +208,19 @@ class TestInputErrors:
                         "--cap-vertices", "10")
         assert code == 2
         assert "exceeding" in json.loads(out)["error"]["message"]
+
+    def test_gog_check_cap_counts_without_a_ball(self, tmp_path, capsys,
+                                                 monkeypatch):
+        monkeypatch.setattr(gog_mod, "bass_serre_ball", None)
+        path = write(tmp_path, "gog.json", GOG_23)
+        code, out = run(capsys, "gog", "check", path, "--radius", "6",
+                        "--cap-vertices", "42")
+        assert code == 2
+        assert json.loads(out)["error"]["message"] == (
+            "ball has 43 vertices, exceeding --cap-vertices 42")
+        code, _ = run(capsys, "gog", "check", path, "--radius", "6",
+                      "--cap-vertices", "43")
+        assert code == 0
 
     def test_negative_radius_rejected(self, tmp_path, capsys):
         path = write(tmp_path, "gog.json", GOG_23)

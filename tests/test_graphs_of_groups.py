@@ -1,8 +1,11 @@
-"""Graphs of groups: collapses, elementarity, Bass-Serre balls, boundaries.
+"""Graphs of groups: collapses, elementarity, Bass-Serre balls, the tree's
+separation properties, boundaries.
 
 Ball sizes are checked against an independent level-count recursion for
 biregular trees, written directly from the degree formula rather than the
-ball builder.
+ball builder.  The exact separation check is checked against the check on
+a built ball (`ball_separation`), which is itself checked against a
+quadratic walk (`quadratic_separation`).
 """
 
 import itertools
@@ -20,15 +23,16 @@ from denseamalgam.graphs_of_groups import (
     GraphOfGroups,
     GroupDescriptor,
     OrientedEdge,
+    _collapse,
+    _trivial,
+    ball_counts,
     bass_serre_ball,
     boundary_expression,
     check_separation,
-    elementary_collapse,
     from_json,
     is_non_elementary,
     reduce,
     to_json,
-    trivial_edges,
 )
 
 INF = math.inf
@@ -107,6 +111,31 @@ def random_gog(rng):
                     if orders[v] % d == 0 and orders[w] % d == 0]
         full.append((v, w, rng.choice(divisors)))
     return gg(orders, full)
+
+
+def trivial_edges(g):
+    """Collapsible edges: non-loops whose inclusion into one end is onto.
+
+    Returns one oriented edge per collapsible slot, oriented so that the head
+    is the absorbed end (index 1); ordered by sorted end names then slot.
+    """
+    return _trivial(g.vertex_groups, g.edges)
+
+
+def elementary_collapse(g, e):
+    """Contract a trivial edge; the surviving vertex keeps the tail's group."""
+    if isinstance(e, OrientedEdge):
+        a = e
+        if g.is_loop(a.edge):
+            raise ValueError("cannot collapse a loop")
+        if g.index(a) != 1:
+            raise ValueError("edge is not trivial in this orientation")
+    else:
+        matches = [t for t in trivial_edges(g) if t.edge == e]
+        if not matches:
+            raise ValueError(f"edge {e} is not trivial")
+        a = matches[0]
+    return GraphOfGroups(*_collapse(g.vertex_groups, g.edges, a))
 
 
 class TestConstruction:
@@ -333,6 +362,8 @@ class TestBassSerreBall:
     def test_radius_cap(self):
         with pytest.raises(ValueError, match="exceeds cap"):
             bass_serre_ball(Z2_Z3, "u", 13)
+        with pytest.raises(ValueError, match="exceeds cap 12"):
+            ball_counts(Z2_Z3, "u", 13)
         ball = bass_serre_ball(loop_graph(), "v", 13, cap=13)
         assert ball.size() == 27
 
@@ -354,39 +385,86 @@ class TestBassSerreBall:
         assert set(ball.labels) == {'a"b', "c\\"}
 
 
+HAIR = gg({"u": 2, "w": 2, "h1": 2, "h2": 2},
+          [("u", "w", 1), ("w", "h1", 2), ("h1", "h2", 2)])
+
+
 class TestSeparation:
+    """Each ball verdict is the oracle's (`ball_separation`); the exact
+    verdict of `check_separation` does not depend on a radius."""
+
     def test_z2_z3_three_way_holds(self):
         ball = bass_serre_ball(Z2_Z3, "u", 4)
-        report = check_separation(ball, Z2_Z3)
+        report = ball_separation(ball, Z2_Z3)
         assert report["three_way"] == "pass"
         assert all(ball.labels[i] == "w" for i in report["three_way_nodes"])
         assert report["three_way_nodes"] != []
+        exact = check_separation(Z2_Z3)
+        assert exact["three_way"] == "pass"
+        assert exact["three_way_vertices"] == ["w"]  # degree 3; u has 2
 
     def test_radius_zero_inconclusive(self):
         ball = bass_serre_ball(Z2_Z3, "u", 0)
-        report = check_separation(ball, Z2_Z3)
+        report = ball_separation(ball, Z2_Z3)
         assert report["edge_overall"] == "inconclusive"
         assert report["three_way"] == "inconclusive"
+        exact = check_separation(Z2_Z3)
+        assert (exact["edge_overall"], exact["three_way"]) == ("pass", "pass")
 
     def test_line_fails_three_way(self):
         g = loop_graph()
-        report = check_separation(bass_serre_ball(g, "v", 4), g)
+        report = ball_separation(bass_serre_ball(g, "v", 4), g)
         assert report["three_way"] == "fail"
         # every finite side of the line still shows the single label
         assert report["edge_overall"] == "pass"
+        assert check_separation(g) == {
+            "edge_overall": "pass", "edge_witness": None,
+            "three_way": "fail", "three_way_vertices": []}
 
     def test_true_leaf_side_fails(self):
         # indices (1,1) across a non-loop edge: the tree is one segment
         g = gg({"u": 2, "w": 2}, [("u", "w", 2)])
-        report = check_separation(bass_serre_ball(g, "u", 2), g)
+        report = ball_separation(bass_serre_ball(g, "u", 2), g)
         assert report["edge_overall"] == "fail"
+        exact = check_separation(g)
+        assert exact["edge_overall"] == "fail"
+        # slot 0 entered from w to u: the half-tree is the lone u node
+        assert exact["edge_witness"] == {"edge": 0, "from": "w", "to": "u",
+                                         "missing": ["w"]}
 
     def test_edges_inconclusive_at_small_radius(self):
         ball = bass_serre_ball(Z2_Z3, "u", 2)
-        report = check_separation(ball, Z2_Z3)
+        report = ball_separation(ball, Z2_Z3)
         assert report["edge_overall"] == "inconclusive"
         assert all(c["verdict"] in ("pass", "inconclusive")
                    for c in report["edge_checks"])
+        assert check_separation(Z2_Z3)["edge_overall"] == "pass"
+
+    def test_edgeless_graph(self):
+        # the tree is one vertex: no edge to split it, no piece at all
+        assert check_separation(gg({"v": 5}, [])) == {
+            "edge_overall": "pass", "edge_witness": None,
+            "three_way": "fail", "three_way_vertices": []}
+
+    def test_hair_refutes_the_ball_three_way_pass(self):
+        # a line of u and w with a finite hair w-h1-h2 at every w: w has
+        # degree 3, but only two of its pieces are infinite
+        for radius in (2, 4):
+            report = ball_separation(bass_serre_ball(HAIR, "u", radius), HAIR)
+            assert report["three_way"] == "pass"
+        assert check_separation(HAIR) == {
+            "edge_overall": "fail",
+            "edge_witness": {"edge": 1, "from": "w", "to": "h1",
+                             "missing": ["u", "w"]},
+            "three_way": "fail", "three_way_vertices": []}
+
+    def test_infinite_vertex_rejected(self):
+        g = gg({"u": INF, "w": 2}, [("u", "w", 2)],
+               boundaries={"u": Atom("p")})
+        with pytest.raises(ValueError, match="tree not locally finite at u"):
+            check_separation(g)
+        with pytest.raises(ValueError, match="tree not locally finite at u"):
+            ball_counts(g, "w", 2)
 
 
 def ball_nodes(ball):
@@ -397,8 +475,96 @@ def ball_nodes(ball):
                 ball.labels, ball.tree.depth, ball.tree.parent, ball.entries)]
 
 
+def _worst(verdicts):
+    """The first of "fail", "inconclusive" and "pass" that occurs."""
+    return ("fail" if "fail" in verdicts
+            else "inconclusive" if "inconclusive" in verdicts else "pass")
+
+
+def ball_separation(ball, g):
+    """Truncation-aware evidence for the two tree separation properties,
+    read from a built ball; sides cut off by the radius report
+    'inconclusive' rather than 'fail'.
+
+    A conclusive edge verdict and a three-way "fail" agree with the exact
+    `check_separation`.  A three-way "pass" need not: a piece that reaches
+    the radius counts as unbounded even when it is finite.  The pass up
+    gives each subtree's label bitmask, and its count of unexplored nodes
+    is a difference of prefix counts, over a list of unexplored flags in
+    pre-order, across its pre-order interval; the pass down gives the
+    label bitmask of the rest of the ball beyond each edge.  One pass from
+    each node to its parent counts the unbounded pieces at every node, and
+    each edge's verdicts are looked up from the four booleans that decide
+    them.
+    """
+    tree = ball.tree
+    n = len(tree)
+    parent = tree.parent
+    bits = {v: 1 << i for i, v in enumerate(g.vertices)}
+    full = (1 << len(g.vertices)) - 1
+    label = list(map(bits.__getitem__, ball.labels))
+    sub_mask = list(label)
+    for v in range(n - 1, 0, -1):  # children come after their parents
+        sub_mask[parent[v]] |= sub_mask[v]
+    unexplored = [False] * n
+    for u in ball.unexplored:
+        unexplored[u] = True
+    before = list(itertools.accumulate(map(unexplored.__getitem__, tree.pre),
+                                       initial=0))
+    sub_open = [before[s.stop] - before[s.start]
+                for s in map(ball.subtree_ids, range(n))]
+    all_open = sub_open[0]
+    rest_mask = [0] * n
+    for p in range(n):  # parents before children
+        kids = tree.children[p]
+        for siblings in (kids, kids[::-1]):  # earlier, then later siblings
+            seen = rest_mask[p] | label[p]
+            for c in siblings:
+                rest_mask[c] |= seen
+                seen |= sub_mask[c]
+
+    def side(complete, truncated):
+        return "pass" if complete else "inconclusive" if truncated else "fail"
+
+    # An edge's (subtree, rest, verdict) for each value of the four booleans
+    # that decide it: whether its subtree has every label and whether it
+    # has an unexplored node, then the same for the rest of the ball.
+    triples = {}
+    for key in itertools.product((False, True), repeat=4):
+        sides = side(*key[:2]), side(*key[2:])
+        triples[key] = (*sides, _worst(sides))
+    edge_checks = []
+    for v in range(1, n):
+        v1, v2, verdict = triples[sub_mask[v] == full, sub_open[v] > 0,
+                                  rest_mask[v] == full, all_open > sub_open[v]]
+        edge_checks.append({"edge": [parent[v], v],
+                            "subtree": v1, "rest": v2, "verdict": verdict})
+    edge_overall = (_worst({c["verdict"] for c in edge_checks})
+                    if edge_checks else "inconclusive")
+
+    unbounded = [0] * n  # pieces at each node that reach an unexplored node
+    for v in range(1, n):
+        if sub_open[v]:
+            unbounded[parent[v]] += 1
+        if all_open > sub_open[v]:
+            unbounded[v] += 1
+    three_way_nodes = [v for v in range(n) if unbounded[v] >= 3]
+    if three_way_nodes:
+        three_way = "pass"
+    elif all(g.degree(v) <= 2 for v in g.vertices):
+        three_way = "fail"
+    else:
+        three_way = "inconclusive"
+    return {
+        "edge_checks": edge_checks,
+        "edge_overall": edge_overall,
+        "three_way_nodes": three_way_nodes,
+        "three_way": three_way,
+    }
+
+
 def quadratic_separation(ball, g):
-    """check_separation as first written: one subtree walk per node, and
+    """`ball_separation` as first written: one subtree walk per node, and
     each side's labels and truncation read from its own id set."""
     labels = set(g.vertices)
     nodes = ball_nodes(ball)
@@ -516,6 +682,7 @@ class TestBallOracle:
         depths = [depth for _, depth, _, _ in nodes]
         assert ball.counts_by_depth() == [depths.count(d)
                                           for d in range(radius + 1)]
+        assert ball_counts(g, base, radius) == ball.counts_by_depth()
         assert ball.size() == len(nodes)
 
     @BALL_GRAPHS
@@ -532,6 +699,7 @@ class TestBallOracle:
         ball = bass_serre_ball(g, base, 12)
         counts = biregular_level_counts(*degrees, 12)
         assert ball.counts_by_depth() == counts
+        assert ball_counts(g, base, 12) == counts
         assert ball.size() == sum(counts)
 
     def test_random_graphs(self):
@@ -548,7 +716,7 @@ class TestBallOracle:
                 ball = bass_serre_ball(g, base, radius)
                 assert ball_nodes(ball) == nodes
                 assert ball.unexplored == frozenset(unexplored)
-                assert check_separation(ball, g) == quadratic_separation(ball, g)
+                assert ball_separation(ball, g) == quadratic_separation(ball, g)
                 size = len(nodes)
 
 
@@ -556,23 +724,27 @@ class TestSeparationOracle:
     @pytest.mark.parametrize("radius", range(8))
     def test_z3_z4_balls(self, radius):
         ball = bass_serre_ball(Z3_Z4, "p", radius)
-        assert check_separation(ball, Z3_Z4) == quadratic_separation(ball, Z3_Z4)
+        assert ball_separation(ball, Z3_Z4) == quadratic_separation(ball, Z3_Z4)
 
-    @pytest.mark.parametrize("g, base, radius, edge, three_way", [
-        (Z2_Z3, "u", 5, "inconclusive", "pass"),
+    # (edge, three_way) on the ball, then the exact pair
+    @pytest.mark.parametrize("g, base, radius, edge, three_way, exact", [
+        (Z2_Z3, "u", 5, "inconclusive", "pass", ("pass", "pass")),
         # indices (1, 1): the tree is one segment and a side misses a label
-        (gg({"u": 2, "w": 2}, [("u", "w", 2)]), "u", 2, "fail", "fail"),
+        (gg({"u": 2, "w": 2}, [("u", "w", 2)]), "u", 2, "fail", "fail",
+         ("fail", "fail")),
         # every vertex degree <= 2: lines, no three-way split
-        (loop_graph(), "v", 4, "pass", "fail"),
-        (D_INF_SPLITTING, "w", 3, "inconclusive", "fail"),
+        (loop_graph(), "v", 4, "pass", "fail", ("pass", "fail")),
+        (D_INF_SPLITTING, "w", 3, "inconclusive", "fail", ("pass", "fail")),
         (gg({"a": 2, "b": 3, "c": 2}, [("a", "b", 1), ("b", "c", 1)]),
-         "b", 4, "inconclusive", "pass"),
+         "b", 4, "inconclusive", "pass", ("pass", "pass")),
     ], ids=["z2*z3", "edge-fails", "loop-line", "d-infinity", "three-vertex"])
-    def test_other_graphs(self, g, base, radius, edge, three_way):
+    def test_other_graphs(self, g, base, radius, edge, three_way, exact):
         ball = bass_serre_ball(g, base, radius)
-        report = check_separation(ball, g)
+        report = ball_separation(ball, g)
         assert report == quadratic_separation(ball, g)
         assert (report["edge_overall"], report["three_way"]) == (edge, three_way)
+        sep = check_separation(g)
+        assert (sep["edge_overall"], sep["three_way"]) == exact
 
     def test_subtree_ids_are_the_walked_subtrees(self):
         ball = bass_serre_ball(Z3_Z4, "q", 4)
@@ -584,6 +756,38 @@ class TestSeparationOracle:
                 walked.update(kids)
                 stack.extend(kids)
             assert ball.subtree_ids(nid) == walked
+
+
+class TestExactSeparation:
+    def test_refines_the_ball_on_random_graphs(self):
+        """Over (graph, radius) pairs with balls of at most 2,000 nodes, the
+        level counts are the built ball's, every conclusive ball edge
+        verdict and every ball three-way "fail" is the exact verdict."""
+        rng = random.Random(7)
+        pairs = refuted = 0
+        for _ in range(400):
+            g = random_gog(rng)
+            base = rng.choice(g.vertices)
+            sep = check_separation(g)
+            for radius in range(13):
+                counts = ball_counts(g, base, radius)
+                if sum(counts) > 2000:
+                    break
+                ball = bass_serre_ball(g, base, radius)
+                assert ball.counts_by_depth() == counts
+                report = ball_separation(ball, g)
+                if report["edge_overall"] != "inconclusive":
+                    assert report["edge_overall"] == sep["edge_overall"]
+                if report["three_way"] == "fail":
+                    assert sep["three_way"] == "fail"
+                refuted += (report["three_way"], sep["three_way"]) == ("pass", "fail")
+                pairs += 1
+        assert pairs >= 1000
+        assert refuted > 0  # hair-shaped graphs: see test_hair_refutes...
+
+    def test_criterion_6_sizes(self):
+        sizes = list(itertools.accumulate(ball_counts(Z2_Z3, "u", 6)))
+        assert sizes == [1, 3, 7, 11, 19, 27, 43]
 
 
 class TestBoundary:
