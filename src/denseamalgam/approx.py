@@ -657,7 +657,7 @@ def save_bundle(a: AmalgamApprox, matrix_path, sidecar_path):
         **recipe_of(a),
     }
     with open(sidecar_path, "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
+        fh.write(json.dumps(sidecar, indent=2, sort_keys=True))
 
 
 _LABEL_FIELDS = {"copy": ("tree_vertex", "class", "source_point"),

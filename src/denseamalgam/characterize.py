@@ -164,8 +164,7 @@ def save_structure(s: RegularStructure, matrix_path, sidecar_path):
     if s.approximation is not None:
         payload["approximation"] = s.approximation
     with open(sidecar_path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _read_sidecar(sidecar_path):

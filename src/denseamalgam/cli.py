@@ -213,7 +213,8 @@ def _cmd_coxeter_classify(args, config):
 def _cmd_coxeter_nerve(args, config):
     n = _coxeter.nerve(_load(_coxeter.parse_coxeter, args.input))
     faces = sorted(sorted(f) for f in n.maximal_faces)
-    flag, infinity_large = n.is_flag(), n.is_infinity_large()
+    flag = n.is_flag()
+    infinity_large = flag and n.is_chordal()  # is_infinity_large(), reusing flag
     report = {"config": config, "vertices": sorted(n.vertices),
               "maximal_faces": faces, "flag": flag,
               "infinity_large": infinity_large}

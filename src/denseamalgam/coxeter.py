@@ -439,8 +439,8 @@ def nerve(c: CoxeterSystem) -> SimplicialComplex:
 
 
 def _endedness(c: CoxeterSystem):
-    """The endedness class, with the nerve when deciding it needed one
-    (None otherwise).
+    """The endedness tag, with the nerve when deciding it needed one (None
+    otherwise).
 
     The group is two-ended exactly when some pair i, j with m = infinity
     commutes with every other generator and the rest is finite type.  On
@@ -448,7 +448,7 @@ def _endedness(c: CoxeterSystem):
     every diagram component of the rest is finite.
     """
     if is_finite_type(c):
-        return EndednessClass("finite"), None
+        return "finite", None
     full = (1 << len(c.generators)) - 1
     for i, row in enumerate(c._diagram):
         infinite = full & ~c._finite_orders[i] & -2 << i
@@ -459,13 +459,10 @@ def _endedness(c: CoxeterSystem):
             if not (row | c._diagram[low.bit_length() - 1]) & rest and all(
                     _component_is_finite(c, part)
                     for part in components(c._diagram, rest)):
-                return EndednessClass("two_ended"), None
+                return "two_ended", None
     # not finite type, so the nerve is not one simplex on every generator
     l = nerve(c)
-    if l.is_irreducible():
-        return EndednessClass("one_ended"), l
-    return EndednessClass("infinitely_many_ends",
-                          virtually_free=l.is_infinity_large()), l
+    return ("one_ended" if l.is_irreducible() else "infinitely_many_ends"), l
 
 
 def classify_endedness(c: CoxeterSystem) -> EndednessClass:
@@ -476,7 +473,9 @@ def classify_endedness(c: CoxeterSystem) -> EndednessClass:
     one ended; otherwise infinitely many ends, virtually free (nonabelian)
     exactly when the nerve is flag with chordal 1-skeleton.
     """
-    return _endedness(c)[0]
+    tag, l = _endedness(c)
+    return EndednessClass(tag, virtually_free=(
+        tag == "infinitely_many_ends" and l.is_infinity_large()))
 
 
 def subsystem_boundary_atom(c: CoxeterSystem, subset) -> Atom:
@@ -496,12 +495,12 @@ def boundary_expression(c: CoxeterSystem) -> BoundaryExpr:
     the boundary atoms of their (one-ended) special subgroups.  The nerve
     built to classify the group is the one decomposed.
     """
-    cls, l = _endedness(c)
-    if cls.tag == "finite":
+    tag, l = _endedness(c)
+    if tag == "finite":
         return EMPTY
-    if cls.tag == "two_ended":
+    if tag == "two_ended":
         return POINT_PAIR
-    if cls.tag == "one_ended":
+    if tag == "one_ended":
         return Atom("bd[" + ",".join(c.generators) + "]")
     args = []
     for factor in sorted(l.terminal_factors(), key=lambda f: sorted(f)):

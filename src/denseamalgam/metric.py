@@ -15,6 +15,8 @@ from ._kernels import max_triangle_violation
 TRIANGLE_SLACK = 1e-12
 
 _BLOCK_CELLS = 2 ** 16  # cells per block of rows in matrix CSV rendering
+_HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)  # odd: 2^64 / golden ratio
+_SLOT_BITS_CAP = 20  # the value hash table has at most 2^20 slots
 
 
 class FiniteMetricSpace:
@@ -160,31 +162,96 @@ def space_from_json(text: str) -> FiniteMetricSpace:
     return FiniteMetricSpace(points, doc["dist"])
 
 
-def _matrix_csv_blocks(x: FiniteMetricSpace):
-    """`matrix_csv_text` of x in pieces: the header row, then blocks of
-    rows of about _BLOCK_CELLS cells each."""
-    _require_str_points(x)
-    bits = x.dist.view(np.uint64)
+class _Rows(list):
+    """A csv.writer target that keeps each written row as its own string."""
+
+    write = list.append
+
+
+def _value_index(bits):
+    """The sorted distinct bit patterns of bits, with their hash table:
+    (codes, slots, shift).
+
+    A pattern c hashes to slot (c * _HASH_MULTIPLIER mod 2^64) >> shift
+    (multiply-shift; Dietzfelbinger et al., J. Algorithms 25, 1997).  The
+    table has at least 16 slots per pattern, up to _SLOT_BITS_CAP bits of
+    slot number.  A slot that patterns hash to holds the index in codes of
+    the only one that does, or -1 when two or more do.  Slots no pattern
+    hashes to are never read.
+
+    Writing each pattern's index to its slot leaves one of them in every
+    slot hashed to; a pattern whose slot then holds another index shares
+    it, and the slots of those patterns are set to -1.  A shared slot
+    always has such a pattern, since only one of its patterns can hold it.
+    """
     ordered = np.sort(bits, axis=None)
     codes = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
-    text = np.array([repr(v) for v in codes.view(np.float64).tolist()],
-                    dtype=object)
-    out = io.StringIO()
-    csv.writer(out).writerow([""] + list(x.points))
-    yield out.getvalue()
-    # a float's repr never needs quoting; the label goes through csv,
-    # written with its trailing comma as one cell of a two-cell row
-    label = csv.writer(out, lineterminator="")
-    step = max(1, _BLOCK_CELLS // len(x))
-    for start in range(0, len(x), step):
-        rows = text[np.searchsorted(codes, bits[start:start + step])].tolist()
-        lines = []
-        for p, cells in zip(x.points[start:start + step], rows):
-            out.seek(0)
-            out.truncate()
-            label.writerow([p, ""])
-            lines.append(out.getvalue() + ",".join(cells) + "\r\n")
-        yield "".join(lines)
+    slot_bits = min(_SLOT_BITS_CAP, (16 * len(codes) - 1).bit_length())
+    shift = np.uint64(64 - slot_bits)
+    hashed = ((codes * _HASH_MULTIPLIER) >> shift).view(np.int64)
+    order = np.arange(len(codes))
+    slots = np.zeros(1 << slot_bits, dtype=np.intp)
+    slots[hashed] = order
+    slots[hashed[slots[hashed] != order]] = -1
+    return codes, slots, shift
+
+
+def _cell_values(block, codes, slots, shift):
+    """The index in codes of each bit pattern in block (see
+    `_matrix_csv_blocks`).  Its block-sized temporaries end with the call,
+    before the block's text is joined."""
+    hashed = block * _HASH_MULTIPLIER
+    hashed >>= shift
+    index = slots.take(hashed.view(np.int64))
+    if index.min() < 0:
+        shared = index < 0
+        index[shared] = np.searchsorted(codes, block[shared])
+    return index
+
+
+def _matrix_csv_blocks(x: FiniteMetricSpace):
+    """`matrix_csv_text` of x in pieces: the header row, then blocks of
+    rows of about _BLOCK_CELLS cells each.
+
+    Every piece of text a row is made of is built once: for each of the k
+    distinct values its repr followed by "," and followed by "\r\n", and
+    for each point its label cell and the comma after it, cut from the row
+    [point, ""] as ``csv.writer`` writes it (a float's repr never needs
+    quoting).  A block of rows is an index grid into those pieces, the
+    label column then the cells, and its text is one join of the pieces
+    the grid names.
+
+    A cell's value index comes from `_value_index`.  It is exact whatever
+    the hash does: the cell's bit pattern c is one of the k codes, and c
+    hashes to its own slot, so a slot holding an index is hashed to by c
+    alone and holds c's index.  A cell whose slot holds -1 shares it with
+    another pattern, and takes the binary search among the sorted codes.
+    The hash only decides how many cells take the search; at the 2^20-slot
+    cap, with many distinct values, that tends to every cell.
+    """
+    _require_str_points(x)
+    n = len(x)
+    bits = x.dist.view(np.uint64)
+    codes, slots, shift = _value_index(bits)
+    k = len(codes)
+    text = [repr(v) for v in codes.view(np.float64).tolist()]
+    rows = _Rows()
+    writer = csv.writer(rows)
+    writer.writerow([""] + list(x.points))
+    yield rows.pop()
+    # each label row keeps its line end until cut, so that csv quotes a
+    # name holding "\r" or "\n" as it does in the header
+    writer.writerows([p, ""] for p in x.points)
+    pieces = np.array([t + "," for t in text] + [t + "\r\n" for t in text]
+                      + [row[:-2] for row in rows], dtype=object)
+    step = max(1, _BLOCK_CELLS // n)
+    for start in range(0, n, step):
+        block = bits[start:start + step]
+        grid = np.empty((len(block), n + 1), dtype=np.intp)
+        grid[:, 0] = np.arange(2 * k + start, 2 * k + start + len(block))
+        grid[:, 1:] = _cell_values(block, codes, slots, shift)
+        grid[:, n] += k  # the row's last cell ends the line
+        yield "".join(pieces[grid].ravel().tolist())
 
 
 def matrix_csv_text(x: FiniteMetricSpace) -> str:
@@ -193,10 +260,12 @@ def matrix_csv_text(x: FiniteMetricSpace) -> str:
 
     Cells hold ``repr(float(v))``, the shortest text that reads back to the
     same float.  Each distinct value is formatted once, keyed on its
-    float64 bit pattern so that -0.0 and 0.0 keep their own text, and each
-    cell finds its pattern by binary search among the sorted distinct
-    ones: a tree-composed matrix repeats a few hundred values over its n^2
-    cells.  The text is that of ``csv.writer`` writing every cell.
+    float64 bit pattern so that -0.0 and 0.0 keep their own text; a
+    tree-composed matrix repeats a few hundred values over its n^2 cells.
+    Each cell finds its value through a hash table of the distinct
+    patterns, exact by construction, and each block of rows is one join
+    (`_matrix_csv_blocks`).  The text is that of ``csv.writer`` writing
+    every cell.
     """
     return "".join(_matrix_csv_blocks(x))
 
@@ -273,7 +342,10 @@ def read_matrix_csv(path, expected=None) -> FiniteMetricSpace:
                 return x
             raw.seek(0)
         with io.TextIOWrapper(raw, newline="") as fh:
-            rows = list(csv.reader(fh))
+            try:
+                rows = list(csv.reader(fh))
+            except csv.Error as exc:  # a stray quote opens a huge field
+                raise ValueError(f"unreadable matrix CSV: {exc}") from None
     if not rows or rows[0][:1] != [""]:
         raise ValueError("matrix CSV needs a header row starting with an empty cell")
     points = rows[0][1:]

@@ -1,6 +1,7 @@
 """Regularity conditions, family merging, quotient profiles, tree labellings."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -8,7 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import sweep_configs
-from denseamalgam.approx import ConditionReport, ConditionTolerances, build_approx
+from denseamalgam.approx import (
+    ConditionReport,
+    ConditionTolerances,
+    build_approx,
+    save_bundle,
+)
 from denseamalgam.characterize import (
     MATCH_LIMIT,
     RegularStructure,
@@ -786,6 +792,31 @@ class TestVerifyLabelling:
 
 
 class TestBundleIO:
+    @pytest.mark.parametrize("sources", [[TWO], [circle_net(), TWO]],
+                             ids=["one-class", "two-class"])
+    def test_sidecars_match_json_dump(self, tmp_path, monkeypatch, sources):
+        # the oracle is the streaming json.dump the writers used before,
+        # fed the object each writer serialized
+        written = []
+        dumps = json.dumps
+
+        def spy(obj, **kwargs):
+            written.append(obj)
+            return dumps(obj, **kwargs)
+        monkeypatch.setattr(json, "dumps", spy)
+        a = build_approx(sources, depth=2, branching=2, scale=1 / 3)
+        save_bundle(a, tmp_path / "a.csv", tmp_path / "a.json")
+        save_structure(as_regular_structure(a), tmp_path / "s.csv",
+                       tmp_path / "s.json")
+        monkeypatch.undo()
+        assert len(written) == 2
+        for (stem, tail), obj in zip([("a", ""), ("s", "\n")], written):
+            with open(tmp_path / f"{stem}.oracle", "w") as fh:
+                json.dump(obj, fh, indent=2, sort_keys=True)
+                fh.write(tail)
+            assert (tmp_path / f"{stem}.json").read_bytes() \
+                == (tmp_path / f"{stem}.oracle").read_bytes()
+
     def test_round_trip(self, tmp_path):
         s = build_structure([TWO], 1, 2, 1 / 3)
         mat, meta = tmp_path / "m.csv", tmp_path / "m.json"

@@ -254,6 +254,22 @@ class TestInputErrors:
         assert error["type"] == "ValueError"
         assert "entry [0][1] {'d': 1} is not a number" in error["message"]
 
+    def test_matrix_with_a_stray_quote_exits_2(self, tmp_path, capsys):
+        # the quote opens a field that runs past csv's field size limit
+        matrix, meta = build_bundle(tmp_path, [TWO_SPACE], 4, 3, 1 / 3)
+        capsys.readouterr()
+        with open(matrix) as fh:
+            header, first, rest = fh.read().split("\n", 2)
+        with open(matrix, "w", newline="") as fh:
+            fh.write("\n".join([header, first.replace(",", ',"', 1), rest]))
+        assert os.path.getsize(matrix) > 131072
+        code, out = run(capsys, "approx", "check", matrix, meta)
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["type"] == "ValueError"
+        assert "unreadable matrix CSV: field larger than field limit" \
+            in error["message"]
+
     def test_expression_nesting_is_capped(self, capsys):
         limit = denseamalgam.boundary.MAX_NESTING
         deep = "Amalgam(" * limit + "Empty" + ")" * limit
@@ -654,6 +670,27 @@ class TestPipelines:
                       "--dot", str(ball_dot))
         assert code == 0
         assert "--" in ball_dot.read_text()
+
+    def test_coxeter_nerve_runs_the_flag_test_once(self, tmp_path, capsys,
+                                                   monkeypatch):
+        calls = []
+        is_flag = SimplicialComplex.is_flag
+
+        def counted(self):
+            calls.append(self)
+            return is_flag(self)
+        monkeypatch.setattr(SimplicialComplex, "is_flag", counted)
+        triangle = json.dumps({"generators": ["a", "b", "c"],
+                               "m": [[1, 3, 3], [3, 1, 3], [3, 3, 1]]})
+        for text, flag, large in ((SQUARE, "true", "false"),
+                                  (triangle, "false", "false"),
+                                  (D_INFTY, "true", "true")):
+            calls.clear()
+            code, out = run(capsys, "coxeter", "nerve",
+                            write(tmp_path, "cox.json", text))
+            assert code == 0 and len(calls) == 1
+            assert out.splitlines()[2:] == [f"flag: {flag}",
+                                            f"infinity-large: {large}"]
 
 
 class TestReports:

@@ -627,6 +627,19 @@ class TestBoundaryExpression:
         boundary_expression(c)
         assert len(calls) == 1
 
+    def test_runs_no_flag_test(self, monkeypatch):
+        # virtually_free is classify_endedness's alone; the boundary of a
+        # free product never asks whether the nerve is flag
+        def refuse(self):
+            raise AssertionError("is_flag called")
+        monkeypatch.setattr(SimplicialComplex, "is_flag", refuse)
+        assert boundary_expression(two_disjoint_cycles()) == normalize(
+            Amalgam((Atom("bd[a,b,c,d]"), Atom("bd[p,q,r,s]"))))
+        assert boundary_expression(
+            system("abc", ab=3, bc=3, ac=INF)) == CANTOR
+        with pytest.raises(AssertionError, match="is_flag called"):
+            classify_endedness(two_disjoint_cycles())
+
     def test_atom_name_uses_generator_order(self):
         c = system("cab")  # declaration order c, a, b
         atom = subsystem_boundary_atom(c, {"b", "c"})

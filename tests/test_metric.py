@@ -1,6 +1,7 @@
 """Metric space container, disjoint unions, file formats, and kernels."""
 
 import csv
+import locale
 import math
 import os
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from denseamalgam import _kernels
 from denseamalgam import metric as metric_mod
-from denseamalgam.approx import build_approx
+from denseamalgam.approx import build_approx, load_bundle, save_bundle
 from denseamalgam.metric import (
     FiniteMetricSpace,
     disjoint_union,
@@ -54,6 +55,43 @@ def write_oracle(x, path):
         writer.writerow([""] + list(x.points))
         for p, row in zip(x.points, x.dist):
             writer.writerow([p] + [repr(float(v)) for v in row])
+
+
+# distances at the edges of repr's formats: zeros, subnormals, the largest
+# floats, and both sides of the switches to exponent notation
+EDGE_VALUES = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1e-5,
+               9.999999999999999e-06, 1.0000000000000002e-05, 0.0001, 1.0,
+               1 / 3, 9999999999999998.0, 1e16, 1.0000000000000002e16, 1e22,
+               1e300, 1.7976931348623157e308]
+# quoting: delimiter, quote, line ends, spaces, the empty name; non-ASCII
+NAME_CHARS = ',"\r\n ab\u00e9\u03b1\u4e2d\U0001f600'
+
+
+def encodable(name):
+    try:
+        name.encode(locale.getpreferredencoding(False))
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+@st.composite
+def csv_spaces(draw):
+    """A symmetric matrix over drawn names; -0.0 may sit on the diagonal.
+    The renderer needs no metric axioms, so none are checked."""
+    n = draw(st.integers(1, 7))
+    names = draw(st.lists(st.text(NAME_CHARS, max_size=3).filter(encodable),
+                          min_size=n, max_size=n, unique=True))
+    value = st.one_of(st.sampled_from(EDGE_VALUES),
+                      st.floats(min_value=0.0, allow_infinity=False))
+    mat = np.zeros((n, n))
+    mat[np.diag_indices(n)] = draw(st.lists(st.sampled_from([0.0, -0.0]),
+                                            min_size=n, max_size=n))
+    upper = np.triu_indices(n, 1)
+    mat[upper] = draw(st.lists(value, min_size=len(upper[0]),
+                               max_size=len(upper[0])))
+    mat.T[upper] = mat[upper]
+    return FiniteMetricSpace(names, mat, _check=False)
 
 
 def euclidean_space(coords):
@@ -234,6 +272,25 @@ class TestKernels:
         assert np.array_equal(closed, TWO.dist)
 
 
+@pytest.fixture(scope="module")
+def tree_bundle(tmp_path_factory):
+    """The bytes of a certified 387-point bundle: circle9, depth 3,
+    branching 3."""
+    a = build_approx([circle_net(9)], 3, 3, 1 / 3)
+    d = tmp_path_factory.mktemp("bundle")
+    save_bundle(a, d / "m.csv", d / "m.json")
+    assert load_bundle(d / "m.csv", d / "m.json").space.validation \
+        == "rebuild"
+    return (d / "m.csv").read_bytes(), (d / "m.json").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def csv_dir(tmp_path_factory):
+    """A directory for tests that draw many examples; each example
+    overwrites the files it uses."""
+    return tmp_path_factory.mktemp("csv")
+
+
 class TestSerialization:
     def test_json_round_trip(self):
         x = FiniteMetricSpace(["a", "b", "c"],
@@ -318,6 +375,82 @@ class TestSerialization:
         again = read_matrix_csv(tmp_path / "new.csv")
         assert again.points == x.points
         assert np.signbit(again.dist[0, 0]) and not np.signbit(again.dist[1, 1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(x=csv_spaces(), cells=st.sampled_from([1, 7, 2 ** 16]))
+    def test_csv_bytes_match_oracle_on_drawn_spaces(self, csv_dir, x, cells):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metric_mod, "_BLOCK_CELLS", cells)
+            write_matrix_csv(x, csv_dir / "new.csv")
+        write_oracle(x, csv_dir / "old.csv")
+        assert (csv_dir / "new.csv").read_bytes() \
+            == (csv_dir / "old.csv").read_bytes()
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(50, 64),
+           cells=st.sampled_from([7, 2 ** 16]))
+    def test_csv_bytes_match_oracle_when_values_share_slots(self, csv_dir,
+                                                            seed, n, cells):
+        # n(n-1)/2 random distances in [1, 2), all distinct, so some share a
+        # hash slot and their cells take the binary search
+        rng = np.random.default_rng(seed)
+        mat = np.zeros((n, n))
+        upper = np.triu_indices(n, 1)
+        mat[upper] = 1.0 + rng.random(len(upper[0]))
+        assert len(np.unique(mat[upper])) == len(upper[0])
+        mat.T[upper] = mat[upper]
+        x = FiniteMetricSpace([f"p{i}" for i in range(n)], mat)
+        searched = []
+        search = np.searchsorted
+
+        def counted(codes, values):
+            searched.append(values.size)
+            return search(codes, values)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metric_mod, "_BLOCK_CELLS", cells)
+            mp.setattr(np, "searchsorted", counted)
+            write_matrix_csv(x, csv_dir / "new.csv")
+        write_oracle(x, csv_dir / "old.csv")
+        assert (csv_dir / "new.csv").read_bytes() \
+            == (csv_dir / "old.csv").read_bytes()
+        assert 0 < sum(searched) < n * n
+
+    @settings(max_examples=40, deadline=None)
+    @given(patterns=st.lists(st.integers(0, 2 ** 64 - 1), min_size=1,
+                             max_size=300))
+    def test_value_index_slots_name_only_their_own_pattern(self, patterns):
+        bits = np.array(patterns, dtype=np.uint64)
+        codes, slots, shift = metric_mod._value_index(bits)
+        assert codes.tolist() == sorted(set(patterns))
+        hashed = ((codes * metric_mod._HASH_MULTIPLIER) >> shift).astype(int)
+        assert len(slots) >= min(16 * len(codes), 2 ** 20)
+        for i, h in enumerate(hashed):
+            sharing = np.count_nonzero(hashed == h)
+            assert slots[h] == (i if sharing == 1 else -1)
+        index = metric_mod._cell_values(bits, codes, slots, shift)
+        assert np.array_equal(codes[index], bits)
+
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_flipped_byte_is_never_certified(self, tree_bundle, csv_dir,
+                                             data):
+        matrix, sidecar = tree_bundle
+        raw = bytearray(matrix)
+        at = data.draw(st.integers(0, len(raw) - 1), label="at")
+        raw[at] ^= data.draw(st.integers(1, 255), label="mask")
+        (csv_dir / "m.csv").write_bytes(bytes(raw))
+        (csv_dir / "m.json").write_bytes(sidecar)
+        try:
+            b = load_bundle(csv_dir / "m.csv", csv_dir / "m.json")
+        except ValueError:
+            return
+        assert b.space.validation == "scan"
+
+    def test_stray_quote_is_a_value_error(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text(',a,b\na,0,"' + "1" * 200_000 + "\nb,1,0\n")
+        with pytest.raises(ValueError, match="unreadable matrix CSV"):
+            read_matrix_csv(path)
 
     def test_non_string_points_rejected(self, tmp_path):
         un = disjoint_union([TWO])
