@@ -54,7 +54,7 @@ _ON_FIRST_USE = {
     name: module
     for module, names in (
         ("metric", ("FiniteMetricSpace", "disjoint_union", "read_matrix_csv",
-                    "space_from_json", "space_to_json", "write_matrix_csv")),
+                    "space_from_json", "write_matrix_csv")),
         ("approx", ("AmalgamApprox", "ConditionReport", "ConditionTolerances",
                     "basic_open_set", "build_approx", "check_conditions",
                     "half_space", "load_bundle", "save_bundle")),
@@ -142,7 +142,6 @@ __all__ = [
     "save_bundle",
     "save_structure",
     "space_from_json",
-    "space_to_json",
     "verify_labelling",
     "write_matrix_csv",
 ]

@@ -28,6 +28,7 @@ import numpy as np
 
 from ._json import loads
 from .metric import (
+    _BLOCK_CELLS,
     TRIANGLE_SLACK,
     FiniteMetricSpace,
     disjoint_union,
@@ -39,73 +40,6 @@ from .tree import RootedTree
 ROOT = "t"
 
 _EXACT_SLACK = 1e-12
-
-
-# ---------------------------------------------------------------------------
-# Peripheral extensions.
-
-@dataclass(frozen=True)
-class PeripheralModel:
-    """A base space plus outward points at prescribed radii from anchors.
-
-    Peripheral point j sits at distance radius_j + d(anchor_j, x) from every
-    base point x, and radius_j + radius_l + d(anchor_j, anchor_l) from
-    peripheral point l; both formulas keep the triangle inequality exactly.
-    """
-
-    base: FiniteMetricSpace
-    peripheral: tuple  # of (anchor point, radius)
-
-    def __post_init__(self):
-        nb = len(self.base.points)
-        last_radius = {}
-        for j, (anchor, radius) in enumerate(self.peripheral):
-            if anchor != self.base.points[j % nb]:
-                raise ValueError("anchors must cycle through the base points in order")
-            if not radius > 0:
-                raise ValueError("peripheral radii must be positive")
-            if anchor in last_radius and not radius < last_radius[anchor]:
-                raise ValueError("radii must strictly decrease along each anchor cycle")
-            last_radius[anchor] = radius
-
-    def point_names(self):
-        return [("p", j + 1) for j in range(len(self.peripheral))]
-
-    def as_space(self) -> FiniteMetricSpace:
-        """Base points followed by peripheral points ("p", 1), ("p", 2), ..."""
-        nb = len(self.base.points)
-        n = nb + len(self.peripheral)
-        mat = np.zeros((n, n))
-        mat[:nb, :nb] = self.base.dist
-        anchor_idx = [self.base.index[a] for a, _ in self.peripheral]
-        radii = [r for _, r in self.peripheral]
-        for j, (ai, rj) in enumerate(zip(anchor_idx, radii)):
-            row = rj + self.base.dist[ai, :]
-            mat[nb + j, :nb] = row
-            mat[:nb, nb + j] = row
-            for l in range(j):
-                v = rj + radii[l] + self.base.dist[ai, anchor_idx[l]]
-                mat[nb + j, nb + l] = v
-                mat[nb + l, nb + j] = v
-        return FiniteMetricSpace(
-            list(self.base.points) + self.point_names(), mat, _check=False)
-
-
-def peripheral_extension(x: FiniteMetricSpace, n: int, r0: float,
-                         mu: float) -> PeripheralModel:
-    """n peripheral points, anchors cycling the base points in order,
-    radius r0 * mu^ceil(j / |base|) for the j-th point (1-based)."""
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("n must be a non-negative integer")
-    if not r0 > 0:
-        raise ValueError("r0 must be positive")
-    if not 0 < mu < 1:
-        raise ValueError("mu must lie in (0, 1)")
-    nb = len(x.points)
-    peripheral = tuple(
-        (x.points[(j - 1) % nb], r0 * mu ** math.ceil(j / nb))
-        for j in range(1, n + 1))
-    return PeripheralModel(x, peripheral)
 
 
 # ---------------------------------------------------------------------------
@@ -249,29 +183,35 @@ def _glued_matrix(union, depth, branching, scale, r0, mu):
     """The glued metric on every copy's base points, breadth first, then on
     one end per leaf (its deepest slot), breadth first.
 
-    Every vertex at depth j carries the same extended model, so every
-    subtree rooted at depth j has the same matrix S_j; it is built once
-    per level, from the leaves up.  S_j holds its root copy's base points
-    (and a leaf's end), then b copies of S_{j+1}; g_j holds the distances
-    from the root's parent port (slot 0) to those points.  Peripheral
-    point k lies at r_k + d(x_k, x) from base point x and at
-    (r_k + r_l) + d(x_k, x_l) from peripheral point l, its anchor x_k
-    being base point k mod |base| (`PeripheralModel`).  Child i hangs at
-    the child port p_i, the slot after the parent slot if any, which is a
-    cut point: a base point x lies at d(x, p_i) + g[t] from point t of
-    the child, and point r of child k < i lies at (d(p_i, p_k) + g[r]) +
-    g[t] from it.  These are the sums, in the same order, of wedging the
+    The model at depth j has the base distances d = scale^j d_union and,
+    for slots k = 1, 2, ..., the radii r_k = r0 scale^j mu^ceil(k / |base|).
+    Peripheral point k lies at r_k + d(x_k, x) from base point x and at
+    (r_k + r_l) + d(x_k, x_l) from peripheral point l, its anchor x_k being
+    base point k mod |base|; both keep the triangle inequality exactly.
+
+    Every vertex at depth j carries that model, so every subtree rooted at
+    depth j has the same matrix S_j; it is built once per level, from the
+    leaves up.  S_j holds its root copy's base points (and a leaf's end),
+    then b copies of S_{j+1}, depth first; g_j holds the distances from the
+    root's parent port (slot 0) to those points.  Child i hangs at the
+    child port p_i, the slot after the parent slot if any, which is a cut
+    point: a base point x lies at d(x, p_i) + g[t] from point t of the
+    child, and point r of child k < i lies at (d(p_i, p_k) + g[r]) + g[t]
+    from it.  These are the sums, in the same order, of wedging the
     children onto the whole model one at a time, so the matrix is bit for
     bit the one the vertex-by-vertex gluing gives.
+
+    S_0 is written into the array that is returned, and `_breadth_first`
+    then reorders it in place: the build holds that one n x n array, S_1
+    and smaller matrices, and a block of cells at a time.
     """
     nb = len(union.points)
+    shrink = [mu ** math.ceil(k / nb) for k in range(1, branching + 2)]
     sub = g = None
-    sizes = []  # per level from the leaves up: model rows kept, rows of S_j+1
     for j in reversed(range(depth + 1)):
         base = scale ** j * union.dist
         r0j = r0 * scale ** j
-        radii = [r0j * mu ** math.ceil(k / nb)
-                 for k in range(1, branching + (j > 0) + 1)]
+        radii = [r0j * f for f in shrink[:branching + (j > 0)]]
         if not radii[-1] >= sys.float_info.min:
             # halving a normal radius is exact, so the radii then decrease
             raise ValueError(f"peripheral radii underflow at depth {j}")
@@ -289,30 +229,59 @@ def _glued_matrix(union, depth, branching, scale, r0, mu):
             ports, a, s = [i + (j > 0) for i in range(branching)], nb, len(sub)
             mat = np.empty((a + branching * s,) * 2)
         mat[:nb, :nb] = base
+        # cross blocks are summed where they go, with no temporary as large
+        # as S_{j+1}, then copied to their transposes
         for i, p in enumerate(ports):
             lo = a + i * s
             mat[lo:lo + s, lo:lo + s] = sub
-            cross = (radii[p] + base[p % nb])[:, None] + g
-            mat[:a, lo:lo + s], mat[lo:lo + s, :a] = cross, cross.T
+            cross = np.add((radii[p] + base[p % nb])[:, None], g,
+                           out=mat[:a, lo:lo + s])
+            mat[lo:lo + s, :a] = cross.T
             for k in range(i):
-                cross = (far(p, ports[k]) + g)[:, None] + g
                 lk = a + k * s
-                mat[lk:lk + s, lo:lo + s], mat[lo:lo + s, lk:lk + s] = cross, cross.T
+                cross = np.add((far(p, ports[k]) + g)[:, None], g,
+                               out=mat[lk:lk + s, lo:lo + s])
+                mat[lo:lo + s, lk:lk + s] = cross.T
         if j > 0:
             g = np.concatenate([radii[0] + base[0]]
                                + ([[far(0, end)]] if sub is None else [])
                                + [far(0, p) + g for p in ports])
         sub = mat
-        sizes.append((a, s))
+    if depth and branching > 1:  # else depth first is breadth first
+        _breadth_first(mat, _breadth_first_rows(nb, depth, branching))
+    return mat
 
-    # a vertex's rows start after its parent's kept model points and its
-    # elder siblings' subtrees; sizes runs from the leaves up
-    starts = [np.zeros(1, dtype=np.intp)]
-    for a, s in reversed(sizes[1:]):
-        starts.append((starts[-1][:, None] + a + s * np.arange(branching)).ravel())
-    rows = np.concatenate([(np.concatenate(starts)[:, None] + np.arange(nb)).ravel(),
-                           starts[-1] + nb])
-    return sub.take(rows, 0).take(rows, 1)
+
+def _breadth_first_rows(nb, depth, branching):
+    """The row of S_0 (see `_glued_matrix`) of each point, breadth first.
+
+    |S_depth| = nb + 1 and |S_j| = nb + branching |S_{j+1}|; a vertex's
+    rows start after its parent's base points and its elder siblings'
+    subtrees, and a leaf's end follows its base points."""
+    sizes = [nb + 1]  # |S_j|, from the leaves up
+    for _ in range(depth):
+        sizes.append(nb + branching * sizes[-1])
+    level = starts = [0]  # first rows of the vertices, breadth first
+    for s in reversed(sizes[:-1]):
+        level = [v + nb + s * i for v in level for i in range(branching)]
+        starts = starts + level
+    starts = np.array(starts)
+    return np.concatenate([(starts[:, None] + np.arange(nb)).ravel(),
+                           starts[-len(level):] + nb])
+
+
+def _breadth_first(mat, order):
+    """mat[order][:, order], written over mat.
+
+    Each block of rows takes its columns in order, then each block of
+    columns its rows: a block is copied out whole before it is written,
+    and no block reads another, so the only temporary is one block of
+    about _BLOCK_CELLS cells."""
+    step = max(1, _BLOCK_CELLS // len(mat))
+    for lo in range(0, len(mat), step):
+        mat[lo:lo + step] = mat[lo:lo + step].take(order, 1)
+    for lo in range(0, len(mat), step):
+        mat[:, lo:lo + step] = mat[:, lo:lo + step].take(order, 0)
 
 
 def build_approx(xs, depth: int, branching: int, scale: float,
@@ -331,8 +300,10 @@ def build_approx(xs, depth: int, branching: int, scale: float,
     tree = RootedTree([-1] + [(v - 1) // branching
                               for v in range(1, len(vertex))], vertex)
     final = _glued_matrix(union, depth, branching, scale, r0, mu)
-    assert np.all(np.isfinite(final)), "tree gluing left the space disconnected"
-    assert float((final + np.eye(len(final))).min()) > 0, \
+    n = len(final)
+    assert math.isfinite(final.max()), "tree gluing left the space disconnected"
+    # the diagonal is zero by construction
+    assert final.min() >= 0 and np.count_nonzero(final) == n * n - n, \
         "gluing collapsed two surviving points"
     leaves = vertex[len(vertex) - branching ** depth:]
     names = _point_names(vertex, union, len(leaves))

@@ -14,7 +14,15 @@ from ._kernels import max_triangle_violation
 
 TRIANGLE_SLACK = 1e-12
 
-_BLOCK_CELLS = 2 ** 16  # cells per block of rows in matrix CSV rendering
+# Cells per block: a block of rows of the matrix CSV render, and a block of
+# rows or columns of the glued matrix's in-place reorder
+# (`approx._breadth_first`).  A block's largest temporaries take 8 bytes a
+# cell, so at 2^14 cells each stays within 128 KiB, glibc's initial mmap
+# threshold: it reuses the heap pages the previous block freed, where a
+# larger one is a fresh mapping that faults in on first touch.  approx_sweep
+# passes take about 3,900 minor faults at 2^12 to 2^14 cells, 25,600 at
+# 2^15 and 48,600 at 2^16.
+_BLOCK_CELLS = 2 ** 14
 _HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)  # odd: 2^64 / golden ratio
 _SLOT_BITS_CAP = 20  # the value hash table has at most 2^20 slots
 
@@ -25,8 +33,10 @@ class FiniteMetricSpace:
     Construction checks zero diagonal, exact symmetry, positivity off the
     diagonal, and the triangle inequality within a slack of 1e-12 times
     max(1, diameter): rounding in d(i,k) + d(k,j) grows with the size of the
-    distances.  Internal constructors that guarantee the axioms skip the
-    cubic check.
+    distances.  The checked constructor copies dist, so the caller's array
+    stays its own.  Internal constructors that guarantee the axioms pass
+    _check=False with an array of their own making: the space takes that
+    array over, without a copy, and makes it read-only.
 
     validation says how the axioms were established: "scan" when this
     constructor checked them, "rebuild" when `read_matrix_csv` matched the
@@ -43,7 +53,7 @@ class FiniteMetricSpace:
             raise ValueError("duplicate point names")
         self.index = {p: i for i, p in enumerate(self.points)}
         try:
-            mat = np.array(dist, dtype=np.float64)
+            mat = (np.array if _check else np.asarray)(dist, dtype=np.float64)
         except TypeError:
             raise ValueError(f"distance {_non_number(dist)} is not a "
                              "number") from None
@@ -79,10 +89,6 @@ class FiniteMetricSpace:
     def submatrix(self, points) -> np.ndarray:
         idx = [self.index[p] for p in points]
         return self.dist[np.ix_(idx, idx)]
-
-    def subspace(self, points) -> "FiniteMetricSpace":
-        # any subset of a metric space is one
-        return FiniteMetricSpace(points, self.submatrix(points), _check=False)
 
     def __eq__(self, other):
         if not isinstance(other, FiniteMetricSpace):
@@ -137,12 +143,6 @@ def disjoint_union(spaces) -> FiniteMetricSpace:
 def _require_str_points(x: FiniteMetricSpace):
     if not all(isinstance(p, str) for p in x.points):
         raise ValueError("point names must be strings for serialization")
-
-
-def space_to_json(x: FiniteMetricSpace) -> str:
-    _require_str_points(x)
-    return json.dumps({"points": list(x.points), "dist": x.dist.tolist()},
-                      indent=2)
 
 
 def space_from_json(text: str) -> FiniteMetricSpace:
@@ -211,7 +211,11 @@ def _cell_values(block, codes, slots, shift):
 
 def _matrix_csv_blocks(x: FiniteMetricSpace):
     """`matrix_csv_text` of x in pieces: the header row, then blocks of
-    rows of about _BLOCK_CELLS cells each.
+    rows of about _BLOCK_CELLS cells each.  A block's temporaries (value
+    indices, the index grid, the pieces it names, its text) hold about
+    _BLOCK_CELLS entries each, few enough to come from warm heap memory
+    (see _BLOCK_CELLS), and `write_matrix_csv` and the certified
+    `read_matrix_csv` never hold the whole text.
 
     Every piece of text a row is made of is built once: for each of the k
     distinct values its repr followed by "," and followed by "\r\n", and

@@ -1,22 +1,24 @@
 """Peripheral extensions, the glued tree construction, and condition checks."""
 
 import math
+import sys
+import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from conftest import sweep_configs
+from denseamalgam import approx as approx_mod
 from denseamalgam._kernels import floyd_warshall
 from denseamalgam.approx import (
     AmalgamApprox,
     ConditionTolerances,
-    PeripheralModel,
     basic_open_set,
     build_approx,
     check_conditions,
     half_space,
     load_bundle,
-    peripheral_extension,
     save_bundle,
 )
 from denseamalgam.metric import FiniteMetricSpace, disjoint_union
@@ -29,6 +31,70 @@ def circle_net(n=5):
     return FiniteMetricSpace(
         [f"c{i}" for i in range(n)],
         [[min(abs(i - j), n - abs(i - j)) for j in range(n)] for i in range(n)])
+
+
+@dataclass(frozen=True)
+class PeripheralModel:
+    """A base space plus outward points at prescribed radii from anchors.
+
+    Peripheral point j sits at distance radius_j + d(anchor_j, x) from every
+    base point x, and radius_j + radius_l + d(anchor_j, anchor_l) from
+    peripheral point l; both formulas keep the triangle inequality exactly.
+    """
+
+    base: FiniteMetricSpace
+    peripheral: tuple  # of (anchor point, radius)
+
+    def __post_init__(self):
+        nb = len(self.base.points)
+        last_radius = {}
+        for j, (anchor, radius) in enumerate(self.peripheral):
+            if anchor != self.base.points[j % nb]:
+                raise ValueError("anchors must cycle through the base points in order")
+            if not radius > 0:
+                raise ValueError("peripheral radii must be positive")
+            if anchor in last_radius and not radius < last_radius[anchor]:
+                raise ValueError("radii must strictly decrease along each anchor cycle")
+            last_radius[anchor] = radius
+
+    def point_names(self):
+        return [("p", j + 1) for j in range(len(self.peripheral))]
+
+    def as_space(self) -> FiniteMetricSpace:
+        """Base points followed by peripheral points ("p", 1), ("p", 2), ..."""
+        nb = len(self.base.points)
+        n = nb + len(self.peripheral)
+        mat = np.zeros((n, n))
+        mat[:nb, :nb] = self.base.dist
+        anchor_idx = [self.base.index[a] for a, _ in self.peripheral]
+        radii = [r for _, r in self.peripheral]
+        for j, (ai, rj) in enumerate(zip(anchor_idx, radii)):
+            row = rj + self.base.dist[ai, :]
+            mat[nb + j, :nb] = row
+            mat[:nb, nb + j] = row
+            for l in range(j):
+                v = rj + radii[l] + self.base.dist[ai, anchor_idx[l]]
+                mat[nb + j, nb + l] = v
+                mat[nb + l, nb + j] = v
+        return FiniteMetricSpace(
+            list(self.base.points) + self.point_names(), mat, _check=False)
+
+
+def peripheral_extension(x: FiniteMetricSpace, n: int, r0: float,
+                         mu: float) -> PeripheralModel:
+    """n peripheral points, anchors cycling the base points in order,
+    radius r0 * mu^ceil(j / |base|) for the j-th point (1-based)."""
+    if not isinstance(n, int) or n < 0:
+        raise ValueError("n must be a non-negative integer")
+    if not r0 > 0:
+        raise ValueError("r0 must be positive")
+    if not 0 < mu < 1:
+        raise ValueError("mu must lie in (0, 1)")
+    nb = len(x.points)
+    peripheral = tuple(
+        (x.points[(j - 1) % nb], r0 * mu ** math.ceil(j / nb))
+        for j in range(1, n + 1))
+    return PeripheralModel(x, peripheral)
 
 
 def closure_oracle(xs, depth, branching, scale):
@@ -119,6 +185,59 @@ def wedge_oracle(xs, depth, branching, scale):
     kept = [start[v] + r for v in range(n_vertices) for r in range(nb)]
     kept += [start[v] + nb + branching + (v > 0) - 1 for v in leaves]
     return mat[np.ix_(kept, kept)]
+
+
+def depth_first_oracle(union, depth, branching, scale, r0, mu):
+    """The glued matrix as `_glued_matrix` built it before it reordered in
+    place: S_0 whole in depth-first order, then one take of its rows and
+    one of its columns into breadth-first order, three n x n arrays."""
+    nb = len(union.points)
+    sub = g = None
+    sizes = []  # per level from the leaves up: model rows kept, rows of S_j+1
+    for j in reversed(range(depth + 1)):
+        base = scale ** j * union.dist
+        r0j = r0 * scale ** j
+        radii = [r0j * mu ** math.ceil(k / nb)
+                 for k in range(1, branching + (j > 0) + 1)]
+        if not radii[-1] >= sys.float_info.min:
+            raise ValueError(f"peripheral radii underflow at depth {j}")
+
+        def far(k, l):  # peripheral points k and l
+            return (radii[k] + radii[l]) + base[k % nb, l % nb]
+
+        if sub is None:  # a leaf keeps its base points and its last slot
+            end = len(radii) - 1
+            ports, a, s = [], nb + 1, 0
+            mat = np.empty((a, a))
+            mat[nb, :nb] = mat[:nb, nb] = radii[end] + base[end % nb]
+            mat[nb, nb] = 0.0
+        else:
+            ports, a, s = [i + (j > 0) for i in range(branching)], nb, len(sub)
+            mat = np.empty((a + branching * s,) * 2)
+        mat[:nb, :nb] = base
+        for i, p in enumerate(ports):
+            lo = a + i * s
+            mat[lo:lo + s, lo:lo + s] = sub
+            cross = (radii[p] + base[p % nb])[:, None] + g
+            mat[:a, lo:lo + s], mat[lo:lo + s, :a] = cross, cross.T
+            for k in range(i):
+                cross = (far(p, ports[k]) + g)[:, None] + g
+                lk = a + k * s
+                mat[lk:lk + s, lo:lo + s], mat[lo:lo + s, lk:lk + s] = cross, cross.T
+        if j > 0:
+            g = np.concatenate([radii[0] + base[0]]
+                               + ([[far(0, end)]] if sub is None else [])
+                               + [far(0, p) + g for p in ports])
+        sub = mat
+        sizes.append((a, s))
+    # a vertex's rows start after its parent's kept model points and its
+    # elder siblings' subtrees; sizes runs from the leaves up
+    starts = [np.zeros(1, dtype=np.intp)]
+    for a, s in reversed(sizes[1:]):
+        starts.append((starts[-1][:, None] + a + s * np.arange(branching)).ravel())
+    rows = np.concatenate([(np.concatenate(starts)[:, None] + np.arange(nb)).ravel(),
+                           starts[-1] + nb])
+    return sub.take(rows, 0).take(rows, 1)
 
 
 class TestPeripheralExtension:
@@ -255,11 +374,49 @@ class TestBuildApprox:
         ([circle_net()], 2, 2, 0.37),
         ([circle_net(), TWO], 2, 3, 0.1),
         ([circle_net(3), ONE, TWO], 3, 2, 0.5),
-    ], ids=["d0", "two-point", "circle5", "circle5+two", "three-class"])
+    ] + [(xs, depth, branching, 1 / 3)
+         for _, xs, depth, branching in sweep_configs()],
+        ids=["d0", "two-point", "circle5", "circle5+two", "three-class"]
+        + [c[0] for c in sweep_configs()])
     def test_matches_wedge_oracle_bit_for_bit(self, xs, depth, branching, scale):
         a = build_approx(xs, depth, branching, scale)
         expected = wedge_oracle(xs, depth, branching, scale)
         assert a.space.dist.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("xs, depth, branching", [
+        (xs, depth, branching) for _, xs, depth, branching in sweep_configs()
+    ] + [([circle_net()], 5, 3)],
+        ids=[c[0] for c in sweep_configs()] + ["circle5-d5-b3"])
+    def test_matches_depth_first_oracle_bit_for_bit(self, xs, depth,
+                                                    branching):
+        union = disjoint_union(xs)
+        args = (union, depth, branching, 1 / 3,
+                *approx_mod._radius_and_ratio(union))
+        got = approx_mod._glued_matrix(*args)
+        assert got.tobytes() == depth_first_oracle(*args).tobytes()
+
+    def test_space_keeps_the_glued_matrix(self, monkeypatch):
+        # the space takes the glued matrix over instead of copying it
+        built = []
+        glued = approx_mod._glued_matrix
+
+        def keep(*args):
+            built.append(glued(*args))
+            return built[-1]
+        monkeypatch.setattr(approx_mod, "_glued_matrix", keep)
+        a = build_approx([TWO, circle_net(3)], 2, 2, 1 / 3)
+        assert a.space.dist is built[0]
+
+    @pytest.mark.parametrize("cells", [1, 7, 64, 2 ** 14])
+    def test_breadth_first_reorders_in_place(self, monkeypatch, cells):
+        # any square matrix and order, in blocks down to one row or column
+        monkeypatch.setattr(approx_mod, "_BLOCK_CELLS", cells)
+        rng = np.random.default_rng(cells)
+        mat = rng.random((23, 23))
+        order = rng.permutation(23)
+        expected = mat[order][:, order]
+        approx_mod._breadth_first(mat, order)
+        assert np.array_equal(mat, expected)
 
 
 @pytest.fixture(scope="module")
@@ -545,3 +702,22 @@ class TestBundle:
         (tmp_path / "side.json").write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="labels"):
             load_bundle(tmp_path / "m.csv", tmp_path / "side.json")
+
+    def test_load_and_save_hold_one_matrix(self, tmp_path):
+        # circle9, depth 3, branching 3: 387 points; the traced peaks are
+        # in units of one n x n float64 matrix
+        a = build_approx([circle_net(9)], 3, 3, 1 / 3)
+        cells = 8 * len(a.space) ** 2
+        paths = tmp_path / "m.csv", tmp_path / "side.json"
+        tracemalloc.start()
+        try:
+            save_bundle(a, *paths)
+            saved = tracemalloc.get_traced_memory()[1] / cells
+            tracemalloc.reset_peak()
+            b = load_bundle(*paths)
+            loaded = tracemalloc.get_traced_memory()[1] / cells
+        finally:
+            tracemalloc.stop()
+        assert b.space.validation == "rebuild" and b.space == a.space
+        assert saved <= 1.5, saved
+        assert loaded <= 2.6, loaded
