@@ -56,8 +56,8 @@ _ON_FIRST_USE = {
         ("metric", ("FiniteMetricSpace", "disjoint_union", "read_matrix_csv",
                     "space_from_json", "write_matrix_csv")),
         ("approx", ("AmalgamApprox", "ConditionReport", "ConditionTolerances",
-                    "basic_open_set", "build_approx", "check_conditions",
-                    "half_space", "load_bundle", "save_bundle")),
+                    "build_approx", "check_conditions", "load_bundle",
+                    "save_bundle")),
         ("characterize", ("MergeResult", "RegularStructure", "TLabelling",
                           "as_regular_structure", "build_t_labelling",
                           "check_regularity", "labelling_from_json",
@@ -111,7 +111,6 @@ __all__ = [
     "amalgam_of",
     "as_regular_structure",
     "ball_counts",
-    "basic_open_set",
     "bass_serre_ball",
     "build_approx",
     "build_t_labelling",
@@ -124,7 +123,6 @@ __all__ = [
     "equal_normal",
     "format_expr",
     "gog_boundary_expression",
-    "half_space",
     "is_finite_type",
     "is_non_elementary",
     "labelling_from_json",

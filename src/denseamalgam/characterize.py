@@ -10,12 +10,12 @@ tree is the `RootedTree` of its parent map, so levels and subtrees follow
 the parent chain whatever the vertices are named.
 """
 
+import collections
 import functools
 import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .approx import (
     AmalgamApprox,
     ConditionReport,
     ConditionTolerances,
+    _Runs,
     rebuild_space,
     recipe_of,
 )
@@ -34,7 +35,7 @@ from .tree import RootedTree
 MATCH_LIMIT = 8  # largest subset size for the exact shape-matching search
 
 
-class FamilyTables(NamedTuple):
+class FamilyTables:
     """A family's distance aggregates, for m subsets of an n-point space.
 
     near[j, p] is the least distance from point p to subset j (m x n);
@@ -44,12 +45,38 @@ class FamilyTables(NamedTuple):
     subset i to one of subset j.  Every entry is a min or max of matrix
     entries, so it is exactly the value of the corresponding block of the
     matrix.
+
+    The structure's subsets are runs of matrix rows (`approx._Runs`): near
+    folds each subset's rows with np.minimum one member position at a
+    time, reach and between fold near's columns the same way, and diam
+    reads only the subsets' diagonal blocks.  No copy of the subsets' rows
+    and no maximum pass over them is made.  Each table is computed on its
+    first read and kept, read-only, for every later reader.
     """
 
-    near: np.ndarray
-    diam: np.ndarray
-    reach: np.ndarray
-    between: np.ndarray
+    def __init__(self, runs, dist):
+        self._runs, self._dist = runs, dist
+
+    @functools.cached_property
+    def near(self) -> np.ndarray:
+        return _shared(self._runs.reduce(np.minimum, self._dist))
+
+    @functools.cached_property
+    def diam(self) -> np.ndarray:
+        return _shared(self._runs.diameters(self._dist))
+
+    @functools.cached_property
+    def reach(self) -> np.ndarray:
+        return _shared(self._runs.reduce(np.maximum, self.near, axis=1).T)
+
+    @functools.cached_property
+    def between(self) -> np.ndarray:
+        return _shared(self._runs.reduce(np.minimum, self.near, axis=1))
+
+
+def _shared(table: np.ndarray) -> np.ndarray:
+    table.setflags(write=False)
+    return table
 
 
 class RegularStructure:
@@ -61,9 +88,9 @@ class RegularStructure:
     consume subsets in it.  approximation is the build recipe
     (`approx.recipe_of`) of a space that is an approximation's, or None.
 
-    tables holds the family's `FamilyTables`, computed from the matrix on
-    first use and kept: the regularity checks, the labelling and the merge
-    read subset diameters and subset-to-subset distances from it.
+    tables holds the family's `FamilyTables`, each computed from the matrix
+    on first use and kept: the regularity checks, the labelling and the
+    merge read subset diameters and subset-to-subset distances from it.
     """
 
     def __init__(self, space: FiniteMetricSpace, family, approximation=None):
@@ -94,41 +121,18 @@ class RegularStructure:
             raise ValueError("class indices must cover 1..k with no gaps")
         self.k = k
         self.residual = tuple(p for p in space.points if p not in seen)
-        self._idx = [np.array([space.index[p] for p in pts], dtype=np.intp)
-                     for pts in self.subsets]
-        # the subsets' points in family order: subset i's start at
-        # _starts[i], each point's subset in _owner
-        sizes = [len(p) for p in self.subsets]
-        self._order = np.concatenate(self._idx)
-        self._starts = np.cumsum([0] + sizes[:-1])
-        self._owner = np.repeat(np.arange(len(sizes)), sizes)
+        # the subsets as runs of the matrix's rows, in family order
+        self._runs = _Runs([space.index[p] for pts in self.subsets
+                            for p in pts], [len(p) for p in self.subsets])
         self._residual_idx = np.array([space.index[p] for p in self.residual],
                                       dtype=np.intp)
-
-    @functools.cached_property
-    def tables(self) -> FamilyTables:
-        order, starts = self._order, self._starts
-        rows = self.space.dist[order]
-        near = np.minimum.reduceat(rows, starts, axis=0)
-        far = np.maximum.reduceat(rows, starts, axis=0)  # diameters only
-        at = near[:, order]
-        tables = FamilyTables(
-            near=near,
-            diam=np.maximum.reduceat(far[self._owner, order], starts),
-            reach=np.maximum.reduceat(at, starts, axis=1).T,
-            between=np.minimum.reduceat(at, starts, axis=1))
-        for table in tables:  # shared by every reader
-            table.setflags(write=False)
-        return tables
+        self.tables = FamilyTables(self._runs, space.dist)
 
     def __len__(self) -> int:
         return len(self.subsets)
 
     def subset_diam(self, i: int) -> float:
         return float(self.tables.diam[i])
-
-    def set_distance(self, i: int, j: int) -> float:
-        return float(self.tables.between[i, j])
 
     def of_class(self, cls: int):
         return [i for i, c in enumerate(self.classes) if c == cls]
@@ -240,11 +244,6 @@ def _atom_distances(s: RegularStructure) -> np.ndarray:
                      [to_res.T, s.space.dist[np.ix_(res, res)]]])
 
 
-def _normalized(block: np.ndarray) -> np.ndarray:
-    d = block.max()
-    return block / d if d > 0 else block
-
-
 def _match_shapes(ref: np.ndarray, other: np.ndarray, tol: float):
     """Search for a bijection aligning two normalized matrices within tol.
 
@@ -298,24 +297,38 @@ def check_regularity(s: RegularStructure, tol: ConditionTolerances = None) -> Co
     n_sub = len(s)
     conditions = {}
 
-    # (a1): members of one class all have the same shape
+    # (a1): members of one class all have the same shape.  A class's
+    # members of its reference's size are normalized in one batch, and the
+    # identity alignment, which the search tries first, is read for all of
+    # them at once; the search runs only where it fails.
     worst_dev = 0.0
     proxy_pairs = []
     mismatches = []
     for cls in range(1, s.k + 1):
         members = s.of_class(cls)
         ref_i = members[0]
-        ref_block = _normalized(s.space.submatrix(s.subsets[ref_i]))
+        size = len(s.subsets[ref_i])
+        same = {i: j for j, i in enumerate(
+            i for i in members if len(s.subsets[i]) == size)}
+        if size <= MATCH_LIMIT:
+            idx = s._runs.members[s._runs.slots[list(same), :size]]
+            blocks = dist[idx[:, :, None], idx[:, None, :]]
+            peak = blocks.max(axis=(1, 2))
+            blocks /= np.where(peak > 0, peak, 1.0)[:, None, None]
+            deviation = np.abs(blocks[0] - blocks).max(axis=(1, 2)).tolist()
         for i in members[1:]:
-            if len(s.subsets[i]) != len(s.subsets[ref_i]):
+            if i not in same:
                 mismatches.append({"class": cls, "subsets": [ref_i, i],
                                    "reason": "cardinality"})
                 continue
-            if len(s.subsets[i]) > MATCH_LIMIT:
+            if size > MATCH_LIMIT:
                 proxy_pairs.append([ref_i, i])
                 continue
-            block = _normalized(s.space.submatrix(s.subsets[i]))
-            found, dev = _match_shapes(ref_block, block, resolved["iso"])
+            j = same[i]
+            if deviation[j] <= resolved["iso"]:
+                found, dev = True, deviation[j]
+            else:
+                found, dev = _match_shapes(blocks[0], blocks[j], resolved["iso"])
             if not found:
                 mismatches.append({"class": cls, "subsets": [ref_i, i],
                                    "reason": "no matching bijection"})
@@ -341,16 +354,16 @@ def check_regularity(s: RegularStructure, tol: ConditionTolerances = None) -> Co
 
     # (a3): every subset point has a nearby point outside its subset; a
     # subset that is the whole space has none, at infinite distance
-    order = s._order
-    nearest = tables.near[:, order]
-    nearest[s._owner, np.arange(len(order))] = math.inf
-    nearest = nearest.min(axis=0)
+    members = s._runs.members
+    cells = tables.near[:, members]
+    cells[s._runs.owner, np.arange(len(members))] = math.inf
+    nearest = cells.min(axis=0)
     if len(s._residual_idx):
-        nearest = np.minimum(nearest, dist[np.ix_(order, s._residual_idx)]
+        nearest = np.minimum(nearest, dist[np.ix_(members, s._residual_idx)]
                              .min(axis=1))
     worst_gap = 0.0
     worst_subset = None
-    for i, gap in enumerate(np.maximum.reduceat(nearest, s._starts).tolist()):
+    for i, gap in enumerate(nearest[s._runs.slots].max(axis=1).tolist()):
         if gap > worst_gap:
             worst_gap, worst_subset = gap, i
     conditions["a3"] = {
@@ -433,13 +446,10 @@ def merge_families(s: RegularStructure) -> MergeResult:
         raise ValueError(
             "classes have unequal subset counts "
             f"{sorted(counts.items())}; a finite family cannot compensate")
-    m = counts[1]
     between = s.tables.between.tolist()
     used = [False] * len(s)
-    rounds = []
-    family = []
-    ratio = 0.0
-    for _ in range(m):
+    picks = []
+    for _ in range(counts[1]):
         seed = next(i for i in range(len(s)) if not used[i])
         used[seed] = True
         members = [seed]
@@ -450,8 +460,17 @@ def merge_families(s: RegularStructure) -> MergeResult:
                        key=lambda i: (between[seed][i], i))
             used[pick] = True
             members.append(pick)
-        points = tuple(p for i in members for p in s.subsets[i])
-        union_diam = float(s.space.submatrix(points).max())
+        picks.append(members)
+    unions = [tuple(p for i in members for p in s.subsets[i])
+              for members in picks]
+    union_diams = _Runs([s.space.index[p] for points in unions for p in points],
+                        [len(points) for points in unions]
+                        ).diameters(s.space.dist).tolist()
+    rounds = []
+    family = []
+    ratio = 0.0
+    for members, points, union_diam in zip(picks, unions, union_diams):
+        seed = members[0]
         seed_diam = s.subset_diam(seed)
         if union_diam == 0.0:
             r = 1.0
@@ -485,23 +504,24 @@ def quotient_profile(s: RegularStructure, eps: float) -> dict:
     np.fill_diagonal(quot, 0.0)
     quot = floyd_warshall(quot)
 
+    # cuts with gap >= eps exist exactly between components linked by < eps;
+    # pairs i < j are read row by row
+    comp = np.array(_components(
+        n, np.argwhere(np.triu(quot < eps, 1)).tolist()))
+    apart = np.argwhere(np.triu(quot > eps, 1) & (comp[:, None] == comp))
+    violations = [[atoms[i], atoms[j], float(quot[i, j])]
+                  for i, j in apart[:10].tolist()]
+    c1 = {"verdict": "pass" if not len(apart) else "fail",
+          "violations": violations, "violation_count": len(apart)}
+
     if n == 1:
         c2 = {"verdict": "fail", "max_nearest": math.inf, "worst_atom": atoms[0]}
     else:
-        off = quot + np.diag([math.inf] * n)
-        nearest = off.min(axis=1)
+        quot.flat[::n + 1] = math.inf  # the diagonal
+        nearest = quot.min(axis=1)
         at = int(nearest.argmax())
         c2 = {"verdict": "pass" if nearest[at] <= eps else "fail",
               "max_nearest": float(nearest[at]), "worst_atom": atoms[at]}
-
-    # cuts with gap >= eps exist exactly between components linked by < eps
-    comp = _components(n, ((i, j) for i in range(n) for j in range(i + 1, n)
-                           if quot[i, j] < eps))
-    violations = [[atoms[i], atoms[j], float(quot[i, j])]
-                  for i in range(n) for j in range(i + 1, n)
-                  if quot[i, j] > eps and comp[i] == comp[j]]
-    c1 = {"verdict": "pass" if not violations else "fail",
-          "violations": violations[:10], "violation_count": len(violations)}
 
     return {
         "eps": eps,
@@ -616,11 +636,13 @@ def build_t_labelling(s: RegularStructure, max_depth: int) -> TLabelling:
 
     link_eps = report.tolerances["separation_gap"]
     dist = s.space.dist
+    index = s.space.index
     near = s.tables.near
     diams = s.tables.diam.tolist()
     reach = s.tables.reach.tolist()
     between = s.tables.between.tolist()
     point_sets = [set(pts) for pts in s.subsets]
+    owner = {p: i for i, pts in enumerate(s.subsets) for p in pts}
     used = [False] * len(s)
 
     root = "r"
@@ -631,8 +653,10 @@ def build_t_labelling(s: RegularStructure, max_depth: int) -> TLabelling:
     used[0] = True
 
     def descend(t: str, region: set, depth: int):
-        candidates = [i for i in range(len(s))
-                      if not used[i] and point_sets[i] <= region]
+        met = set(map(owner.get, region))  # the subsets region meets
+        met.discard(None)
+        candidates = sorted(i for i in met
+                            if not used[i] and point_sets[i] <= region)
         if depth == max_depth:
             if candidates:
                 raise ValueError(
@@ -673,33 +697,39 @@ def build_t_labelling(s: RegularStructure, max_depth: int) -> TLabelling:
             pick = min(fits, key=lambda c: (between[i][assignment[c]],
                                             children.index(c)))
             regions[pick] |= point_sets[i]
-        assigned = set().union(*regions.values())
+        # every other point goes to the nearest child (the first of equals)
+        # whose neighbourhood takes it, read from the children's near rows
+        rest = sorted(region - set().union(*regions.values()))
+        to_rest = near[[assignment[c] for c in children]].take(
+            [index[p] for p in rest], axis=1).T.tolist()
         leftovers = []
-        for p in sorted(region - assigned):
-            to_p = near[:, s.space.index[p]].tolist()
-            fits = [c for c in children if to_p[assignment[c]] <= radii[c]]
+        for p, to_p in zip(rest, to_rest):
+            fits = [ci for ci, c in enumerate(children) if to_p[ci] <= radii[c]]
             if not fits:
                 leftovers.append(p)
                 continue
-            pick = min(fits, key=lambda c: (to_p[assignment[c]],
-                                            children.index(c)))
-            regions[pick].add(p)
+            pick = min(fits, key=lambda ci: (to_p[ci], ci))
+            regions[children[pick]].add(p)
         # component hull: points chained to a claim through gaps of at most
-        # the separation scale join the nearest claiming region
+        # the separation scale join the nearest claiming region (the first
+        # of equals); claimed[ci] marks child ci's region, as it grows
+        if leftovers:
+            claimed = np.zeros((len(children), len(dist)), dtype=bool)
+            for ci, c in enumerate(children):
+                claimed[ci, [index[q] for q in regions[c]]] = True
         changed = True
         while leftovers and changed:
             changed = False
             remaining = []
             for p in leftovers:
-                pi = s.space.index[p]
-                fits = []
-                for c in children:
-                    ridx = [s.space.index[q] for q in sorted(regions[c])]
-                    gap = float(dist[pi, ridx].min())
-                    if gap <= link_eps:
-                        fits.append((gap, children.index(c), c))
+                pi = index[p]
+                gaps = np.where(claimed, dist[pi], math.inf).min(axis=1)
+                fits = [(gap, ci) for ci, gap in enumerate(gaps.tolist())
+                        if gap <= link_eps]
                 if fits:
-                    regions[min(fits)[2]].add(p)
+                    ci = min(fits)[1]
+                    regions[children[ci]].add(p)
+                    claimed[ci, pi] = True
                     changed = True
                 else:
                     remaining.append(p)
@@ -725,6 +755,45 @@ def build_t_labelling(s: RegularStructure, max_depth: int) -> TLabelling:
     return TLabelling(root, parent, assignment, partitions, radii)
 
 
+def _region_extents(s: RegularStructure, regions):
+    """Each region's least distance to the rest of the space (inf when it
+    is the whole space) and its diameter; the regions are nonempty.
+
+    A region is read as a union of atoms: the family subsets that no
+    region splits, then single points.  apart and span, the least and the
+    largest distance between two atoms, are reduced run-wise from the
+    family's near rows and from the matrix; a region then reads only its
+    atoms' rows of them.  No region is read point by point.
+    """
+    if not regions:
+        return [], []
+    index, runs, dist = s.space.index, s._runs, s.space.dist
+    inside = np.zeros((len(regions), len(dist)), dtype=bool)
+    for row, region in zip(inside, regions):
+        row[np.fromiter(map(index.__getitem__, region), dtype=np.intp,
+                        count=len(region))] = True
+    # a subset is split when a member and the subset's first member differ
+    # in some region
+    first = runs.members[np.array(runs.starts)[runs.owner]]
+    whole = np.ones(len(s), dtype=bool)
+    whole[runs.owner[(inside.take(runs.members, axis=1)
+                      != inside.take(first, axis=1)).any(axis=0)]] = False
+    kept = np.flatnonzero(whole)
+    single = np.concatenate([runs.members[~whole[runs.owner]],
+                             s._residual_idx])
+    atoms = _Runs(np.concatenate([runs.members[whole[runs.owner]], single]),
+                  [len(s.subsets[i]) for i in kept] + [1] * len(single))
+    apart = atoms.reduce(np.minimum, np.concatenate(
+        [s.tables.near[kept], dist[single]]), axis=1)
+    span = atoms.reduce(np.maximum, atoms.reduce(np.maximum, dist), axis=1)
+    gaps, diameters = [], []
+    for held in inside[:, atoms.members[atoms.starts]]:
+        gaps.append(float(apart[held].min(where=~held, initial=math.inf)))
+        diameters.append(float(span[held].max(where=held,
+                                              initial=-math.inf)))
+    return gaps, diameters
+
+
 def verify_labelling(l: TLabelling, s: RegularStructure,
                      tol: ConditionTolerances = None) -> ConditionReport:
     """Check the truncated labelling conditions (L1)-(L6).
@@ -734,10 +803,10 @@ def verify_labelling(l: TLabelling, s: RegularStructure,
     strictly decrease.  (L4) treats each region as the vertex's limit set
     and asks for a gap to its complement of at least the separation
     tolerance (any positive gap when unset), containment of the subtree's
-    subsets, and disjointness from ancestor subsets.
+    subsets, and disjointness from ancestor subsets.  The region gaps of
+    (L4) and diameters of (L5) come from `_region_extents`.
     """
     resolved = (tol or ConditionTolerances()).resolve(separation_gap=0.0)
-    dist = s.space.dist
     conditions = {}
     tree = l.tree()
     vertices = tree.names
@@ -750,6 +819,8 @@ def verify_labelling(l: TLabelling, s: RegularStructure,
         if v != l.root and not l.partitions[v] <= s.space.index.keys():
             raise ValueError(f"region of vertex {v!r} holds points outside "
                              "the space")
+        if v != l.root and not l.partitions[v]:
+            raise ValueError(f"region of vertex {v!r} is empty")
     # per tree vertex id: its subset index and its region
     subset = [l.assignment[v] for v in vertices]
     region = [None] + [l.partitions[v] for v in vertices[1:]]
@@ -759,7 +830,8 @@ def verify_labelling(l: TLabelling, s: RegularStructure,
 
     # (L1): the assignment is a bijection onto the family
     missing = sorted(set(range(len(s))) - set(subset))
-    duplicated = sorted({i for i in subset if subset.count(i) > 1})
+    duplicated = sorted(i for i, c in collections.Counter(subset).items()
+                        if c > 1)
     conditions["L1"] = {
         "verdict": "pass" if not missing and not duplicated else "fail",
         "missing": missing,
@@ -803,25 +875,20 @@ def verify_labelling(l: TLabelling, s: RegularStructure,
 
     # (L4): regions are clopen at the separation scale, contain their
     # subtree's subsets, and avoid every ancestor's subset
+    gaps, diameters = _region_extents(s, region[1:])
     members = [set(s.subsets[i]) for i in subset]
     min_gap = math.inf
     containment_ok = True
     ancestor_ok = True
     worst = None
-    for v in range(1, len(tree)):
-        inside = np.array([s.space.index[p] for p in sorted(region[v])],
-                          dtype=np.intp)
-        mask = np.ones(len(s.space), dtype=bool)
-        mask[inside] = False
-        if mask.any():
-            gap = float(dist[np.ix_(inside, np.flatnonzero(mask))].min())
-            if gap < min_gap:
-                min_gap, worst = gap, vertices[v]
+    for v, gap in enumerate(gaps, 1):
+        if gap < min_gap:
+            min_gap, worst = gap, vertices[v]
         if not all(members[u] <= region[v] for u in tree.subtree(v)):
             containment_ok = False
         a = tree.parent[v]
         while a >= 0:
-            if members[a] & region[v]:
+            if not members[a].isdisjoint(region[v]):
                 ancestor_ok = False
             a = tree.parent[a]
     gap_ok = min_gap >= resolved["separation_gap"] and (
@@ -837,8 +904,7 @@ def verify_labelling(l: TLabelling, s: RegularStructure,
     # (L5): the largest region diameter shrinks strictly with each level
     level_diams = []
     for level in levels[1:]:
-        level_diams.append(max(float(s.space.submatrix(sorted(region[v])).max())
-                               for v in level))
+        level_diams.append(max(diameters[v - 1] for v in level))
     strictly = all(b < a for a, b in zip(level_diams, level_diams[1:]))
     conditions["L5"] = {
         "verdict": "pass" if strictly else "fail",
@@ -849,7 +915,7 @@ def verify_labelling(l: TLabelling, s: RegularStructure,
     overlaps = []
     for kids in tree.children:
         for c1, c2 in itertools.combinations(kids, 2):
-            if region[c1] & region[c2]:
+            if not region[c1].isdisjoint(region[c2]):
                 overlaps.append([vertices[c1], vertices[c2]])
     conditions["L6"] = {
         "verdict": "pass" if not overlaps else "fail",

@@ -68,7 +68,8 @@ class FiniteMetricSpace:
                 raise ValueError("self-distances must be zero")
             if not np.array_equal(mat, mat.T):
                 raise ValueError("distance matrix must be symmetric")
-            if np.any(mat + np.eye(n) <= 0.0):
+            # the diagonal is zero, so no other entry may be
+            if not (mat.min() >= 0.0 and np.count_nonzero(mat) == n * n - n):
                 raise ValueError("distinct points need positive distance")
             worst = max_triangle_violation(mat)
             if worst > TRIANGLE_SLACK * max(1.0, float(mat.max())):
@@ -85,10 +86,6 @@ class FiniteMetricSpace:
 
     def diam(self) -> float:
         return float(self.dist.max())
-
-    def submatrix(self, points) -> np.ndarray:
-        idx = [self.index[p] for p in points]
-        return self.dist[np.ix_(idx, idx)]
 
     def __eq__(self, other):
         if not isinstance(other, FiniteMetricSpace):

@@ -201,6 +201,14 @@ def _circle_space(n, prefix):
         [[min(abs(i - j), n - abs(i - j)) for j in range(n)] for i in range(n)])
 
 
+def submatrix(x, points):
+    """The block of x's matrix on points, in their order."""
+    import numpy as np
+
+    idx = [x.index[p] for p in points]
+    return x.dist[np.ix_(idx, idx)]
+
+
 def sweep_configs():
     """The 72 small approximation configurations of the benchmark's sweep:
     (tag, sources, depth, branching) over six source choices, depth 0-3 and

@@ -8,16 +8,17 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from conftest import sweep_configs
+from conftest import submatrix, sweep_configs
 from denseamalgam import approx as approx_mod
 from denseamalgam._kernels import floyd_warshall
 from denseamalgam.approx import (
+    _EXACT_SLACK,
     AmalgamApprox,
+    ConditionReport,
     ConditionTolerances,
-    basic_open_set,
+    _default_gaps,
     build_approx,
     check_conditions,
-    half_space,
     load_bundle,
     save_bundle,
 )
@@ -304,7 +305,7 @@ class TestBuildApprox:
         a = build_approx([TWO], 1, 2, 1 / 3)
         assert len(a.space.points) == 3 * 2 + 2
         assert len(a.vertices) == 3
-        child_diam = a.space.submatrix(a.copy_points("t.0")).max()
+        child_diam = submatrix(a.space, copy_points(a, "t.0")).max()
         assert child_diam == pytest.approx(1 / 3)
 
     def test_depth_zero(self):
@@ -322,7 +323,7 @@ class TestBuildApprox:
     def test_labels_partition_points(self):
         a = build_approx([TWO, circle_net(3)], 2, 2, 1 / 3)
         assert set(a.labels) == set(a.space.points)
-        copy_total = sum(len(a.copy_points(t)) for t in a.vertices)
+        copy_total = sum(len(copy_points(a, t)) for t in a.vertices)
         assert copy_total + len(a.ends) == len(a.space.points)
 
     def test_copies_embed_exactly(self):
@@ -332,9 +333,9 @@ class TestBuildApprox:
         for t in a.vertices:
             j = a.tree.depth[a.tree.index[t]]
             for ci, x in enumerate(xs):
-                got = a.space.submatrix(a.class_points(t, ci))
+                got = submatrix(a.space, a.class_points(t, ci))
                 assert np.array_equal(got, (1 / 3) ** j * x.dist)
-            copy = a.space.submatrix(a.copy_points(t))
+            copy = submatrix(a.space, copy_points(a, t))
             assert np.array_equal(copy, (1 / 3) ** j * union.dist)
 
     def test_deterministic(self):
@@ -419,6 +420,98 @@ class TestBuildApprox:
         assert np.array_equal(mat, expected)
 
 
+# ---------------------------------------------------------------------------
+# Basis sets and half-spaces of the copies' extended models.
+
+def vertex_id(a, t):
+    if t not in a.tree.index:
+        raise ValueError(f"unknown tree vertex {t!r}")
+    return a.tree.index[t]
+
+
+def copy_points(a, t):
+    return list(a._copy_points[vertex_id(a, t)])
+
+
+def children(a, t):
+    return tuple(a.vertices[c] for c in a.tree.children[vertex_id(a, t)])
+
+
+def edges(a):
+    names, parent = a.vertices, a.tree.parent
+    return [(names[parent[v]], names[v]) for v in range(1, len(names))]
+
+
+def subtree_points(a, t):
+    pts = set()
+    for v in a.tree.subtree(vertex_id(a, t)):
+        pts.update(a._copy_points[v])
+        if a.vertices[v] in a.ends:
+            pts.add(a.ends[a.vertices[v]])
+    return pts
+
+
+def all_points(a):
+    return set(a.space.points)
+
+
+def slot_tokens(a, t):
+    """Selectable directions of copy t's extended model."""
+    v = vertex_id(a, t)
+    tokens = ["slot:parent"] if v else []
+    tokens.extend(f"slot:child:{i}" for i in range(len(a.tree.children[v])))
+    if not a.tree.children[v]:
+        tokens.append("slot:end")
+    return tokens
+
+
+def model_selection(a, t):
+    """The whole of copy t's model: its points plus every slot token."""
+    return copy_points(a, t) + slot_tokens(a, t)
+
+
+def basic_open_set(a, t, u) -> set:
+    """Points selected by u, a subset of copy t's points and slot tokens.
+
+    Copy points select themselves; the parent slot selects everything
+    outside t's subtree; a child slot selects that child's whole subtree
+    (ends included); a leaf's end slot selects its end point.
+    """
+    copy_pts = set(copy_points(a, t))
+    valid_tokens = set(slot_tokens(a, t))
+    out = set()
+    for member in u:
+        if member in copy_pts:
+            out.add(member)
+        elif member in valid_tokens:
+            if member == "slot:parent":
+                out |= all_points(a) - subtree_points(a, t)
+            elif member == "slot:end":
+                out.add(a.ends[t])
+            else:
+                i = int(member.rsplit(":", 1)[1])
+                out |= subtree_points(a, children(a, t)[i])
+        else:
+            raise ValueError(f"{member!r} is not a point or slot of copy {t!r}")
+    return out
+
+
+def half_space(a, head, tail) -> set:
+    """The head's side of the tree edge {head, tail}."""
+    index, parent = a.tree.index, a.tree.parent
+    if head not in index or tail not in index:
+        raise ValueError("half_space needs two tree vertices")
+    h, t = index[head], index[tail]
+    if parent[h] == t:
+        away = "slot:parent"
+    elif parent[t] == h:
+        away = f"slot:child:{a.tree.children[h].index(t)}"
+    else:
+        raise ValueError(f"({head!r}, {tail!r}) is not a tree edge")
+    selection = [m for m in model_selection(a, head) if m != away]
+    return basic_open_set(a, head, selection)
+
+
 @pytest.fixture(scope="module")
 def approx():
     return build_approx([TWO], 2, 2, 1 / 3)
@@ -427,24 +520,24 @@ def approx():
 class TestBasisSets:
     def test_whole_model_selects_everything(self, approx):
         for t in approx.vertices:
-            sel = approx.model_selection(t)
-            assert basic_open_set(approx, t, sel) == approx.all_points()
+            sel = model_selection(approx, t)
+            assert basic_open_set(approx, t, sel) == all_points(approx)
 
     def test_copy_points_only(self, approx):
-        got = basic_open_set(approx, "t.0", approx.copy_points("t.0"))
-        assert got == set(approx.copy_points("t.0"))
+        got = basic_open_set(approx, "t.0", copy_points(approx, "t.0"))
+        assert got == set(copy_points(approx, "t.0"))
 
     def test_child_slot_selects_subtree(self, approx):
         got = basic_open_set(approx, "t", ["slot:child:0"])
-        expected = (set(approx.copy_points("t.0"))
-                    | set(approx.copy_points("t.0.0"))
-                    | set(approx.copy_points("t.0.1"))
+        expected = (set(copy_points(approx, "t.0"))
+                    | set(copy_points(approx, "t.0.0"))
+                    | set(copy_points(approx, "t.0.1"))
                     | {approx.ends["t.0.0"], approx.ends["t.0.1"]})
         assert got == expected
 
     def test_parent_slot_selects_complement(self, approx):
         got = basic_open_set(approx, "t.0", ["slot:parent"])
-        assert got == approx.all_points() - approx.subtree_points("t.0")
+        assert got == all_points(approx) - subtree_points(approx, "t.0")
 
     def test_end_slot(self, approx):
         got = basic_open_set(approx, "t.0.1", ["slot:end"])
@@ -457,18 +550,18 @@ class TestBasisSets:
             basic_open_set(approx, "t", ["t.0|0|a"])
 
     def test_half_space_partition(self, approx):
-        for parent, child in approx.edges():
+        for parent, child in edges(approx):
             plus = half_space(approx, child, parent)
             minus = half_space(approx, parent, child)
-            assert plus | minus == approx.all_points()
+            assert plus | minus == all_points(approx)
             assert not plus & minus
             # label saturation: every copy lies wholly inside one side
             for t in approx.vertices:
-                pts = set(approx.copy_points(t))
+                pts = set(copy_points(approx, t))
                 assert pts <= plus or pts <= minus
 
     def test_half_space_is_subtree(self, approx):
-        assert half_space(approx, "t.1", "t") == approx.subtree_points("t.1")
+        assert half_space(approx, "t.1", "t") == subtree_points(approx, "t.1")
 
     def test_half_space_error(self, approx):
         with pytest.raises(ValueError, match="not a tree edge"):
@@ -493,9 +586,9 @@ def a5_pair_oracle(a, separation_gap):
     idx = a.space.index
     gap = {}
     for t in a.vertices[1:]:
-        inside = a.subtree_points(t)
+        inside = subtree_points(a, t)
         rows = [idx[p] for p in inside]
-        cols = [idx[p] for p in a.all_points() - inside]
+        cols = [idx[p] for p in all_points(a) - inside]
         gap[t] = float(a.space.dist[np.ix_(rows, cols)].min())
     pairs, worst, worst_pair = 0, math.inf, None
     for i, t1 in enumerate(a.vertices):
@@ -520,8 +613,8 @@ def sorted_set_oracle(a, boundary_gap, separation_gap):
     level = dict(zip(a.tree.names, a.tree.depth))
     worst_ratio, worst_point = 0.0, None
     for t in a.vertices:
-        pts = a.copy_points(t)
-        outside = sorted(a.all_points() - set(pts))
+        pts = copy_points(a, t)
+        outside = sorted(all_points(a) - set(pts))
         gaps = dist[np.ix_([idx[p] for p in pts],
                            [idx[p] for p in outside])].min(axis=1)
         ratio = float(gaps.max()) / (boundary_gap * a.scale ** (level[t] - a.depth))
@@ -529,9 +622,9 @@ def sorted_set_oracle(a, boundary_gap, separation_gap):
             worst_ratio, worst_point = ratio, pts[int(gaps.argmax())]
     worst_pair_ratio, worst_pair = math.inf, None
     for child, t in enumerate(a.vertices[1:], 1):
-        inside = a.subtree_points(t)
+        inside = subtree_points(a, t)
         rows = [idx[p] for p in sorted(inside)]
-        cols = [idx[p] for p in sorted(a.all_points() - inside)]
+        cols = [idx[p] for p in sorted(all_points(a) - inside)]
         gap = float(dist[np.ix_(rows, cols)].min())
         parent = a.tree.parent[child]
         ratio = gap / (separation_gap * a.scale ** (a.tree.depth[parent] - a.depth))
@@ -553,6 +646,120 @@ def jittered(a, jitter, seed):
                          labels=a.labels, ends=a.ends)
 
 
+def check_conditions_oracle(a, tol=None):
+    """check_conditions as it was written per copy: a submatrix per copy
+    and class for (a1) and (a2), a masked copy of each copy's rows for
+    (a3), a Python loop over every point for (a4), and a masked copy of
+    each subtree's rows for (a5)."""
+    union_diam, default_gap, default_sep = _default_gaps(a)
+    resolved = (tol or ConditionTolerances()).resolve(
+        boundary_gap=default_gap, density_gap=default_gap,
+        separation_gap=default_sep, iso=None)
+    boundary_gap, density_gap, separation_gap, iso = resolved.values()
+    dist = a.space.dist
+    idx = a.space.index
+    scale, depth = a.scale, a.depth
+    tree = a.tree
+    level = dict(zip(tree.names, tree.depth))
+    conditions = {}
+    worst_dev = 0.0
+    for (t, ci), names in sorted(a._class_points.items()):
+        expected = scale ** level[t] * a.source_spaces[ci].dist
+        got = submatrix(a.space, names)
+        worst_dev = max(worst_dev, float(np.abs(got - expected).max()))
+    conditions["a1"] = {
+        "verdict": "pass" if worst_dev <= iso else "fail",
+        "max_deviation": worst_dev,
+    }
+    level_diams = []
+    for j in range(depth + 1):
+        diams = [submatrix(a.space, copy_points(a, t)).max()
+                 for t in a.vertices if level[t] == j]
+        level_diams.append(float(max(diams)))
+    bound_ok = all(d <= scale ** j * union_diam + _EXACT_SLACK
+                   for j, d in enumerate(level_diams))
+    shrinking = all(nxt < prev or prev == 0.0
+                    for prev, nxt in zip(level_diams, level_diams[1:]))
+    conditions["a2"] = {
+        "verdict": "pass" if bound_ok and shrinking else "fail",
+        "level_diameters": level_diams,
+        "bound_ok": bound_ok,
+        "strictly_shrinking": shrinking,
+    }
+    worst_ratio = 0.0
+    worst_point = None
+    for t, pts in zip(a.vertices, a._copy_points):
+        rows = [idx[p] for p in pts]
+        block = dist[rows]
+        block[:, rows] = math.inf
+        gaps = block.min(axis=1)
+        eff = boundary_gap * scale ** (level[t] - depth)
+        ratio = float(gaps.max()) / eff
+        if ratio > worst_ratio:
+            worst_ratio, worst_point = ratio, pts[int(gaps.argmax())]
+    conditions["a3"] = {
+        "verdict": "pass" if worst_ratio <= 1 + _EXACT_SLACK else "fail",
+        "worst_gap_over_tolerance": worst_ratio,
+        "worst_point": worst_point,
+    }
+    worst_ratio = 0.0
+    worst = None
+    for ci in range(len(a.source_spaces)):
+        class_cols = [idx[p] for (t, c), names in a._class_points.items()
+                      if c == ci for p in names]
+        gaps = dist[:, class_cols].min(axis=1)
+        for name, gap in zip(a.space.points, gaps):
+            point_depth = tree.depth[tree.index[a.location(name)]]
+            eff = density_gap * scale ** (point_depth - depth)
+            ratio = float(gap) / eff
+            if ratio > worst_ratio:
+                worst_ratio, worst = ratio, (name, ci)
+    conditions["a4"] = {
+        "verdict": "pass" if worst_ratio <= 1 + _EXACT_SLACK else "fail",
+        "worst_gap_over_tolerance": worst_ratio,
+        "worst_case": worst,
+    }
+    n_pairs = len(tree) * (len(tree) - 1) // 2
+    if n_pairs and not (separation_gap > 0 and scale > 0):
+        raise ValueError("a5 needs a positive separation gap and scale, got "
+                         f"{separation_gap!r} and {scale!r}")
+    worst_pair_ratio = math.inf
+    worst_pair = None
+    own = [[idx[p] for p in pts] for pts in a._copy_points]
+    for t, end in a.ends.items():
+        own[tree.index[t]].append(idx[end])
+    for child, t in enumerate(a.vertices[1:], 1):
+        rows = [p for v in tree.subtree(child) for p in own[v]]
+        block = dist[rows]
+        block[:, rows] = math.inf
+        gap = float(block.min())
+        parent = tree.parent[child]
+        ratio = gap / (separation_gap * scale ** (tree.depth[parent] - depth))
+        if ratio < worst_pair_ratio:
+            worst_pair_ratio, worst_pair = ratio, (a.vertices[parent], t)
+    conditions["a5"] = {
+        "verdict": ("pass" if n_pairs == 0
+                    or worst_pair_ratio >= 1 - _EXACT_SLACK else "fail"),
+        "location_pairs": n_pairs,
+        "worst_gap_over_tolerance": (None if n_pairs == 0
+                                     else worst_pair_ratio),
+        "worst_pair": worst_pair,
+    }
+    return ConditionReport(conditions, resolved)
+
+
+# default, tight (every condition fails, witnesses move), loose, mixed
+TOLERANCE_SETS = [
+    None,
+    ConditionTolerances(boundary_gap=1e-3, density_gap=1e-3,
+                        separation_gap=10.0, iso=0.0),
+    ConditionTolerances(boundary_gap=10.0, density_gap=10.0,
+                        separation_gap=1e-3, iso=1.0),
+    ConditionTolerances(boundary_gap=0.2, density_gap=0.05,
+                        separation_gap=0.2, iso=-1.0),
+]
+
+
 class TestCheckConditions:
     @pytest.mark.parametrize("tag, xs, depth, branching", sweep_configs(),
                              ids=[c[0] for c in sweep_configs()])
@@ -568,6 +775,22 @@ class TestCheckConditions:
                 assert (a3["worst_gap_over_tolerance"], a3["worst_point"]) == want[:2]
                 if depth:
                     assert (a5["worst_gap_over_tolerance"], a5["worst_pair"]) == want[2:]
+
+    @pytest.mark.parametrize("tag, xs, depth, branching", sweep_configs(),
+                             ids=[c[0] for c in sweep_configs()])
+    def test_reports_match_per_copy_oracle(self, tag, xs, depth, branching):
+        built = build_approx(xs, depth, branching, 1 / 3)
+        for a in (built, jittered(built, 0.5, depth * 3 + branching)):
+            for tol in TOLERANCE_SETS:
+                assert check_conditions(a, tol).to_dict() == \
+                    check_conditions_oracle(a, tol).to_dict()
+
+    @pytest.mark.parametrize("option", ["boundary_gap", "density_gap"])
+    def test_zero_gap_is_refused(self, option):
+        # the per-level tolerance divides the gaps: a zero one is refused
+        a = build_approx([TWO], 1, 2, 1 / 3)
+        with pytest.raises(ValueError, match="vanishes at a tree level"):
+            check_conditions(a, ConditionTolerances(**{option: 0.0}))
 
     def test_all_pass_small(self):
         report = check_conditions(build_approx([TWO], 2, 2, 1 / 3))
@@ -657,6 +880,44 @@ class TestCheckConditions:
         assert set(doc["conditions"]) == {"a1", "a2", "a3", "a4", "a5"}
         assert doc["all_pass"] is True
         assert doc["tolerances"]["boundary_gap"] > 0
+
+
+class TestLabelShape:
+    """The checks read every copy as one block of the source points, so
+    labels that do not give every vertex one copy of each are refused."""
+
+    @staticmethod
+    def remade(a, labels=None, ends=None):
+        return AmalgamApprox(source_spaces=a.source_spaces, depth=a.depth,
+                             branching=a.branching, scale=a.scale, r0=a.r0,
+                             mu=a.mu, tree=a.tree, space=a.space,
+                             labels=labels or a.labels, ends=ends or a.ends)
+
+    def test_build_labels_are_kept(self):
+        a = build_approx([TWO, circle_net(3)], 2, 2, 1 / 3)
+        assert self.remade(a)._copy_points == a._copy_points
+
+    @pytest.mark.parametrize("name, change", [
+        ("t.0|0|b", {"source_point": "a"}),
+        ("t.0|0|b", {"tree_vertex": "t.1"}),
+        ("t.0|0|b", {"class": 1}),
+    ], ids=["repeated-point", "moved-point", "other-class"])
+    def test_uneven_copies_are_refused(self, name, change):
+        a = build_approx([TWO, circle_net(3)], 1, 2, 1 / 3)
+        labels = dict(a.labels)
+        if change.get("class") == 1:
+            change = {"class": 1, "source_point": "c0"}
+        labels[name] = dict(labels[name], **change)
+        with pytest.raises(ValueError, match="one copy of each point"):
+            self.remade(a, labels=labels)
+
+    def test_ends_must_list_each_end_once_under_its_leaf(self):
+        a = build_approx([TWO], 1, 2, 1 / 3)
+        swapped = {"t.0": a.ends["t.1"], "t.1": a.ends["t.0"]}
+        doubled = {"t.0": a.ends["t.0"], "t.1": a.ends["t.0"]}
+        for ends in (swapped, doubled, {"t.0": a.ends["t.0"]}):
+            with pytest.raises(ValueError, match="ends must list"):
+                self.remade(a, ends=ends)
 
 
 class TestBundle:

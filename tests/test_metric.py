@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import submatrix
 from denseamalgam import _kernels
 from denseamalgam import metric as metric_mod
 from denseamalgam.approx import build_approx, load_bundle, save_bundle
@@ -27,7 +28,7 @@ TWO = FiniteMetricSpace(["a", "b"], [[0, 1], [1, 0]])
 
 def subspace(x, points):
     """The subspace of x on points: any subset of a metric space is one."""
-    return FiniteMetricSpace(points, x.submatrix(points), _check=False)
+    return FiniteMetricSpace(points, submatrix(x, points), _check=False)
 
 
 def space_to_json(x):
@@ -140,6 +141,15 @@ class TestConstruction:
     def test_zero_off_diagonal(self):
         with pytest.raises(ValueError, match="positive distance"):
             FiniteMetricSpace(["a", "b"], [[0, 0], [0, 0]])
+
+    @pytest.mark.parametrize("value", [0.0, -0.0, -1.0])
+    def test_one_non_positive_off_diagonal_pair(self, value):
+        # one pair among positive ones, so neither the minimum alone nor
+        # the zero count alone would catch every case
+        rows = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+        rows[0][2] = rows[2][0] = value
+        with pytest.raises(ValueError, match="positive distance"):
+            FiniteMetricSpace(["a", "b", "c"], rows)
 
     def test_triangle_violation(self):
         with pytest.raises(ValueError, match="triangle inequality"):
