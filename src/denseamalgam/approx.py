@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._json import loads
+from ._json import SHAPES, document, loads, require
 from .metric import (
     _BLOCK_CELLS,
     TRIANGLE_SLACK,
@@ -151,9 +151,10 @@ class AmalgamApprox:
     labels maps every final point to {"kind": "copy", "tree_vertex", "class",
     "source_point"} or {"kind": "end", "leaf"}; ends maps each leaf to its
     end point's name; tree is a named RootedTree.  Labels that do not give
-    every tree vertex one copy of each source point, or end points that
-    ends does not list once under their label's leaf, are refused with
-    ValueError: the condition checks read the copies as equal blocks.
+    every tree vertex one copy of each source point, a copy's class or
+    point that no source space has, or end points that ends does not list
+    once under their label's leaf, are refused with ValueError: the
+    condition checks read the copies as equal blocks.
     """
 
     def __init__(self, *, source_spaces, depth, branching, scale, r0, mu,
@@ -171,23 +172,34 @@ class AmalgamApprox:
         self.vertices = self.tree.names
 
         self._class_points = {}
+        orders = [{p: i for i, p in enumerate(x.points)}
+                  for x in self.source_spaces]
         for name, label in self.labels.items():
             if self.location(name) not in self.tree.index:
                 raise ValueError(f"point {name!r} lies at {self.location(name)!r}, "
                                  "which is not a tree vertex")
             if label["kind"] == "copy":
-                key = (label["tree_vertex"], label["class"])
+                ci = label["class"]
+                if not (0 <= ci < len(orders)
+                        and label["source_point"] in orders[ci]):
+                    raise ValueError(f"label of {name!r} names no point of the "
+                                     f"{len(orders)} source spaces")
+                key = (label["tree_vertex"], ci)
                 self._class_points.setdefault(key, []).append(name)
         # recover source order inside each labelled subset
         for (v, ci), names in self._class_points.items():
-            order = {p: i for i, p in enumerate(self.source_spaces[ci].points)}
-            names.sort(key=lambda nm: order[self.labels[nm]["source_point"]])
+            names.sort(key=lambda nm: orders[ci][self.labels[nm]["source_point"]])
         for t in self.vertices:
             for ci, x in enumerate(self.source_spaces):
                 if [self.labels[nm]["source_point"] for nm in
                         self._class_points.get((t, ci), [])] != list(x.points):
                     raise ValueError(f"tree vertex {t!r} does not hold one "
                                      f"copy of each point of source {ci}")
+        for t, e in self.ends.items():
+            if not (isinstance(e, str) and e in self.labels
+                    and self.labels[e]["kind"] == "end"):
+                raise ValueError(f"ends entry {t!r}: {e!r} is no point "
+                                 "labelled as an end")
         end_points = {nm for nm, label in self.labels.items()
                       if label["kind"] == "end"}
         if (len(set(self.ends.values())) != len(self.ends)
@@ -565,6 +577,16 @@ def check_conditions(a: AmalgamApprox, tol: ConditionTolerances = None) -> Condi
     distances over the pre-order intervals of a tree that hangs each end
     below its leaf and each class subset but the first below its vertex.
     """
+    tree = a.tree
+    levels = max(tree.depth) + 1
+    # a hand-written sidecar may hold any numbers; the checks take its
+    # tree's depth, ratios in (0, 1] and numbers within a float's range
+    big = sys.float_info.max
+    if not (isinstance(a.depth, int) and a.depth == levels - 1
+            and 0 < a.r0 <= big and 1 <= a.branching <= big
+            and 0 < a.scale <= 1 and 0 < a.mu <= 1):
+        raise ValueError("depth, branching, scale, r0 and mu do not fit a "
+                         f"tree of depth {levels - 1}")
     union_diam, default_gap, default_sep = _default_gaps(a)
     resolved = (tol or ConditionTolerances()).resolve(
         boundary_gap=default_gap, density_gap=default_gap,
@@ -572,8 +594,6 @@ def check_conditions(a: AmalgamApprox, tol: ConditionTolerances = None) -> Condi
     boundary_gap, density_gap, separation_gap, iso = resolved.values()
     dist = a.space.dist
     scale, depth = a.scale, a.depth
-    tree = a.tree
-    levels = max(tree.depth) + 1
     level = np.array(tree.depth)
     copies = a._copy_idx
     n_vertices = len(copies)
@@ -714,68 +734,61 @@ def save_bundle(a: AmalgamApprox, matrix_path, sidecar_path):
         fh.write(json.dumps(sidecar, indent=2, sort_keys=True))
 
 
-_LABEL_FIELDS = {"copy": ("tree_vertex", "class", "source_point"),
-                 "end": ("leaf",)}
+# the JSON type of each field of a copy and an end label, and its name
+_LABEL_SHAPES = {"copy": {"tree_vertex": "scalar", "class": "integer",
+                          "source_point": "scalar"},
+                 "end": {"leaf": "scalar"}}
+_SHAPE_NAMES = {"scalar": "a name or number", "integer": "an integer"}
 
 
-def _check_labels(labels, sources):
-    """Refuse point labels that AmalgamApprox could not read."""
-    if not isinstance(labels, dict):
-        raise ValueError("sidecar labels must be an object")
-    points = [set(x.points) for x in sources]
+def _check_labels(labels):
+    """Refuse point labels whose fields AmalgamApprox could not read; as
+    there is a label per point, a message is built only for a refusal."""
     for name, label in labels.items():
         kind = label.get("kind") if isinstance(label, dict) else None
-        if not isinstance(kind, str) or kind not in _LABEL_FIELDS:
+        if kind not in ("copy", "end"):
             raise ValueError(f"label of {name!r} has no kind 'copy' or 'end'")
-        for field in _LABEL_FIELDS[kind]:
+        for field, shape in _LABEL_SHAPES[kind].items():
             if field not in label:
                 raise ValueError(f"label of {name!r} lacks field {field!r}")
-            if isinstance(label[field], (list, dict)):
+            if not SHAPES[shape](label[field]):
                 raise ValueError(f"label of {name!r}: field {field!r} must be "
-                                 f"a name or number, got {label[field]!r}")
-        if kind == "copy" and (label["class"] not in range(len(sources)) or
-                               label["source_point"] not in points[label["class"]]):
-            raise ValueError(f"label of {name!r} names no point of the "
-                             f"{len(sources)} source spaces")
+                                 f"{_SHAPE_NAMES[shape]}, got {label[field]!r}")
 
 
 def _read_sidecar(sidecar_path):
     """The sidecar's fields, tree map and checked source spaces.  A missing
-    field, a field of the wrong type, or an end that is no point labelled
-    as an end, is refused with ValueError; depth, branching and scale are
-    the recipe, and a recipe with values out of range leaves the matrix to
-    the full scan."""
+    field or a field of the wrong JSON type is refused with ValueError;
+    depth, branching and scale are the recipe, and a recipe with values
+    out of range leaves the matrix to the full scan."""
+    numbers = ("depth", "branching", "scale", "r0", "mu")
     with open(sidecar_path) as fh:
-        sidecar = loads(fh.read())
-    if not isinstance(sidecar, dict) or sidecar.get("kind") != "amalgam-approx":
-        raise ValueError("sidecar is not an amalgam-approx bundle")
-    try:
-        fields = {key: sidecar[key] for key in (
-            "depth", "branching", "scale", "r0", "mu", "labels", "ends")}
-        tree_parent = sidecar["tree"]
-        sources = [FiniteMetricSpace(s["points"], s["dist"])
-                   for s in sidecar["source_spaces"]]
-    except KeyError as missing:
-        raise ValueError(f"sidecar lacks field {missing}") from None
-    except TypeError:
-        raise ValueError("sidecar source_spaces must list spaces, each with "
-                         "'points' and 'dist'") from None
+        sidecar = document(
+            loads(fh.read()), ValueError,
+            numbers + ("labels", "ends", "tree", "source_spaces"),
+            "amalgam-approx", "sidecar is not an amalgam-approx bundle",
+            "sidecar lacks field")
+    for key in numbers:
+        require(sidecar[key], "number", ValueError,
+                "sidecar depth, branching, scale, r0 and mu must be numbers, "
+                f"got {key} = {sidecar[key]!r}")
+    for key in ("tree", "ends"):
+        require(sidecar[key], "object", ValueError,
+                "sidecar tree and ends must be objects")
+    _check_labels(require(sidecar["labels"], "object", ValueError,
+                          "sidecar labels must be an object"))
+    spaces = ("sidecar source_spaces must list spaces, each with 'points' "
+              "and 'dist'")
+    sources = []
+    for x in require(sidecar["source_spaces"], "list", ValueError, spaces):
+        document(x, ValueError, ("points", "dist"), refusal=spaces,
+                 missing="sidecar lacks field")
+        sources.append(FiniteMetricSpace(
+            require(x["points"], "strings", ValueError, spaces), x["dist"]))
     if not sources:
         raise ValueError("sidecar lists no source spaces")
-    if not all(isinstance(doc, dict) for doc in (tree_parent, fields["ends"])):
-        raise ValueError("sidecar tree and ends must be objects")
-    for key in ("depth", "branching", "scale", "r0", "mu"):
-        if not isinstance(fields[key], (int, float)):
-            raise ValueError("sidecar depth, branching, scale, r0 and mu must "
-                             f"be numbers, got {key} = {fields[key]!r}")
-    labels = fields["labels"]
-    _check_labels(labels, sources)
-    for leaf, end in fields["ends"].items():
-        label = labels.get(end) if isinstance(end, str) else None
-        if label is None or label["kind"] != "end":
-            raise ValueError(f"sidecar ends entry {leaf!r}: {end!r} is no "
-                             "point labelled as an end")
-    return fields, tree_parent, sources
+    return ({key: sidecar[key] for key in numbers + ("labels", "ends")},
+            sidecar["tree"], sources)
 
 
 def load_bundle(matrix_path, sidecar_path) -> AmalgamApprox:
@@ -791,7 +804,7 @@ def load_bundle(matrix_path, sidecar_path) -> AmalgamApprox:
     """
     try:
         fields, tree_parent, sources = _read_sidecar(sidecar_path)
-    except (OSError, LookupError, TypeError, ValueError):
+    except (OSError, ValueError):
         read_matrix_csv(matrix_path)
         raise
     space = read_matrix_csv(matrix_path, functools.partial(

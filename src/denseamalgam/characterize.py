@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._json import loads
+from ._json import SHAPES, document, loads, require
 from ._kernels import floyd_warshall
 from .approx import (
     AmalgamApprox,
@@ -116,8 +116,9 @@ class RegularStructure:
                 if p in seen:
                     raise ValueError(f"family subsets overlap at {p!r}")
                 seen.add(p)
+        # k above the number of subsets leaves a gap: no range is built
         k = max(self.classes)
-        if set(self.classes) != set(range(1, k + 1)):
+        if k > len(subsets) or set(self.classes) != set(range(1, k + 1)):
             raise ValueError("class indices must cover 1..k with no gaps")
         self.k = k
         self.residual = tuple(p for p in space.points if p not in seen)
@@ -174,19 +175,19 @@ def save_structure(s: RegularStructure, matrix_path, sidecar_path):
 def _read_sidecar(sidecar_path):
     """The sidecar's subsets, classes and approximation recipe (or None)."""
     with open(sidecar_path) as fh:
-        data = loads(fh.read())
-    if not isinstance(data, dict) or data.get("kind") != "regular-structure":
-        raise ValueError("sidecar is not a regular-structure bundle")
-    subsets = data.get("subsets")
-    classes = data.get("classes")
-    if not isinstance(subsets, list) or not isinstance(classes, list):
-        raise ValueError("sidecar needs 'subsets' and 'classes' lists")
+        data = document(loads(fh.read()), ValueError, ("subsets", "classes"),
+                        "regular-structure",
+                        "sidecar is not a regular-structure bundle",
+                        "sidecar lacks field")
+    subsets, classes = data["subsets"], data["classes"]
+    for value in (subsets, classes):
+        require(value, "list", ValueError,
+                "sidecar needs 'subsets' and 'classes' lists")
     if len(subsets) != len(classes):
         raise ValueError("sidecar 'subsets' and 'classes' lengths differ")
-    if not all(isinstance(pts, list) and all(isinstance(p, str) for p in pts)
-               for pts in subsets):
+    if not all(map(SHAPES["strings"], subsets)):
         raise ValueError("each sidecar subset must be a list of point names")
-    if not all(type(c) is int for c in classes):
+    if not all(map(SHAPES["integer"], classes)):
         raise ValueError("sidecar classes must be integers")
     return subsets, classes, data.get("approximation")
 
@@ -205,7 +206,7 @@ def load_structure(matrix_path, sidecar_path) -> RegularStructure:
     """
     try:
         subsets, classes, recipe = _read_sidecar(sidecar_path)
-    except (OSError, LookupError, TypeError, ValueError):
+    except (OSError, ValueError):
         read_matrix_csv(matrix_path)
         raise
     space = read_matrix_csv(matrix_path, None if recipe is None else
@@ -574,29 +575,28 @@ def labelling_to_json(l: TLabelling) -> str:
 
 
 def labelling_from_json(text: str) -> TLabelling:
-    data = loads(text)
-    if not isinstance(data, dict) or data.get("kind") != "t-labelling":
-        raise ValueError("document is not a t-labelling")
+    data = document(loads(text, ValueError), ValueError,
+                    ("root", "parent", "assignment", "partitions", "radii"),
+                    "t-labelling", "document is not a t-labelling",
+                    "t-labelling document lacks field")
     for key in ("parent", "assignment", "partitions", "radii"):
-        if not isinstance(data.get(key, {}), dict):
-            raise ValueError(f"t-labelling field {key!r} must be an object")
-    for v, pts in data.get("partitions", {}).items():
-        if not isinstance(pts, list) or not all(isinstance(p, str) for p in pts):
-            raise ValueError(f"partition of vertex {v!r} must be a list of "
-                             "point names")
-    try:
-        labelling = TLabelling(
-            root=data["root"],
-            parent=dict(data["parent"]),
-            assignment={v: int(i) for v, i in data["assignment"].items()},
-            partitions={v: frozenset(pts) for v, pts in data["partitions"].items()},
-            radii={v: float(r) for v, r in data["radii"].items()},
-        )
-    except KeyError as missing:
-        raise ValueError(f"t-labelling document lacks field {missing}") from None
-    except TypeError as exc:
-        # an entry of the wrong JSON type, such as a list for a radius
-        raise ValueError(f"malformed t-labelling entry: {exc}") from None
+        require(data[key], "object", ValueError,
+                f"t-labelling field {key!r} must be an object")
+    # an entry per tree vertex: a message is built only for a refusal
+    for key, shape, what in (
+            ("partitions", "strings", "partition of vertex {!r} must be a "
+             "list of point names"),
+            ("assignment", "integer", "malformed t-labelling entry: "
+             "assignment of {!r} must be a JSON integer"),
+            ("radii", "number", "malformed t-labelling entry: radius of "
+             "{!r} must be a JSON number")):
+        for v, value in data[key].items():
+            if not SHAPES[shape](value):
+                raise ValueError(f"{what.format(v)}, got {value!r}")
+    labelling = TLabelling(
+        data["root"], data["parent"], data["assignment"],
+        {v: frozenset(pts) for v, pts in data["partitions"].items()},
+        data["radii"])
     labelling.tree()  # refuse a parent map that is not a tree
     return labelling
 

@@ -20,10 +20,9 @@ structure, building the nerve at most once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import json
 import math
 
-from ._json import loads
+from ._json import document, loads, require
 from .boundary import (
     Amalgam,
     Atom,
@@ -64,7 +63,9 @@ class EndednessClass:
 
 
 class CoxeterSystem:
-    """Generators plus the symmetric order matrix m(s,t)."""
+    """Generators plus the symmetric order matrix m(s,t): the integer 1 on
+    the diagonal, and integers >= 2 or infinity, equal in value and type
+    to their mirror images, off it."""
 
     def __init__(self, generators, matrix):
         generators = tuple(generators)
@@ -86,13 +87,13 @@ class CoxeterSystem:
                                             location=f"m[{s},{t}]") from None
             rows.append(row)
         for i, s in enumerate(generators):
-            if rows[i][i] != 1:
+            if type(rows[i][i]) is not int or rows[i][i] != 1:
                 raise CoxeterParseError("diagonal entries must be 1",
                                         location=f"m[{s},{s}]")
         for i, s in enumerate(generators):
             for j, t in enumerate(generators[i + 1:], i + 1):
                 a, b = rows[i][j], rows[j][i]
-                if a != b:
+                if a != b or type(a) is not type(b):
                     raise CoxeterParseError("matrix must be symmetric",
                                             location=f"m[{s},{t}]")
                 if a != INF and (not isinstance(a, int) or a < 2):
@@ -124,40 +125,19 @@ class CoxeterSystem:
 
 def parse_coxeter(text: str) -> CoxeterSystem:
     """Parse {"generators": [...], "m": [[...]]} with "inf" for infinite orders."""
-    try:
-        doc = loads(text)
-    except json.JSONDecodeError as exc:
-        raise CoxeterParseError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise CoxeterParseError("document must be a JSON object")
-    for key in ("generators", "m"):
-        if key not in doc:
-            raise CoxeterParseError(f"missing key {key!r}")
-    generators = doc["generators"]
-    if (not isinstance(generators, list) or not generators
-            or not all(isinstance(g, str) for g in generators)):
-        raise CoxeterParseError("'generators' must be a nonempty list of strings")
-    rows = doc["m"]
+    error = CoxeterParseError
+    doc = document(loads(text, error), error, ("generators", "m"))
+    generators = require(doc["generators"], "strings", error,
+                         "'generators' must be a list of strings")
     n = len(generators)
-    if not isinstance(rows, list) or len(rows) != n:
-        raise CoxeterParseError(f"'m' must be a {n}x{n} matrix (row-major)")
-    matrix = []
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != n:
-            raise CoxeterParseError(f"'m' must be a {n}x{n} matrix (row-major)",
-                                    location=f"row {i}")
-        entries = []
-        for j, value in enumerate(row):
-            if value == "inf":
-                entries.append(INF)
-            elif isinstance(value, int) and not isinstance(value, bool):
-                entries.append(value)
-            else:
-                raise CoxeterParseError(
-                    f"matrix entries must be integers or \"inf\", got {value!r}",
-                    location=f"m[{generators[i]},{generators[j]}]")
-        matrix.append(entries)
-    return CoxeterSystem(generators, matrix)
+    shape = f"'m' must be a {n}x{n} matrix (row-major)"
+    if len(require(doc["m"], "list", error, shape)) != n:
+        raise error(shape)
+    for i, row in enumerate(doc["m"]):
+        if len(require(row, "list", error, shape, f"row {i}")) != n:
+            raise error(shape, f"row {i}")
+    return CoxeterSystem(generators, [[INF if value == "inf" else value
+                                       for value in row] for row in doc["m"]])
 
 
 # ---------------------------------------------------------------------------

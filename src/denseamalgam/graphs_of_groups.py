@@ -25,7 +25,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from ._json import loads
+from ._json import SHAPES, document, loads, require
 from .boundary import (
     Amalgam,
     BoundaryExpr,
@@ -41,6 +41,9 @@ from .tree import RootedTree
 INF = math.inf
 
 _BALL_RADIUS_CAP = 12
+# the most nodes `bass_serre_ball` builds (Z3*Z4 at the radius cap has
+# 111,973; a ball of 561,736 peaks at about 310 MB with its DOT text)
+_BALL_NODE_CAP = 500_000
 
 
 class GogParseError(ValueError):
@@ -51,12 +54,6 @@ class GogParseError(ValueError):
         super().__init__(message if location is None else f"{message} (at {location})")
 
 
-def _valid_order(order) -> bool:
-    if order == INF:
-        return True
-    return isinstance(order, int) and not isinstance(order, bool) and order >= 1
-
-
 @dataclass(frozen=True)
 class GroupDescriptor:
     """A vertex group: its order and, when infinite, its boundary expression."""
@@ -65,7 +62,7 @@ class GroupDescriptor:
     boundary: BoundaryExpr = EMPTY
 
     def __post_init__(self):
-        if not _valid_order(self.order):
+        if self.order != INF and not (type(self.order) is int and self.order >= 1):
             raise ValueError(f"group order must be a positive integer or infinity, "
                              f"got {self.order!r}")
         if self.order != INF and self.boundary != EMPTY:
@@ -288,27 +285,31 @@ def _ball_states(g: GraphOfGroups, base, radius, cap):
     return _states(g, base)
 
 
-def ball_counts(g: GraphOfGroups, base, radius: int) -> list:
-    """Node counts at depths 0..radius of `bass_serre_ball(g, base,
-    radius)`, without building it.
+def _state_counts(kids, radius):
+    """Per depth 0..radius, the number of ball nodes in each state.
 
     The number of depth-(d + 1) nodes in a state is the sum, over the
     states at depth d, of their node counts times that child state's
-    multiplicity.  The counts are exact integers; the refusals are the
-    ball's.
+    multiplicity.  The counts are exact integers.
     """
-    kids = _ball_states(g, base, radius, _BALL_RADIUS_CAP)[3]
     level = [0] * len(kids)
     level[-1] = 1
-    counts = [1]
+    levels = [level]
     for _ in range(radius):
         below = [0] * len(kids)
         for s, count in enumerate(level):
             for t, mult in kids[s]:
                 below[t] += count * mult
         level = below
-        counts.append(sum(level))
-    return counts
+        levels.append(level)
+    return levels
+
+
+def ball_counts(g: GraphOfGroups, base, radius: int) -> list:
+    """Node counts at depths 0..radius of `bass_serre_ball(g, base,
+    radius)`, without building it; the refusals are the ball's."""
+    kids = _ball_states(g, base, radius, _BALL_RADIUS_CAP)[3]
+    return list(map(sum, _state_counts(kids, radius)))
 
 
 def check_separation(g: GraphOfGroups) -> dict:
@@ -434,14 +435,24 @@ def bass_serre_ball(g: GraphOfGroups, base, radius: int,
     Each of the 2E + 1 states of `_states` lists its children once.  The
     ball grows one level at a time: the states of a level's children, and
     their parent ids, extend two flat lists in one call each, and the
-    labels and entries are read off the states at the end.
+    labels and entries are read off the states at the end.  A ball of more
+    than _BALL_NODE_CAP nodes is refused from its level counts, before
+    anything is built.
     """
     oriented, over, _, kids = _ball_states(g, base, radius, cap)
-    kids = [[t for t, mult in pairs for _ in range(mult)] for pairs in kids]
+    counts = _state_counts(kids, radius)
+    size = sum(map(sum, counts))
+    if size > _BALL_NODE_CAP:
+        raise ValueError(f"ball has {size} nodes, exceeding the cap of "
+                         f"{_BALL_NODE_CAP} nodes a ball is built with")
+    # only states above the last level list children, all of them nodes
+    grown = [[t for t, mult in pairs for _ in range(mult)]
+             if any(level[s] for level in counts[:-1]) else None
+             for s, pairs in enumerate(kids)]
     state, parents, levels = [len(oriented)], [-1], [0, 1]
     for _ in range(radius):
         lo, hi = levels[-2], levels[-1]
-        level = [kids[s] for s in state[lo:hi]]
+        level = [grown[s] for s in state[lo:hi]]
         state.extend(itertools.chain.from_iterable(level))
         parents.extend(itertools.chain.from_iterable(
             map(itertools.repeat, range(lo, hi), map(len, level))))
@@ -478,69 +489,42 @@ def boundary_expression(g: GraphOfGroups) -> BoundaryExpr:
 def from_json(text: str) -> GraphOfGroups:
     """Parse {"vertices": {name: {"order": n|"inf", "boundary": expr}},
     "edges": [{"ends": [v, w], "edge_order": n}]}."""
-    try:
-        doc = loads(text)
-    except json.JSONDecodeError as exc:
-        raise GogParseError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise GogParseError("document must be a JSON object")
-    for key in ("vertices", "edges"):
-        if key not in doc:
-            raise GogParseError(f"missing key {key!r}")
-    if not isinstance(doc["vertices"], dict) or not doc["vertices"]:
-        raise GogParseError("'vertices' must be a nonempty object")
+    error = GogParseError
+    doc = document(loads(text, error), error, ("vertices", "edges"))
     vertex_groups = {}
-    for name, body in doc["vertices"].items():
+    for name, body in require(doc["vertices"], "object", error,
+                              "'vertices' must be an object").items():
         if not isinstance(body, dict) or "order" not in body:
-            raise GogParseError("vertex needs an 'order'", location=name)
-        order = body["order"]
-        if order == "inf":
-            order = INF
-        if not _valid_order(order):
-            raise GogParseError(
-                f"order must be a positive integer or \"inf\", got {order!r}",
-                location=name)
-        boundary_text = body.get("boundary")
-        if not isinstance(boundary_text, (str, type(None))):
-            raise GogParseError("'boundary' must be an expression string",
-                                location=name)
-        if order == INF:
-            if boundary_text is None:
-                raise GogParseError(
-                    "infinite vertex group needs a 'boundary' expression",
-                    location=name)
-            try:
-                boundary = parse_expr(boundary_text)
-            except ExprSyntaxError as exc:
-                raise GogParseError(f"bad boundary expression: {exc}",
-                                    location=name) from exc
-        else:
-            boundary = EMPTY
-            if boundary_text is not None and parse_expr(boundary_text) != EMPTY:
-                raise GogParseError("finite vertex group must have empty boundary",
-                                    location=name)
+            raise error("vertex needs an 'order'", name)
+        order = INF if body["order"] == "inf" else body["order"]
+        expr = body.get("boundary")
+        if expr is None and order == INF:
+            raise error("infinite vertex group needs a 'boundary' expression",
+                        name)
+        if expr is not None:
+            require(expr, "string", error,
+                    "'boundary' must be an expression string", name)
         try:
-            vertex_groups[name] = GroupDescriptor(order, boundary)
+            vertex_groups[name] = GroupDescriptor(
+                order, EMPTY if expr is None else parse_expr(expr))
+        except ExprSyntaxError as exc:
+            raise error(f"bad boundary expression: {exc}", name) from exc
         except ValueError as exc:
-            raise GogParseError(str(exc), location=name) from exc
-    if not isinstance(doc["edges"], list):
-        raise GogParseError("'edges' must be a list")
+            raise error(str(exc), name) from exc
     edges = []
-    for pos, body in enumerate(doc["edges"]):
+    for pos, body in enumerate(require(doc["edges"], "list", error,
+                                       "'edges' must be a list")):
         if (not isinstance(body, dict) or "ends" not in body
                 or "edge_order" not in body):
-            raise GogParseError("edge needs 'ends' and 'edge_order'",
-                                location=f"edge {pos}")
+            raise error("edge needs 'ends' and 'edge_order'", f"edge {pos}")
         ends = body["ends"]
-        if (not isinstance(ends, list) or len(ends) != 2
-                or not all(isinstance(end, str) for end in ends)):
-            raise GogParseError("'ends' must list two vertices",
-                                location=f"edge {pos}")
-        edges.append((ends[0], ends[1], body["edge_order"]))
+        if not (SHAPES["strings"](ends) and len(ends) == 2):
+            raise error("'ends' must list two vertices", f"edge {pos}")
+        edges.append((*ends, body["edge_order"]))
     try:
         return GraphOfGroups(vertex_groups, edges)
     except ValueError as exc:
-        raise GogParseError(str(exc)) from exc
+        raise error(str(exc)) from exc
 
 
 def to_json(g: GraphOfGroups) -> str:

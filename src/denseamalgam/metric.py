@@ -3,13 +3,12 @@
 import csv
 import io
 import itertools
-import json
 import locale
 import os
 
 import numpy as np
 
-from ._json import loads
+from ._json import document, loads, require
 from ._kernels import max_triangle_violation
 
 TRIANGLE_SLACK = 1e-12
@@ -54,7 +53,7 @@ class FiniteMetricSpace:
         self.index = {p: i for i, p in enumerate(self.points)}
         try:
             mat = (np.array if _check else np.asarray)(dist, dtype=np.float64)
-        except TypeError:
+        except (TypeError, OverflowError):
             raise ValueError(f"distance {_non_number(dist)} is not a "
                              "number") from None
         n = len(self.points)
@@ -97,7 +96,7 @@ class FiniteMetricSpace:
 
 
 def _non_number(dist) -> str:
-    """Where the nested lists `dist` first hold something not a number."""
+    """Where the nested lists `dist` first hold something not a float."""
     if not isinstance(dist, list):
         return f"matrix {dist!r}"
     for i, row in enumerate(dist):
@@ -106,7 +105,7 @@ def _non_number(dist) -> str:
         for j, value in enumerate(row):
             try:
                 float(value)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 return f"entry [{i}][{j}] {value!r}"
     return "matrix"
 
@@ -143,19 +142,10 @@ def _require_str_points(x: FiniteMetricSpace):
 
 
 def space_from_json(text: str) -> FiniteMetricSpace:
-    try:
-        doc = loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ValueError("document must be a JSON object")
-    for key in ("points", "dist"):
-        if key not in doc:
-            raise ValueError(f"missing key {key!r}")
-    points = doc["points"]
-    if (not isinstance(points, list) or not points
-            or not all(isinstance(p, str) for p in points)):
-        raise ValueError("'points' must be a nonempty list of strings")
+    doc = document(loads(text, ValueError), ValueError, ("points", "dist"))
+    # an empty list fails the shape too: the message names both
+    points = require(doc["points"] or None, "strings", ValueError,
+                     "'points' must be a nonempty list of strings")
     return FiniteMetricSpace(points, doc["dist"])
 
 

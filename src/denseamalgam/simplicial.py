@@ -32,7 +32,7 @@ from __future__ import annotations
 import functools
 import json
 
-from ._json import loads
+from ._json import document, loads, require
 
 
 def component(rows, mask: int, seed: int) -> int:
@@ -368,26 +368,14 @@ class SimplicialComplex:
 
     @classmethod
     def from_json(cls, text: str) -> "SimplicialComplex":
-        try:
-            doc = loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"invalid JSON: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise ValueError("complex document must be a JSON object")
-        for key in ("vertices", "maximal_faces"):
-            if key not in doc:
-                raise ValueError(f"complex document missing key {key!r}")
-        vertices = doc["vertices"]
-        faces = doc["maximal_faces"]
-        if (not isinstance(vertices, list)
-                or not all(isinstance(v, str) for v in vertices)):
-            raise ValueError("'vertices' must be a list of strings")
-        if (not isinstance(faces, list)
-                or not all(isinstance(f, list) for f in faces)
-                or not all(isinstance(v, str) for f in faces for v in f)):
-            raise ValueError("'maximal_faces' must be a list of lists of "
-                             "strings")
-        return cls(vertices, [frozenset(f) for f in faces])
+        doc = document(loads(text, ValueError), ValueError,
+                       ("vertices", "maximal_faces"))
+        vertices = require(doc["vertices"], "strings", ValueError,
+                           "'vertices' must be a list of strings")
+        shape = "'maximal_faces' must be a list of lists of strings"
+        faces = require(doc["maximal_faces"], "list", ValueError, shape)
+        return cls(vertices, [frozenset(require(f, "strings", ValueError,
+                                                shape)) for f in faces])
 
     def to_dot(self) -> str:
         """DOT rendering of the 1-skeleton."""

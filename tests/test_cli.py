@@ -366,10 +366,16 @@ class TestMalformedTrees:
          "has no kind 'copy' or 'end'"),
         (lambda doc: doc["labels"]["end|t.0"].update({"leaf": ["t.0"]}),
          "field 'leaf' must be a name or number"),
+        (lambda doc: doc["labels"]["t|0|a"].update({"class": -0.0}),
+         "field 'class' must be an integer, got -0.0"),
+        (lambda doc: doc["labels"]["t|0|a"].update({"class": 1.0}),
+         "field 'class' must be an integer, got 1.0"),
+        (lambda doc: doc["labels"]["t|0|a"].update({"class": True}),
+         "field 'class' must be an integer, got True"),
     ], ids=["list", "no-kind", "no-source-point", "no-sources", "bad-class",
             "tree-number", "ends-list", "sources-number", "r0-text",
             "end-number", "end-unknown", "end-copy-point", "kind-list",
-            "leaf-list"])
+            "leaf-list", "class-negative-zero", "class-float", "class-bool"])
     def test_approx_check_refuses_malformed_sidecar(self, tmp_path, capsys,
                                                     tamper, message):
         matrix, meta = build_bundle(tmp_path, [TWO_SPACE], 1, 2, 1 / 3)
@@ -384,6 +390,25 @@ class TestMalformedTrees:
         error = json.loads(out)["error"]
         assert error["type"] == "ValueError"
         assert message in error["message"]
+
+    @pytest.mark.parametrize("field, value", [
+        ("depth", 0.0), ("depth", 3), ("scale", 0.0), ("scale", 10 ** 30),
+        ("mu", 2), ("r0", 10 ** 400), ("branching", 10 ** 400),
+    ], ids=["float-depth", "other-depth", "zero-scale", "huge-scale",
+            "mu-above-1", "r0-beyond-float", "branching-beyond-float"])
+    def test_approx_check_refuses_unusable_recipe_numbers(self, tmp_path,
+                                                          capsys, field,
+                                                          value):
+        matrix, meta = build_bundle(tmp_path, [TWO_SPACE], 1, 2, 1 / 3)
+        capsys.readouterr()
+        doc = json.loads((tmp_path / "bundle.json").read_text())
+        doc[field] = value
+        write(tmp_path, "bundle.json", json.dumps(doc))
+        code, out = run(capsys, "approx", "check", matrix, meta)
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert error["type"] == "ValueError"
+        assert "do not fit a tree of depth 1" in error["message"]
 
     @pytest.mark.parametrize("tamper, message", [
         (lambda parent: parent.update({"r.0": "r.1", "r.1": "r.0"}), "cycle"),
@@ -439,8 +464,15 @@ class TestMalformedTrees:
          "partition of vertex 'r.0' must be a list of point names"),
         (lambda doc: doc["partitions"].update({"r.0": [1]}),
          "partition of vertex 'r.0' must be a list of point names"),
+        (lambda doc: doc["assignment"].update({"r.0": 1.7}),
+         "malformed t-labelling entry: assignment of 'r.0' must be a JSON "
+         "integer, got 1.7"),
+        (lambda doc: doc["radii"].update({"r": "0.5"}),
+         "malformed t-labelling entry: radius of 'r' must be a JSON number, "
+         "got '0.5'"),
     ], ids=["list", "list-assignment", "no-radii", "list-radius",
-            "text-partition", "int-in-partition"])
+            "text-partition", "int-in-partition", "float-assignment",
+            "text-radius"])
     def test_label_verify_refuses_malformed_labelling(self, tmp_path, capsys,
                                                       tamper, message):
         matrix, meta = build_structure_files(tmp_path, [TWO_SPACE], 1, 2,

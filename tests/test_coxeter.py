@@ -229,6 +229,18 @@ class TestParsing:
         with pytest.raises(CoxeterParseError, match="integers"):
             parse_coxeter('{"generators":["s","t"],"m":[[1,true],[true,1]]}')
 
+    @pytest.mark.parametrize("m, message", [
+        ([[True, 2], [2, 1]], "diagonal"),
+        ([[1.0, 2], [2, 1]], "diagonal"),
+        ([[1, 2], [2.0, 1]], "symmetric"),
+        ([[1, "x"], ["x", 1]], ">= 2 or infinity"),
+        ([[1, None], [None, 1]], ">= 2 or infinity"),
+    ], ids=["bool-diagonal", "float-diagonal", "float-mirror", "text-order",
+            "null-order"])
+    def test_entries_of_the_wrong_type_rejected(self, m, message):
+        with pytest.raises(CoxeterParseError, match=message):
+            parse_coxeter(json.dumps({"generators": ["s", "t"], "m": m}))
+
     def test_shape_errors(self):
         with pytest.raises(CoxeterParseError, match="missing key"):
             parse_coxeter('{"generators":["s"]}')

@@ -860,6 +860,19 @@ class TestJson:
         with pytest.raises(GogParseError, match="empty boundary"):
             from_json(text)
 
+    @pytest.mark.parametrize("vertices, message", [
+        ({}, "at least one vertex"),
+        ({"u": {"order": 2, "boundary": "Amalgam("}},
+         "bad boundary expression"),
+        ({"u": {"order": 2.0}}, "order must be"),
+        ({"u": {"order": True}}, "order must be"),
+        ({"u": {"order": "inf", "boundary": None}}, "needs a 'boundary'"),
+    ], ids=["no-vertices", "bad-finite-boundary", "float-order", "bool-order",
+            "null-boundary"])
+    def test_vertex_values_refused_as_parse_errors(self, vertices, message):
+        with pytest.raises(GogParseError, match=message):
+            from_json(json.dumps({"vertices": vertices, "edges": []}))
+
     def test_malformed_documents(self):
         with pytest.raises(GogParseError, match="invalid JSON"):
             from_json("{")

@@ -347,6 +347,11 @@ class TestSerialization:
                 '{"points": ["a","b","c"],'
                 ' "dist": [[0,1,3],[1,0,1],[3,1,0]]}')
 
+    def test_integer_beyond_float_range_is_refused(self):
+        with pytest.raises(ValueError, match=r"entry \[0\]\[1\] 1000"):
+            space_from_json('{"points": ["a", "b"], "dist": [[0, 1%s], '
+                            '[1%s, 0]]}' % ("0" * 400, "0" * 400))
+
     def test_csv_round_trip_is_exact(self, tmp_path):
         mat = [[0, 1 / 3, 2 / 7], [1 / 3, 0, 0.1], [2 / 7, 0.1, 0]]
         x = FiniteMetricSpace(["a", "b", "c"], mat)
