@@ -9,6 +9,7 @@ never imports numpy.
 """
 
 import importlib
+import types
 
 from .boundary import (
     Amalgam,
@@ -20,8 +21,6 @@ from .boundary import (
     Empty,
     POINT_PAIR,
     PointPair,
-    amalgam_of,
-    equal_normal,
     format_expr,
     normalize,
     parse_expr,
@@ -68,6 +67,12 @@ _ON_FIRST_USE = {
     for name in names
 }
 
+# the names imported above, and those loaded on first use
+__all__ = sorted(
+    [name for name, value in globals().items()
+     if not name.startswith("_") and not isinstance(value, types.ModuleType)]
+    + list(_ON_FIRST_USE))
+
 
 def __getattr__(name):
     """Import the module of a metric-space name and keep the name here, so
@@ -83,65 +88,5 @@ def __getattr__(name):
 def __dir__():
     return sorted(globals().keys() | _ON_FIRST_USE.keys())
 
-
-__all__ = [
-    "AmalgamApprox",
-    "Amalgam",
-    "Atom",
-    "BassSerreBall",
-    "BoundaryExpr",
-    "CANTOR",
-    "Cantor",
-    "ConditionReport",
-    "ConditionTolerances",
-    "CoxeterSystem",
-    "EMPTY",
-    "Empty",
-    "EndednessClass",
-    "FiniteMetricSpace",
-    "GraphOfGroups",
-    "GroupDescriptor",
-    "MergeResult",
-    "OrientedEdge",
-    "POINT_PAIR",
-    "PointPair",
-    "RegularStructure",
-    "SimplicialComplex",
-    "TLabelling",
-    "amalgam_of",
-    "as_regular_structure",
-    "ball_counts",
-    "bass_serre_ball",
-    "build_approx",
-    "build_t_labelling",
-    "check_conditions",
-    "check_regularity",
-    "check_separation",
-    "classify_endedness",
-    "coxeter_boundary_expression",
-    "disjoint_union",
-    "equal_normal",
-    "format_expr",
-    "gog_boundary_expression",
-    "is_finite_type",
-    "is_non_elementary",
-    "labelling_from_json",
-    "labelling_to_json",
-    "load_bundle",
-    "load_structure",
-    "merge_families",
-    "nerve",
-    "normalize",
-    "parse_coxeter",
-    "parse_expr",
-    "quotient_profile",
-    "read_matrix_csv",
-    "reduce",
-    "save_bundle",
-    "save_structure",
-    "space_from_json",
-    "verify_labelling",
-    "write_matrix_csv",
-]
 
 __version__ = "0.1.0"

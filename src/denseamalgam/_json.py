@@ -23,11 +23,11 @@ SHAPES = {
 }
 
 
-def loads(text: str, error=None):
-    """`json.loads`; given an error type, text that is not JSON raises it
-    as "invalid JSON".  Text nested too deeply to decode is refused by
-    ValueError: the decoder recurses once per level of nesting, so it
-    reads fewer levels than the interpreter's recursion limit."""
+def loads(text: str, error):
+    """`json.loads`, with text that is not JSON raising error("invalid
+    JSON").  Text nested too deeply to decode is refused by ValueError: the
+    decoder recurses once per level of nesting, so it reads fewer levels
+    than the interpreter's recursion limit."""
     try:
         return json.loads(text)
     except RecursionError:
@@ -35,8 +35,6 @@ def loads(text: str, error=None):
             "JSON nested too deeply: the reader's depth limit is below the "
             f"recursion limit of {sys.getrecursionlimit()} levels") from None
     except json.JSONDecodeError as exc:
-        if error is None:
-            raise
         raise error(f"invalid JSON: {exc}") from exc
 
 

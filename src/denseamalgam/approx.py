@@ -171,30 +171,37 @@ class AmalgamApprox:
         self.tree = tree
         self.vertices = self.tree.names
 
-        self._class_points = {}
         orders = [{p: i for i, p in enumerate(x.points)}
                   for x in self.source_spaces]
+        # vertex v's copy points, class by class in source order, are the
+        # space's points _copy_idx[v]; class ci's are the columns
+        # _offsets[ci]:_offsets[ci + 1].  A slot no label fills stays -1,
+        # and one that two labels fill becomes -2.
+        self._offsets = list(itertools.accumulate(map(len, orders), initial=0))
+        copy_idx = [[-1] * self._offsets[-1] for _ in self.vertices]
         for name, label in self.labels.items():
-            if self.location(name) not in self.tree.index:
-                raise ValueError(f"point {name!r} lies at {self.location(name)!r}, "
+            copy = label["kind"] == "copy"
+            at = label["tree_vertex"] if copy else label["leaf"]
+            if at not in self.tree.index:
+                raise ValueError(f"point {name!r} lies at {at!r}, "
                                  "which is not a tree vertex")
-            if label["kind"] == "copy":
+            if copy:
                 ci = label["class"]
                 if not (0 <= ci < len(orders)
                         and label["source_point"] in orders[ci]):
                     raise ValueError(f"label of {name!r} names no point of the "
                                      f"{len(orders)} source spaces")
-                key = (label["tree_vertex"], ci)
-                self._class_points.setdefault(key, []).append(name)
-        # recover source order inside each labelled subset
-        for (v, ci), names in self._class_points.items():
-            names.sort(key=lambda nm: orders[ci][self.labels[nm]["source_point"]])
-        for t in self.vertices:
-            for ci, x in enumerate(self.source_spaces):
-                if [self.labels[nm]["source_point"] for nm in
-                        self._class_points.get((t, ci), [])] != list(x.points):
-                    raise ValueError(f"tree vertex {t!r} does not hold one "
-                                     f"copy of each point of source {ci}")
+                row = copy_idx[self.tree.index[at]]
+                col = self._offsets[ci] + orders[ci][label["source_point"]]
+                row[col] = space.index[name] if row[col] == -1 else -2
+        self._copy_idx = np.array(copy_idx, dtype=np.intp).reshape(
+            len(self.vertices), self._offsets[-1])
+        faults = np.argwhere(self._copy_idx < 0)
+        if len(faults):
+            v, col = faults[0].tolist()
+            raise ValueError(f"tree vertex {self.vertices[v]!r} does not hold one "
+                             "copy of each point of source "
+                             f"{bisect.bisect_right(self._offsets, col) - 1}")
         for t, e in self.ends.items():
             if not (isinstance(e, str) and e in self.labels
                     and self.labels[e]["kind"] == "end"):
@@ -207,14 +214,6 @@ class AmalgamApprox:
                 or any(self.labels[e]["leaf"] != t for t, e in self.ends.items())):
             raise ValueError("ends must list every end point once, each "
                              "under the leaf its label names")
-        self._copy_points = [[p for ci in range(len(self.source_spaces))
-                              for p in self._class_points[t, ci]]
-                             for t in self.vertices]
-        # vertex v's copy points, class by class in source order, are the
-        # space's points _copy_idx[v]
-        self._copy_idx = np.array([[space.index[p] for p in pts]
-                                   for pts in self._copy_points],
-                                  dtype=np.intp)
 
     # -- tree helpers --------------------------------------------------------
     @property
@@ -223,11 +222,9 @@ class AmalgamApprox:
 
     # -- point bookkeeping ---------------------------------------------------
     def class_points(self, t, ci):
-        return list(self._class_points.get((t, ci), []))
-
-    def location(self, name) -> str:
-        label = self.labels[name]
-        return label["tree_vertex"] if label["kind"] == "copy" else label["leaf"]
+        row = self._copy_idx[self.tree.index[t]]
+        return [self.space.points[i] for i in
+                row[self._offsets[ci]:self._offsets[ci + 1]].tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +600,7 @@ def check_conditions(a: AmalgamApprox, tol: ConditionTolerances = None) -> Condi
     blocks = dist[copies[:, :, None], copies[:, None, :]]
     factor = np.array([scale ** j for j in range(levels)])[level, None, None]
     worst_dev = 0.0
-    offsets = np.cumsum([0] + [len(x) for x in a.source_spaces]).tolist()
+    offsets = a._offsets
     for x, lo, hi in zip(a.source_spaces, offsets, offsets[1:]):
         got = blocks[:, lo:hi, lo:hi]
         worst_dev = max(worst_dev, float(np.abs(got - factor * x.dist).max()))
@@ -653,7 +650,7 @@ def check_conditions(a: AmalgamApprox, tol: ConditionTolerances = None) -> Condi
         "verdict": "pass" if worst_ratio <= 1 + _EXACT_SLACK else "fail",
         "worst_gap_over_tolerance": worst_ratio,
         "worst_point": (None if at is None
-                        else a._copy_points[at][int(gaps[at].argmax())]),
+                        else a.space.points[copies[at, gaps[at].argmax()]]),
     }
 
     # (a4): every point is near every class, at its own scale
@@ -764,7 +761,7 @@ def _read_sidecar(sidecar_path):
     numbers = ("depth", "branching", "scale", "r0", "mu")
     with open(sidecar_path) as fh:
         sidecar = document(
-            loads(fh.read()), ValueError,
+            loads(fh.read(), ValueError), ValueError,
             numbers + ("labels", "ends", "tree", "source_spaces"),
             "amalgam-approx", "sidecar is not an amalgam-approx bundle",
             "sidecar lacks field")

@@ -105,14 +105,6 @@ CANTOR = Cantor()
 POINT_PAIR = PointPair()
 
 
-def amalgam_of(args) -> Amalgam:
-    """Amalgam node over the given argument sequence; empty sequences are rejected."""
-    args = tuple(args)
-    if not args:
-        raise ValueError("zero-ary amalgam undefined")
-    return Amalgam(args)
-
-
 def is_totally_disconnected(e: BoundaryExpr) -> bool:
     """True for leaves that denote totally disconnected spaces.
 
@@ -151,73 +143,6 @@ def normalize(e: BoundaryExpr) -> BoundaryExpr:
         if not deduped or deduped[-1] != a:
             deduped.append(a)
     return Amalgam(tuple(deduped))
-
-
-def is_normal(e: BoundaryExpr) -> bool:
-    """True when e is already in the canonical normal form."""
-    return normalize(e) == e
-
-
-def equal_normal(e1: BoundaryExpr, e2: BoundaryExpr) -> bool:
-    """Equality of denoted spaces up to the algebra: compare normal forms."""
-    return normalize(e1) == normalize(e2)
-
-
-# ---------------------------------------------------------------------------
-# Single-step rewriting, used to confirm the normal form is rule-order
-# independent: any maximal run of R1-R5 in any order lands on normalize(e).
-
-def _rewrite_choices(e):
-    """All expressions reachable from e by one rule application at one node."""
-    out = []
-    if not isinstance(e, Amalgam):
-        return out
-    args = e.args
-
-    def with_args(new_args):
-        return Amalgam(tuple(new_args)) if new_args else CANTOR
-
-    for i, a in enumerate(args):
-        if isinstance(a, Amalgam):  # R1 at position i
-            out.append(with_args(args[:i] + a.args + args[i + 1:]))
-        if isinstance(a, Empty):    # R2 at position i
-            out.append(with_args(args[:i] + args[i + 1:]))
-    has_non_td = any(not is_totally_disconnected(a) for a in args)
-    if has_non_td:
-        for i, a in enumerate(args):
-            if is_totally_disconnected(a):  # R3 at position i
-                out.append(with_args(args[:i] + args[i + 1:]))
-    if all(is_totally_disconnected(a) for a in args):  # R4
-        out.append(CANTOR)
-    leaf_like = [a for a in args if not isinstance(a, Amalgam)]
-    if len(leaf_like) == len(args):
-        ordered = sorted(args, key=lambda a: a.sort_key())
-        deduped = []
-        for a in ordered:
-            if not deduped or deduped[-1] != a:
-                deduped.append(a)
-        candidate = Amalgam(tuple(deduped))
-        if candidate != e:  # R5, only when it changes something
-            out.append(candidate)
-    # Recurse: a rule may fire inside a nested argument as well.
-    for i, a in enumerate(args):
-        for inner in _rewrite_choices(a):
-            out.append(Amalgam(args[:i] + (inner,) + args[i + 1:]))
-    return out
-
-
-def random_order_normalize(e: BoundaryExpr, rng) -> BoundaryExpr:
-    """Run R1-R5 to a fixed point, choosing the next rewrite with rng.
-
-    Used as evidence of confluence: the result must equal normalize(e).
-    """
-    current = e
-    for _ in range(10000):
-        choices = _rewrite_choices(current)
-        if not choices:
-            return current
-        current = choices[rng.randrange(len(choices))]
-    raise RuntimeError("rewriting did not terminate")
 
 
 # ---------------------------------------------------------------------------

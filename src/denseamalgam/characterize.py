@@ -175,7 +175,8 @@ def save_structure(s: RegularStructure, matrix_path, sidecar_path):
 def _read_sidecar(sidecar_path):
     """The sidecar's subsets, classes and approximation recipe (or None)."""
     with open(sidecar_path) as fh:
-        data = document(loads(fh.read()), ValueError, ("subsets", "classes"),
+        data = document(loads(fh.read(), ValueError), ValueError,
+                        ("subsets", "classes"),
                         "regular-structure",
                         "sidecar is not a regular-structure bundle",
                         "sidecar lacks field")
@@ -250,11 +251,8 @@ def _match_shapes(ref: np.ndarray, other: np.ndarray, tol: float):
 
     Returns (found, deviation of the found bijection).  Backtracking over
     rows; identity is tried first, so identically ordered copies match
-    without search, and one array comparison finds them.
+    without backtracking.
     """
-    deviation = np.abs(ref - other)
-    if deviation.max() <= tol:  # the search would keep the identity
-        return True, float(deviation.max())
     n = ref.shape[0]
     perm = [None] * n
     used = [False] * n
@@ -556,10 +554,6 @@ class TLabelling:
             raise ValueError(f"labelling tree is rooted at {tree.names[0]!r}, "
                              f"not at its root {self.root!r}")
         return tree
-
-    def children(self, t):
-        tree = self.tree()
-        return [tree.names[c] for c in tree.children[tree.index[t]]]
 
 
 def labelling_to_json(l: TLabelling) -> str:

@@ -481,7 +481,7 @@ def boundary_expression(c: CoxeterSystem) -> BoundaryExpr:
     if tag == "two_ended":
         return POINT_PAIR
     if tag == "one_ended":
-        return Atom("bd[" + ",".join(c.generators) + "]")
+        return subsystem_boundary_atom(c, c.generators)
     args = []
     for factor in sorted(l.terminal_factors(), key=lambda f: sorted(f)):
         if l.is_face(factor):

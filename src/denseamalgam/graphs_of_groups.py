@@ -139,31 +139,16 @@ class GraphOfGroups:
     def bar(self, a: OrientedEdge) -> OrientedEdge:
         return OrientedEdge(a.edge, 1 - a.to_end)
 
-    def edge_order(self, a) -> int:
-        e = a.edge if isinstance(a, OrientedEdge) else a
-        return self.edges[e][2]
-
     def index(self, a: OrientedEdge):
         """Index of the edge group in the head vertex group."""
         head_order = self.vertex_groups[self.head(a)].order
         if head_order == INF:
             return INF
-        return head_order // self.edge_order(a)
+        return head_order // self.edges[a.edge][2]
 
     def is_loop(self, e: int) -> bool:
         v, w, _ = self.edges[e]
         return v == w
-
-    def degree(self, vertex) -> object:
-        """Bass-Serre tree degree of any tree vertex over `vertex`."""
-        total = 0
-        for a in self.oriented_edges():
-            if self.head(a) == vertex:
-                idx = self.index(a)
-                if idx == INF:
-                    return INF
-                total += idx
-        return total
 
     def __eq__(self, other):
         if not isinstance(other, GraphOfGroups):
@@ -273,15 +258,15 @@ def _states(g: GraphOfGroups, base=None):
     return oriented, over, families, kids
 
 
-def _ball_states(g: GraphOfGroups, base, radius, cap):
+def _ball_states(g: GraphOfGroups, base, radius):
     """`_states` with the base state for a ball of this radius, after the
     ball's refusals."""
     if base not in g.vertex_groups:
         raise ValueError(f"unknown base vertex {base!r}")
     if not isinstance(radius, int) or radius < 0:
         raise ValueError("radius must be a non-negative integer")
-    if radius > cap:
-        raise ValueError(f"radius {radius} exceeds cap {cap}")
+    if radius > _BALL_RADIUS_CAP:
+        raise ValueError(f"radius {radius} exceeds cap {_BALL_RADIUS_CAP}")
     return _states(g, base)
 
 
@@ -308,7 +293,7 @@ def _state_counts(kids, radius):
 def ball_counts(g: GraphOfGroups, base, radius: int) -> list:
     """Node counts at depths 0..radius of `bass_serre_ball(g, base,
     radius)`, without building it; the refusals are the ball's."""
-    kids = _ball_states(g, base, radius, _BALL_RADIUS_CAP)[3]
+    kids = _ball_states(g, base, radius)[3]
     return list(map(sum, _state_counts(kids, radius)))
 
 
@@ -428,8 +413,7 @@ class BassSerreBall:
         return "\n".join(lines)
 
 
-def bass_serre_ball(g: GraphOfGroups, base, radius: int,
-                    cap: int = _BALL_RADIUS_CAP) -> BassSerreBall:
+def bass_serre_ball(g: GraphOfGroups, base, radius: int) -> BassSerreBall:
     """Breadth-first ball of the Bass-Serre tree around a vertex over `base`.
 
     Each of the 2E + 1 states of `_states` lists its children once.  The
@@ -439,7 +423,7 @@ def bass_serre_ball(g: GraphOfGroups, base, radius: int,
     than _BALL_NODE_CAP nodes is refused from its level counts, before
     anything is built.
     """
-    oriented, over, _, kids = _ball_states(g, base, radius, cap)
+    oriented, over, _, kids = _ball_states(g, base, radius)
     counts = _state_counts(kids, radius)
     size = sum(map(sum, counts))
     if size > _BALL_NODE_CAP:

@@ -9,6 +9,8 @@ from denseamalgam.boundary import (
     CANTOR,
     EMPTY,
     POINT_PAIR,
+    Empty,
+    is_totally_disconnected,
 )
 from denseamalgam.coxeter import INF, CoxeterSystem
 from denseamalgam.simplicial import SimplicialComplex
@@ -48,6 +50,63 @@ def random_expr(rng: random.Random, max_depth=5, max_leaves=8):
 
     expr, _ = build(rng.randint(1, max_depth), budget)
     return expr
+
+
+# ---------------------------------------------------------------------------
+# Single-step rewriting, used to confirm the normal form is rule-order
+# independent: any maximal run of R1-R5 in any order lands on normalize(e).
+
+def _rewrite_choices(e):
+    """All expressions reachable from e by one rule application at one node."""
+    out = []
+    if not isinstance(e, Amalgam):
+        return out
+    args = e.args
+
+    def with_args(new_args):
+        return Amalgam(tuple(new_args)) if new_args else CANTOR
+
+    for i, a in enumerate(args):
+        if isinstance(a, Amalgam):  # R1 at position i
+            out.append(with_args(args[:i] + a.args + args[i + 1:]))
+        if isinstance(a, Empty):    # R2 at position i
+            out.append(with_args(args[:i] + args[i + 1:]))
+    has_non_td = any(not is_totally_disconnected(a) for a in args)
+    if has_non_td:
+        for i, a in enumerate(args):
+            if is_totally_disconnected(a):  # R3 at position i
+                out.append(with_args(args[:i] + args[i + 1:]))
+    if all(is_totally_disconnected(a) for a in args):  # R4
+        out.append(CANTOR)
+    leaf_like = [a for a in args if not isinstance(a, Amalgam)]
+    if len(leaf_like) == len(args):
+        ordered = sorted(args, key=lambda a: a.sort_key())
+        deduped = []
+        for a in ordered:
+            if not deduped or deduped[-1] != a:
+                deduped.append(a)
+        candidate = Amalgam(tuple(deduped))
+        if candidate != e:  # R5, only when it changes something
+            out.append(candidate)
+    # Recurse: a rule may fire inside a nested argument as well.
+    for i, a in enumerate(args):
+        for inner in _rewrite_choices(a):
+            out.append(Amalgam(args[:i] + (inner,) + args[i + 1:]))
+    return out
+
+
+def random_order_normalize(e, rng):
+    """Run R1-R5 to a fixed point, choosing the next rewrite with rng.
+
+    Used as evidence of confluence: the result must equal normalize(e).
+    """
+    current = e
+    for _ in range(10000):
+        choices = _rewrite_choices(current)
+        if not choices:
+            return current
+        current = choices[rng.randrange(len(choices))]
+    raise RuntimeError("rewriting did not terminate")
 
 
 def random_complex(rng: random.Random, n_vertices):

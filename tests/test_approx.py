@@ -1,5 +1,6 @@
 """Peripheral extensions, the glued tree construction, and condition checks."""
 
+import itertools
 import math
 import sys
 import tracemalloc
@@ -430,7 +431,7 @@ def vertex_id(a, t):
 
 
 def copy_points(a, t):
-    return list(a._copy_points[vertex_id(a, t)])
+    return [a.space.points[i] for i in a._copy_idx[vertex_id(a, t)]]
 
 
 def children(a, t):
@@ -445,7 +446,7 @@ def edges(a):
 def subtree_points(a, t):
     pts = set()
     for v in a.tree.subtree(vertex_id(a, t)):
-        pts.update(a._copy_points[v])
+        pts.update(copy_points(a, a.vertices[v]))
         if a.vertices[v] in a.ends:
             pts.add(a.ends[a.vertices[v]])
     return pts
@@ -663,9 +664,9 @@ def check_conditions_oracle(a, tol=None):
     level = dict(zip(tree.names, tree.depth))
     conditions = {}
     worst_dev = 0.0
-    for (t, ci), names in sorted(a._class_points.items()):
+    for t, ci in itertools.product(a.vertices, range(len(a.source_spaces))):
         expected = scale ** level[t] * a.source_spaces[ci].dist
-        got = submatrix(a.space, names)
+        got = submatrix(a.space, a.class_points(t, ci))
         worst_dev = max(worst_dev, float(np.abs(got - expected).max()))
     conditions["a1"] = {
         "verdict": "pass" if worst_dev <= iso else "fail",
@@ -688,7 +689,8 @@ def check_conditions_oracle(a, tol=None):
     }
     worst_ratio = 0.0
     worst_point = None
-    for t, pts in zip(a.vertices, a._copy_points):
+    for t in a.vertices:
+        pts = copy_points(a, t)
         rows = [idx[p] for p in pts]
         block = dist[rows]
         block[:, rows] = math.inf
@@ -705,11 +707,12 @@ def check_conditions_oracle(a, tol=None):
     worst_ratio = 0.0
     worst = None
     for ci in range(len(a.source_spaces)):
-        class_cols = [idx[p] for (t, c), names in a._class_points.items()
-                      if c == ci for p in names]
+        class_cols = [idx[p] for t in a.vertices for p in a.class_points(t, ci)]
         gaps = dist[:, class_cols].min(axis=1)
         for name, gap in zip(a.space.points, gaps):
-            point_depth = tree.depth[tree.index[a.location(name)]]
+            label = a.labels[name]
+            at = label["tree_vertex"] if label["kind"] == "copy" else label["leaf"]
+            point_depth = tree.depth[tree.index[at]]
             eff = density_gap * scale ** (point_depth - depth)
             ratio = float(gap) / eff
             if ratio > worst_ratio:
@@ -725,7 +728,7 @@ def check_conditions_oracle(a, tol=None):
                          f"{separation_gap!r} and {scale!r}")
     worst_pair_ratio = math.inf
     worst_pair = None
-    own = [[idx[p] for p in pts] for pts in a._copy_points]
+    own = a._copy_idx.tolist()
     for t, end in a.ends.items():
         own[tree.index[t]].append(idx[end])
     for child, t in enumerate(a.vertices[1:], 1):
@@ -895,21 +898,29 @@ class TestLabelShape:
 
     def test_build_labels_are_kept(self):
         a = build_approx([TWO, circle_net(3)], 2, 2, 1 / 3)
-        assert self.remade(a)._copy_points == a._copy_points
+        assert np.array_equal(self.remade(a)._copy_idx, a._copy_idx)
 
-    @pytest.mark.parametrize("name, change", [
-        ("t.0|0|b", {"source_point": "a"}),
-        ("t.0|0|b", {"tree_vertex": "t.1"}),
-        ("t.0|0|b", {"class": 1}),
-    ], ids=["repeated-point", "moved-point", "other-class"])
-    def test_uneven_copies_are_refused(self, name, change):
+    @pytest.mark.parametrize("name, change, at", [
+        ("t.0|0|b", {"source_point": "a"}, ("t.0", 0)),
+        ("t.0|0|b", {"tree_vertex": "t.1"}, ("t.0", 0)),
+        ("t.0|0|b", {"class": 1, "source_point": "c0"}, ("t.0", 0)),
+        ("t.1|1|c2", None, ("t.1", 1)),
+        ("end|t.1", {"kind": "copy", "tree_vertex": "t", "class": 1,
+                     "source_point": "c1"}, ("t", 1)),
+    ], ids=["repeated-point", "moved-point", "other-class", "empty-slot",
+            "slot-filled-twice"])
+    def test_uneven_copies_are_refused(self, name, change, at):
         a = build_approx([TWO, circle_net(3)], 1, 2, 1 / 3)
         labels = dict(a.labels)
-        if change.get("class") == 1:
-            change = {"class": 1, "source_point": "c0"}
-        labels[name] = dict(labels[name], **change)
-        with pytest.raises(ValueError, match="one copy of each point"):
+        if change is None:
+            del labels[name]
+        else:
+            labels[name] = dict(labels[name], **change)
+        vertex, ci = at
+        with pytest.raises(ValueError) as refused:
             self.remade(a, labels=labels)
+        assert str(refused.value) == (f"tree vertex {vertex!r} does not hold "
+                                      f"one copy of each point of source {ci}")
 
     def test_ends_must_list_each_end_once_under_its_leaf(self):
         a = build_approx([TWO], 1, 2, 1 / 3)

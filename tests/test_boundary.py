@@ -19,16 +19,12 @@ from denseamalgam.boundary import (
     EMPTY,
     POINT_PAIR,
     ExprSyntaxError,
-    amalgam_of,
-    equal_normal,
     format_expr,
-    is_normal,
     is_totally_disconnected,
     normalize,
     parse_expr,
-    random_order_normalize,
 )
-from conftest import random_expr
+from conftest import random_expr, random_order_normalize
 
 
 def leaves():
@@ -58,8 +54,6 @@ def expressions():
 class TestConstruction:
     def test_zero_ary_amalgam_rejected(self):
         with pytest.raises(ValueError, match="zero-ary amalgam undefined"):
-            amalgam_of([])
-        with pytest.raises(ValueError, match="zero-ary"):
             Amalgam(())
 
     def test_two_point_implies_totally_disconnected(self):
@@ -85,11 +79,11 @@ class TestNormalizeExamples:
         assert normalize(parse_expr("Amalgam(Empty)")) == CANTOR
 
     def test_flattening(self):
-        assert equal_normal(parse_expr("Amalgam(a, Amalgam(b, c))"),
-                            parse_expr("Amalgam(a, b, c)"))
+        assert (normalize(parse_expr("Amalgam(a, Amalgam(b, c))"))
+                == normalize(parse_expr("Amalgam(a, b, c)")))
 
     def test_single_atom_amalgam_does_not_collapse(self):
-        assert not equal_normal(parse_expr("Amalgam(a)"), parse_expr("a"))
+        assert normalize(parse_expr("Amalgam(a)")) != normalize(parse_expr("a"))
         assert normalize(parse_expr("Amalgam(a)")) == Amalgam((Atom("a"),))
 
     def test_all_td_amalgam_is_cantor(self):
@@ -159,7 +153,6 @@ class TestProperties:
     def test_idempotent(self, e):
         n = normalize(e)
         assert normalize(n) == n
-        assert is_normal(n)
 
     @settings(max_examples=200)
     @given(expressions())
@@ -187,7 +180,8 @@ class TestProperties:
     def test_commutativity(self, args, pyrng):
         shuffled = list(args)
         pyrng.shuffle(shuffled)
-        assert equal_normal(Amalgam(tuple(args)), Amalgam(tuple(shuffled)))
+        assert (normalize(Amalgam(tuple(args)))
+                == normalize(Amalgam(tuple(shuffled))))
 
     @settings(max_examples=100)
     @given(st.lists(expressions(), min_size=2, max_size=4),
@@ -195,21 +189,22 @@ class TestProperties:
     def test_associativity_idempotence(self, args, i):
         i = i % len(args)
         nested = Amalgam(tuple(args[:i]) + (Amalgam(tuple(args[i:])),))
-        assert equal_normal(nested, Amalgam(tuple(args)))
+        assert normalize(nested) == normalize(Amalgam(tuple(args)))
 
     @settings(max_examples=100)
     @given(st.lists(expressions(), min_size=1, max_size=4),
            st.integers(min_value=0, max_value=3))
     def test_duplicate_absorption(self, args, i):
         i = i % len(args)
-        assert equal_normal(Amalgam(tuple(args) + (args[i],)),
-                            Amalgam(tuple(args)))
+        assert (normalize(Amalgam(tuple(args) + (args[i],)))
+                == normalize(Amalgam(tuple(args))))
 
     @settings(max_examples=100)
     @given(st.lists(expressions(), min_size=1, max_size=4),
            st.sampled_from([CANTOR, POINT_PAIR, Atom("q", frozenset({"totally_disconnected"}))]))
     def test_totally_disconnected_summand_dropped(self, args, q):
-        assert equal_normal(Amalgam(tuple(args) + (q,)), Amalgam(tuple(args)))
+        assert (normalize(Amalgam(tuple(args) + (q,)))
+                == normalize(Amalgam(tuple(args))))
 
     @settings(max_examples=50)
     @given(st.sampled_from([CANTOR, POINT_PAIR,
@@ -221,5 +216,6 @@ class TestProperties:
     @settings(max_examples=100)
     @given(st.lists(expressions(), min_size=1, max_size=4))
     def test_empty_conventions(self, args):
-        assert equal_normal(Amalgam((EMPTY,) + tuple(args)), Amalgam(tuple(args)))
+        assert (normalize(Amalgam((EMPTY,) + tuple(args)))
+                == normalize(Amalgam(tuple(args))))
         assert normalize(Amalgam((EMPTY,))) == CANTOR

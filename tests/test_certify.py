@@ -286,7 +286,7 @@ class TestRebuild:
         a = build_approx([SOURCES["two"]], 1, 1, 1 / 3)
         matrix, side = bundle_files(tmp_path, a)
         side.write_text("{")
-        with pytest.raises(json.JSONDecodeError):
+        with pytest.raises(ValueError, match="invalid JSON"):
             load_bundle(matrix, side)
         matrix.write_text(",a\n\n")
         with pytest.raises(ValueError, match="row label"):

