@@ -1,7 +1,7 @@
 """Command line front end.
 
 Each leaf command is declared once, in ``_COMMANDS``, with its handler and
-every argument's role (input, output, param, tolerance or cap): the parser
+every argument's role (input, output, param, tolerance or cap): the parsers
 and each report's ``config`` are both read from there, the one place a
 command's arguments live.  A check command declares only the ``--tol-*``
 flags its checker reads; any other is a usage error.
@@ -21,11 +21,13 @@ commands never import numpy.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import json
 import math
 import random
+import sys
 
 import denseamalgam as _package
 
@@ -36,11 +38,7 @@ from . import graphs_of_groups as _gog
 
 
 class _InputError(Exception):
-    """Unreadable or unparsable input; maps to exit code 2."""
-
-    def __init__(self, message, original=None):
-        super().__init__(message)
-        self.original = original
+    """Unreadable or unparsable input (exit 2), raised from its cause."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -64,20 +62,11 @@ def _jsonable(value):
         return [_jsonable(v) for v in value]
     if isinstance(value, (set, frozenset)):
         return sorted(_jsonable(v) for v in value)
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        if math.isnan(value):
-            return "nan"
-        return value
-    if hasattr(value, "item") and not isinstance(value, (str, bytes)):
-        # numpy scalar
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)  # "inf", "-inf" or "nan"
+    if hasattr(value, "item"):  # a numpy scalar
         return _jsonable(value.item())
     return value
-
-
-def _fmt_num(value) -> str:
-    return str(_jsonable(value))
 
 
 def _summary_lines(data: dict) -> list:
@@ -133,14 +122,14 @@ def _read_text(path) -> str:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
-        raise _InputError(f"cannot read {path}: {exc.strerror}", exc) from exc
+        raise _InputError(f"cannot read {path}: {exc.strerror}") from exc
 
 
 def _parse_with(fn, *args):
     try:
         return fn(*args)
     except (ValueError, OSError) as exc:
-        raise _InputError(str(exc), exc) from exc
+        raise _InputError(str(exc)) from exc
 
 
 def _load(parse, path):
@@ -175,7 +164,7 @@ def _write_text(path, text):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise _InputError(f"cannot write {path}: {exc.strerror}", exc) from exc
+        raise _InputError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _condition_result(rep, config, **extra):
@@ -242,16 +231,14 @@ def _cmd_nerve_decompose(args, config):
 
 def _cmd_gog_reduce(args, config):
     g = _load(_gog.from_json, args.input)
-    reduced = _gog.reduce(g, rng=random.Random(args.seed))
-    doc = _gog.to_json(reduced)
+    doc = _gog.to_json(_gog.reduce(g, rng=random.Random(args.seed)))
     report = {"config": config, "graph": json.loads(doc)}
     return 0, report, doc + ("\n" if not doc.endswith("\n") else "")
 
 
 def _ball_for(args):
-    """The graph, the base vertex and the ball's size, after the ball's
-    refusals; the size comes from level counts, so the cap is checked
-    before any ball is built."""
+    """The graph, the base vertex and the ball's size from level counts,
+    after the ball's refusals: the cap is checked before any ball is built."""
     g = _load(_gog.from_json, args.input)
     if args.base is not None and args.base not in g.vertex_groups:
         raise _InputError(f"base vertex {args.base!r} is not in the graph")
@@ -314,14 +301,13 @@ def _cmd_approx_build(args, config):
 def _cmd_regular_merge(args, config):
     s = _parse_with(_package.load_structure, args.matrix, args.meta)
     result = _package.merge_families(s)
-    report = {"config": config}
-    report.update(result.to_dict())
+    report = {"config": config, **result.to_dict()}
     lines = [f"rounds: {len(result.rounds)}",
-             f"diameter ratio: {_fmt_num(result.ratio)}"]
+             f"diameter ratio: {_jsonable(result.ratio)}"]
     for pos, r in enumerate(result.rounds):
         members = " ".join(str(i) for i in r["members"])
         lines.append(f"  round {pos}: members {members} "
-                     f"diam {_fmt_num(r['diam'])}")
+                     f"diam {_jsonable(r['diam'])}")
     if args.out_matrix:
         _package.save_structure(result.structure, args.out_matrix,
                                 args.out_meta)
@@ -386,8 +372,8 @@ _SEED_REPORT = (
 
 
 def _command(group, action, help_text, handler, *args):
-    """One leaf command; every command takes --seed and --report."""
-    return group, action, help_text, handler, args + _SEED_REPORT
+    """One leaf command keyed by (group, action); all take --seed, --report."""
+    return (group, action), (help_text, handler, args + _SEED_REPORT)
 
 
 def _matrix_meta(sidecar):
@@ -395,11 +381,13 @@ def _matrix_meta(sidecar):
             _arg("inputs", "meta", help=f"{sidecar} JSON sidecar"))
 
 
-def _out_matrix_meta(matrix, meta):
-    return (_arg("outputs", "--out-matrix", metavar="PATH",
-                 help=f"write {matrix} here"),
-            _arg("outputs", "--out-meta", metavar="PATH",
-                 help=f"write {meta} here"))
+_OUT_PAIR = ("out-matrix", "out-meta")  # given both or neither
+
+
+def _out_matrix_meta(*what):
+    return tuple(_arg("outputs", f"--{key}", metavar="PATH",
+                      help=f"write {text} here")
+                 for key, text in zip(_OUT_PAIR, what))
 
 
 _TOL_KEYS = {"iso": "iso", "null": "null", "boundary": "boundary_gap",
@@ -435,7 +423,7 @@ _GROUPS = {
     "label": "tree labellings",
 }
 
-_COMMANDS = (
+_COMMANDS = dict((
     _command("coxeter", "classify", "endedness class of a Coxeter system",
              _cmd_coxeter_classify, _COXETER_INPUT),
     _command("coxeter", "nerve", "finite-type nerve of a Coxeter system",
@@ -507,14 +495,31 @@ _COMMANDS = (
              _cmd_label_verify, *_STRUCTURE,
              _arg("inputs", "labelling", help="labelling JSON file"),
              *_tols("separation")),
-)
+))
+
+
+def _add_leaf(parser, group, action) -> _Parser:
+    """Give ``parser`` one leaf command's arguments and defaults."""
+    _, handler, declared = _COMMANDS[group, action]
+    parser.set_defaults(group=group, action=action, handler=handler,
+                        declared=declared)
+    for _, name, _, options in declared:
+        parser.add_argument(name, **options)
+    return parser
+
+
+@functools.cache
+def _leaf_parser(group, action) -> _Parser:
+    """One leaf command's own parser: the tree's namespace, help and usage
+    errors for the same argv, at a fraction of the tree's cost."""
+    return _add_leaf(_Parser(prog=f"denseamalgam {group} {action}"),
+                     group, action)
 
 
 @functools.cache
 def _build_parser() -> _Parser:
-    """The argument parser, built once per process from ``_COMMANDS``:
-    parsing leaves it unchanged, and building it costs more than most
-    commands."""
+    """The full argument tree, for every argv that does not start with a
+    declared (group, action) pair: help, a group alone, a usage error."""
     parser = _Parser(prog="denseamalgam",
                      description="Boundary expressions, finite approximations "
                                  "and regularity checks for dense amalgams.")
@@ -523,45 +528,40 @@ def _build_parser() -> _Parser:
     actions = {group: sub.add_parser(group, help=help_text).add_subparsers(
                    dest="action", metavar="action", parser_class=_Parser)
                for group, help_text in _GROUPS.items()}
-    for group, action, help_text, handler, declared in _COMMANDS:
-        sp = actions[group].add_parser(action, help=help_text)
-        sp.set_defaults(handler=handler, declared=declared)
-        for _, name, _, options in declared:
-            sp.add_argument(name, **options)
+    for (group, action), (help_text, _, _) in _COMMANDS.items():
+        _add_leaf(actions[group].add_parser(action, help=help_text),
+                  group, action)
     return parser
 
 
-def _emit_error(exc, config, report_path, code: int) -> int:
-    name = type(getattr(exc, "original", None) or exc).__name__
-    payload = {"error": {"type": name, "message": str(exc)}, "config": config}
-    text = json.dumps(_jsonable(payload), indent=2, sort_keys=True)
-    print(text)
-    if report_path:
-        try:
-            _write_text(report_path, text + "\n")
-        except _InputError:
-            pass  # the primary error already owns the exit code
-    return code
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    leaf = tuple(argv[:2]) in _COMMANDS
+    parser = _leaf_parser(*argv[:2]) if leaf else _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(argv[2:] if leaf else argv)
         if not hasattr(args, "handler"):
             parser.error("a subcommand is required")
+        config = _config_from(args)
+        if len({bool(config["outputs"].get(k)) for k in _OUT_PAIR}) > 1:
+            parser.error("--%s and --%s must be given together" % _OUT_PAIR)
     except SystemExit as exc:
         return int(exc.code or 0)
-    config = _config_from(args)
     try:
         code, report, text = args.handler(args, config)
-    except _InputError as exc:
-        return _emit_error(exc, config, args.report, 2)
-    except ValueError as exc:
-        return _emit_error(exc, config, args.report, 1)
+        if args.report:  # written first: an unwritable path is an error
+            _write_text(args.report, render_report(report)[0])
+    except (_InputError, ValueError) as exc:
+        cause = exc.__cause__ if isinstance(exc, _InputError) else None
+        payload = {"error": {"type": type(cause or exc).__name__,
+                             "message": str(exc)}, "config": config}
+        text = json.dumps(_jsonable(payload), indent=2, sort_keys=True)
+        print(text)
+        if args.report:  # the first error already owns the exit code
+            with contextlib.suppress(_InputError):
+                _write_text(args.report, text + "\n")
+        return 2 if isinstance(exc, _InputError) else 1
     print(text, end="")
-    if args.report:
-        _write_text(args.report, render_report(report)[0])
     return code
 
 

@@ -770,6 +770,22 @@ class TestReports:
         assert code == 2
         assert "error" in json.loads(report_path.read_text())
 
+    @pytest.mark.parametrize("argv", [
+        ["gog", "check", "gog.json", "--radius", "2"],
+        ["amalgam", "normalize", "Amalgam(Empty)"],
+    ], ids=["gog-check", "amalgam-normalize"])
+    def test_unwritable_report_exits_2(self, tmp_path, capsys, monkeypatch,
+                                       argv):
+        write(tmp_path, "gog.json", GOG_23)
+        monkeypatch.chdir(tmp_path)
+        code = main(argv + ["--report", str(tmp_path / "absent" / "r.json")])
+        captured = capsys.readouterr()
+        assert code == 2
+        error = json.loads(captured.out)["error"]  # the error object alone
+        assert error["type"] == "FileNotFoundError"
+        assert "cannot write" in error["message"]
+        assert captured.err == ""
+
     def test_render_report_empty(self):
         json_text, summary = render_report({})
         assert summary == "no checks requested\n"
@@ -844,8 +860,8 @@ class TestDeterminism:
         assert snapshots[0] == snapshots[1]
 
     def test_no_state_leaks_between_calls(self, tmp_path, capsys):
-        # the parser is built once per process, so calls that alternate
-        # options must each see only their own arguments
+        # the tree and each leaf parser are built once per process, so
+        # calls that alternate options must each see only their own arguments
         assert cli_mod._build_parser() is cli_mod._build_parser()
         one = write(tmp_path, "one.json", TWO_SPACE)
         two = write(tmp_path, "two.json", TWO_SPACE_B)
@@ -860,12 +876,17 @@ class TestDeterminism:
             "two-spaces": build + [one, two],
         }
         runs = {key: [] for key in calls}
+        leaves = {key: cli_mod._leaf_parser(*argv[:2])
+                  for key, argv in calls.items()}
+        built = cli_mod._leaf_parser.cache_info().misses
         report = tmp_path / "report.json"
         for _ in range(2):
             for key, argv in calls.items():
                 code = main(argv + ["--report", str(report)])
                 runs[key].append((code, capsys.readouterr().out,
                                   json.loads(report.read_text())))
+                assert cli_mod._leaf_parser(*argv[:2]) is leaves[key]
+        assert cli_mod._leaf_parser.cache_info().misses == built
         for key, (first, second) in runs.items():
             assert first == second, key
         assert runs["tol"][0][2]["config"]["tolerances"]["iso"] == 0.5
@@ -1047,3 +1068,69 @@ class TestDeclarations:
         assert prefix in error["message"]
         assert not (tmp_path / "report.json").exists()
         assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("argv", [c[0] for c in LEAF_CASES],
+                             ids=[" ".join(c[0][:2]) for c in LEAF_CASES])
+    def test_leaf_parser_matches_the_tree(self, argv):
+        leaf = cli_mod._leaf_parser(*argv[:2]).parse_args(argv[2:])
+        assert vars(leaf) == vars(cli_mod._build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("half", ["--out-matrix", "--out-meta"])
+    @pytest.mark.parametrize("argv", [
+        ["approx", "build", "--spaces", "two.json", "--depth", "1",
+         "--branching", "2", "--scale", "0.25"],
+        ["regular", "merge", "pair.csv", "pair.json"],
+    ], ids=["approx-build", "regular-merge"])
+    def test_output_pair_half_is_refused(self, tmp_path, capsys, monkeypatch,
+                                         argv, half):
+        leaf_inputs(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        code, out = run(capsys, *argv, half, "half.out",
+                        "--report", "report.json")
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["type"] == "UsageError"
+        assert "--out-matrix" in error["message"]
+        assert "--out-meta" in error["message"]
+        assert not (tmp_path / "half.out").exists()
+        assert not (tmp_path / "report.json").exists()
+
+
+def tree_run(capsys, argv):
+    """Exit code and stdout of parsing argv with the full argparse tree,
+    refusing an argv that names no leaf command as main does."""
+    parser = cli_mod._build_parser()
+    try:
+        if not hasattr(parser.parse_args(argv), "handler"):
+            parser.error("a subcommand is required")
+        code = None
+    except SystemExit as exc:
+        code = int(exc.code or 0)
+    return code, capsys.readouterr().out
+
+
+GROUPS = sorted({c[0][0] for c in LEAF_CASES})
+PARITY_ARGV = [
+    [], ["--help"], *([g] for g in GROUPS), *([g, "--help"] for g in GROUPS),
+    ["coxeter", "frobnicate", "x.json"],
+    *(c[0][:2] + ["--help"] for c in LEAF_CASES),
+    ["approx", "check"],
+    ["gog", "check", "gog.json"],
+    ["gog", "ball", "gog.json", "--radius", "x"],
+    ["approx", "build", "--spaces", "two.json", "--depth", "-1",
+     "--branching", "2", "--scale", "0.25"],
+    ["approx", "check", "m.csv", "m.json", "--tol-null", "1"],
+    ["label", "verify", "m.csv", "m.json", "l.json", "--tol", "1"],
+    ["amalgam", "normalize", "x", "y"],
+]
+
+
+@pytest.mark.parametrize("argv", PARITY_ARGV,
+                         ids=[" ".join(a) or "no-arguments"
+                              for a in PARITY_ARGV])
+def test_main_prints_what_the_tree_prints(capsys, argv):
+    """Help and usage errors are the same whichever parser main uses."""
+    expected = tree_run(capsys, argv)
+    assert expected[0] is not None
+    assert run(capsys, *argv) == expected
