@@ -39,7 +39,6 @@ from .graphs_of_groups import (
     BassSerreBall,
     GraphOfGroups,
     GroupDescriptor,
-    OrientedEdge,
     ball_counts,
     bass_serre_ball,
     check_separation,

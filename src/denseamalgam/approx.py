@@ -238,9 +238,9 @@ def _check_recipe(xs, depth, branching, scale, skip_scale_check=False):
             if not isinstance(p, str) or "|" in p or not p:
                 raise ValueError(
                     "source space points must be nonempty strings without '|'")
-    if not isinstance(depth, int) or depth < 0:
+    if type(depth) is not int or depth < 0:
         raise ValueError("depth must be a non-negative integer")
-    if not isinstance(branching, int) or branching < 1:
+    if type(branching) is not int or branching < 1:
         raise ValueError("branching must be a positive integer")
     if not skip_scale_check and not 0 < scale <= 0.5:
         raise ValueError("scale must lie in (0, 1/2]")
@@ -579,7 +579,7 @@ def check_conditions(a: AmalgamApprox, tol: ConditionTolerances = None) -> Condi
     # a hand-written sidecar may hold any numbers; the checks take its
     # tree's depth, ratios in (0, 1] and numbers within a float's range
     big = sys.float_info.max
-    if not (isinstance(a.depth, int) and a.depth == levels - 1
+    if not (type(a.depth) is int and a.depth == levels - 1
             and 0 < a.r0 <= big and 1 <= a.branching <= big
             and 0 < a.scale <= 1 and 0 < a.mu <= 1):
         raise ValueError("depth, branching, scale, r0 and mu do not fit a "

@@ -63,9 +63,9 @@ class EndednessClass:
 
 
 class CoxeterSystem:
-    """Generators plus the symmetric order matrix m(s,t): the integer 1 on
-    the diagonal, and integers >= 2 or infinity, equal in value and type
-    to their mirror images, off it."""
+    """Generators plus the symmetric order matrix m(s,t), one row per
+    generator: the integer 1 on the diagonal, and integers >= 2 or infinity,
+    equal in value and type to their mirror images, off it."""
 
     def __init__(self, generators, matrix):
         generators = tuple(generators)
@@ -75,39 +75,36 @@ class CoxeterSystem:
             raise CoxeterParseError("duplicate generator names")
         self.generators = generators
         self._index = {s: i for i, s in enumerate(generators)}
-        rows = []
-        for i, s in enumerate(generators):
-            row = []
-            for j, t in enumerate(generators):
-                try:
-                    row.append(matrix[(s, t)] if isinstance(matrix, dict)
-                               else matrix[i][j])
-                except (KeyError, IndexError):
-                    raise CoxeterParseError("missing matrix entry",
-                                            location=f"m[{s},{t}]") from None
-            rows.append(row)
-        for i, s in enumerate(generators):
+        n = len(generators)
+        rows = self._orders = tuple(map(tuple, matrix))
+        if len(rows) != n or any(len(row) != n for row in rows):
+            raise CoxeterParseError(f"matrix must be {n} rows of {n} orders")
+
+        def refuse(message, i, j):
+            raise CoxeterParseError(
+                message, location=f"m[{generators[i]},{generators[j]}]")
+
+        for i in range(n):
             if type(rows[i][i]) is not int or rows[i][i] != 1:
-                raise CoxeterParseError("diagonal entries must be 1",
-                                        location=f"m[{s},{s}]")
-        for i, s in enumerate(generators):
-            for j, t in enumerate(generators[i + 1:], i + 1):
-                a, b = rows[i][j], rows[j][i]
-                if a != b or type(a) is not type(b):
-                    raise CoxeterParseError("matrix must be symmetric",
-                                            location=f"m[{s},{t}]")
-                if a != INF and (not isinstance(a, int) or a < 2):
-                    raise CoxeterParseError(
-                        "off-diagonal entries must be integers >= 2 or infinity",
-                        location=f"m[{s},{t}]")
-        # the orders by generator index; per generator, the bitmask of its
-        # diagram neighbours (m >= 3, infinity included) and of the
-        # generators it has a finite order with
-        self._orders = tuple(map(tuple, rows))
-        self._diagram = tuple(
-            sum(1 << j for j, m in enumerate(row) if m >= 3) for row in rows)
-        self._finite_orders = tuple(
-            sum(1 << j for j, m in enumerate(row) if m != INF) for row in rows)
+                refuse("diagonal entries must be 1", i, i)
+        # per generator, the bitmasks of its diagram neighbours (m >= 3,
+        # infinity included) and of the generators with a finite order
+        diagram, finite = [0] * n, [1 << i for i in range(n)]
+        for i, row in enumerate(rows):
+            for j in range(i + 1, n):
+                m, mirror = row[j], rows[j][i]
+                if m != mirror or type(m) is not type(mirror):
+                    refuse("matrix must be symmetric", i, j)
+                if m != INF:
+                    if not isinstance(m, int) or m < 2:
+                        refuse("off-diagonal entries must be integers >= 2 "
+                               "or infinity", i, j)
+                    finite[i] |= 1 << j
+                    finite[j] |= 1 << i
+                if m >= 3:
+                    diagram[i] |= 1 << j
+                    diagram[j] |= 1 << i
+        self._diagram, self._finite_orders = tuple(diagram), tuple(finite)
 
     def order(self, s, t):
         return self._orders[self._index[s]][self._index[t]]

@@ -6,9 +6,11 @@ edges, the elementary shapes, Bass-Serre ball degrees, and the boundary
 formula depend on.  Infinite vertex groups additionally carry a symbolic
 boundary expression.
 
-An oriented edge is a pair (edge slot, head end); `bar` flips the head.  The
-index of an oriented edge a is order(head(a)) / edge_order, infinite exactly
-when the head vertex group is infinite.
+An oriented edge is an integer k: edge slot k // 2 with its head at end
+k % 2 of the slot's (end, end) pair, so k ^ 1 is its reverse and the 2E
+oriented edges are 0 .. 2E - 1.  The index of an oriented edge k is
+order(head(k)) / edge_order, infinite exactly when the head vertex group is
+infinite.
 
 The Bass-Serre tree of a graph with finite vertex groups is homogeneous: the
 half-tree beyond a tree edge depends only on the oriented graph edge it is
@@ -69,14 +71,6 @@ class GroupDescriptor:
             raise ValueError("finite groups have empty boundary")
 
 
-@dataclass(frozen=True)
-class OrientedEdge:
-    """Edge slot `edge` oriented so that ends[to_end] is the head."""
-
-    edge: int
-    to_end: int  # 0 or 1
-
-
 class GraphOfGroups:
     """Connected graph with group orders on vertices and edges.
 
@@ -126,25 +120,19 @@ class GraphOfGroups:
             missing = sorted(set(self.vertices) - seen)
             raise ValueError(f"graph is not connected; unreachable: {missing}")
 
-    # -- oriented edge helpers ----------------------------------------------
-    def oriented_edges(self):
-        return [OrientedEdge(e, s) for e in range(len(self.edges)) for s in (0, 1)]
+    # -- oriented edges k: slot k >> 1, head at end k & 1 -------------------
+    def head(self, k: int):
+        return self.edges[k >> 1][k & 1]
 
-    def head(self, a: OrientedEdge):
-        return self.edges[a.edge][a.to_end]
+    def tail(self, k: int):
+        return self.head(k ^ 1)
 
-    def tail(self, a: OrientedEdge):
-        return self.edges[a.edge][1 - a.to_end]
-
-    def bar(self, a: OrientedEdge) -> OrientedEdge:
-        return OrientedEdge(a.edge, 1 - a.to_end)
-
-    def index(self, a: OrientedEdge):
+    def index(self, k: int):
         """Index of the edge group in the head vertex group."""
-        head_order = self.vertex_groups[self.head(a)].order
+        head_order = self.vertex_groups[self.head(k)].order
         if head_order == INF:
             return INF
-        return head_order // self.edges[a.edge][2]
+        return head_order // self.edges[k >> 1][2]
 
     def is_loop(self, e: int) -> bool:
         v, w, _ = self.edges[e]
@@ -179,20 +167,20 @@ def _trivial(vertex_groups, edges):
         for s in (0, 1):
             # index 1: the edge group is all of the head's group
             if vertex_groups[(v, w)[s]].order == order:
-                found.append(OrientedEdge(e, s))
+                found.append(2 * e + s)
                 break
-    found.sort(key=lambda a: (tuple(sorted(edges[a.edge][:2])), a.edge))
+    found.sort(key=lambda k: (tuple(sorted(edges[k >> 1][:2])), k))
     return found
 
 
-def _collapse(vertex_groups, edges, a):
-    absorbed = edges[a.edge][a.to_end]
-    survivor = edges[a.edge][1 - a.to_end]
+def _collapse(vertex_groups, edges, k):
+    absorbed = edges[k >> 1][k & 1]
+    survivor = edges[k >> 1][1 - (k & 1)]
     kept = {name: desc for name, desc in vertex_groups.items()
             if name != absorbed}
     moved = [(survivor if v == absorbed else v,
               survivor if w == absorbed else w, order)
-             for pos, (v, w, order) in enumerate(edges) if pos != a.edge]
+             for pos, (v, w, order) in enumerate(edges) if pos != k >> 1]
     return kept, moved
 
 
@@ -218,10 +206,10 @@ def is_non_elementary(g: GraphOfGroups) -> bool:
     if len(r.vertices) == 1 and not r.edges:
         return False
     if len(r.vertices) == 1 and len(r.edges) == 1 and r.is_loop(0):
-        if r.index(OrientedEdge(0, 0)) == 1 and r.index(OrientedEdge(0, 1)) == 1:
+        if r.index(0) == 1 and r.index(1) == 1:
             return False
     if len(r.vertices) == 2 and len(r.edges) == 1 and not r.is_loop(0):
-        if r.index(OrientedEdge(0, 0)) == 2 and r.index(OrientedEdge(0, 1)) == 2:
+        if r.index(0) == 2 and r.index(1) == 2:
             return False
     return True
 
@@ -230,16 +218,14 @@ def is_non_elementary(g: GraphOfGroups) -> bool:
 # The Bass-Serre tree's entry states.
 
 def _states(g: GraphOfGroups, base=None):
-    """The entry states of the Bass-Serre tree: (oriented, over, families,
-    kids).
+    """The entry states of the Bass-Serre tree: (over, families, kids).
 
-    State k < 2E is a node entered through oriented[k], so it lies over
-    over[k] = head(oriented[k]) and its parent over the tail; given a
-    `base`, a last state 2E is the base node, over `base`.
-    bar(oriented[k]) is oriented[k ^ 1].
-    `families[v]` lists (k, index(oriented[k])) for the oriented edges with
-    head v.  A node over v has index(a) neighbours through each such a, each
-    over tail(a) and entered through bar(a), and its parent is one of the
+    State k < 2E is a node entered through oriented edge k, so it lies over
+    over[k] = head(k) and its parent over tail(k); given a `base`, a last
+    state 2E is the base node, over `base`.
+    `families[v]` lists (k, index(k)) for the oriented edges k with head v.
+    A node over v has index(k) neighbours through each such k, each over
+    tail(k) and entered through k ^ 1, and its parent is one of the
     neighbours through the oriented edge it was entered by.  So `kids[s]`
     lists state s's children as (child state, multiplicity) pairs, in
     family order, multiplicities positive.
@@ -247,15 +233,14 @@ def _states(g: GraphOfGroups, base=None):
     for name in g.vertices:
         if g.vertex_groups[name].order == INF:
             raise ValueError(f"tree not locally finite at {name}")
-    oriented = g.oriented_edges()
-    over = [g.head(a) for a in oriented] + ([] if base is None else [base])
-    families = {v: [(k, g.index(a)) for k, a in enumerate(oriented)
-                    if g.head(a) == v]
+    oriented = range(2 * len(g.edges))
+    over = [g.head(k) for k in oriented] + ([] if base is None else [base])
+    families = {v: [(k, g.index(k)) for k in oriented if over[k] == v]
                 for v in g.vertices}
     kids = [[(k ^ 1, index - (k == s)) for k, index in families[over[s]]
              if index > (k == s)]
             for s in range(len(over))]
-    return oriented, over, families, kids
+    return over, families, kids
 
 
 def _ball_states(g: GraphOfGroups, base, radius):
@@ -263,7 +248,7 @@ def _ball_states(g: GraphOfGroups, base, radius):
     ball's refusals."""
     if base not in g.vertex_groups:
         raise ValueError(f"unknown base vertex {base!r}")
-    if not isinstance(radius, int) or radius < 0:
+    if type(radius) is not int or radius < 0:
         raise ValueError("radius must be a non-negative integer")
     if radius > _BALL_RADIUS_CAP:
         raise ValueError(f"radius {radius} exceeds cap {_BALL_RADIUS_CAP}")
@@ -293,7 +278,7 @@ def _state_counts(kids, radius):
 def ball_counts(g: GraphOfGroups, base, radius: int) -> list:
     """Node counts at depths 0..radius of `bass_serre_ball(g, base,
     radius)`, without building it; the refusals are the ball's."""
-    kids = _ball_states(g, base, radius)[3]
+    kids = _ball_states(g, base, radius)[2]
     return list(map(sum, _state_counts(kids, radius)))
 
 
@@ -314,15 +299,15 @@ def check_separation(g: GraphOfGroups) -> dict:
     Enter a node y through a tree edge over a, from its neighbour x over
     tail(a); the half-tree H(a) is the component of T - x holding y.  Then
     y's other neighbours are index(b) - [b = a] through each b with head
-    head(a), each entered through bar(b), so by induction on depth H(a) is
+    head(a), each entered through b ^ 1, so by induction on depth H(a) is
     the tree unfolded from state a of `_states`: it depends on a alone.
     Half-tree and state: removing a tree edge over a leaves H(a) and
-    H(bar(a)), and every edge slot lifts to T, so the halves of all tree
+    H(a ^ 1), and every edge slot lifts to T, so the halves of all tree
     edges are exactly the H(a) for the 2E oriented edges a.  Every kid has
     multiplicity at least 1, so the labels of H(a) are the labels over the
     states reachable from a, and (1) holds iff every state reaches every
     label.  Pieces: the components of T - x for x over v are index(b)
-    copies of H(bar(b)) for each b with head v, whatever x was entered by.
+    copies of H(b ^ 1) for each b with head v, whatever x was entered by.
     T is locally finite, so unbounded means infinite, and (2) holds iff
     some v has at least three such copies that are infinite.  Infinite iff
     it reaches a cycle: H(a) is locally finite, so by Koenig's lemma it is
@@ -332,7 +317,7 @@ def check_separation(g: GraphOfGroups) -> dict:
     kids finite": each state added has a finite unfolding by induction,
     and a state never added has a kid never added, so an endless path.
     """
-    oriented, over, families, kids = _states(g)
+    over, families, kids = _states(g)
     states = range(len(kids))
     bits = {v: 1 << i for i, v in enumerate(g.vertices)}
     reach = [bits[v] for v in over]
@@ -351,8 +336,8 @@ def check_separation(g: GraphOfGroups) -> dict:
     short = next((s for s in states if reach[s] != full), None)
     witness = None
     if short is not None:
-        a = oriented[short]
-        witness = {"edge": a.edge, "from": g.tail(a), "to": g.head(a),
+        witness = {"edge": short >> 1, "from": g.tail(short),
+                   "to": g.head(short),
                    "missing": [v for v in g.vertices
                                if not reach[short] & bits[v]]}
     three_way_vertices = [
@@ -374,8 +359,9 @@ class BassSerreBall:
 
     Node ids run breadth first from the base node 0, and three flat lists
     describe node v: `labels[v]` is the graph vertex it lies over,
-    `tree.parent[v]` its parent id (-1 at the base) and `entries[v]` the
-    oriented edge family it occupies toward its parent (None at the base).
+    `tree.parent[v]` its parent id (-1 at the base) and `entries[v]` its
+    entry state, the oriented edge it was entered through from its parent
+    (None at the base).
     Depth d holds the ids levels[d] to levels[d + 1] - 1.  `unexplored`
     lists node ids whose further neighbours were cut off by the radius.
     """
@@ -399,7 +385,7 @@ class BassSerreBall:
         return [hi - lo for lo, hi in zip(self.levels, self.levels[1:])]
 
     def subtree_ids(self, node_id):
-        """The node's subtree, a set view of its pre-order interval."""
+        """The node's subtree ids in pre-order, its pre-order slice."""
         return self.tree.subtree(node_id)
 
     def to_dot(self) -> str:
@@ -423,7 +409,7 @@ def bass_serre_ball(g: GraphOfGroups, base, radius: int) -> BassSerreBall:
     than _BALL_NODE_CAP nodes is refused from its level counts, before
     anything is built.
     """
-    oriented, over, _, kids = _ball_states(g, base, radius)
+    over, _, kids = _ball_states(g, base, radius)
     counts = _state_counts(kids, radius)
     size = sum(map(sum, counts))
     if size > _BALL_NODE_CAP:
@@ -433,7 +419,7 @@ def bass_serre_ball(g: GraphOfGroups, base, radius: int) -> BassSerreBall:
     grown = [[t for t, mult in pairs for _ in range(mult)]
              if any(level[s] for level in counts[:-1]) else None
              for s, pairs in enumerate(kids)]
-    state, parents, levels = [len(oriented)], [-1], [0, 1]
+    state, parents, levels = [len(kids) - 1], [-1], [0, 1]
     for _ in range(radius):
         lo, hi = levels[-2], levels[-1]
         level = [grown[s] for s in state[lo:hi]]
@@ -443,7 +429,7 @@ def bass_serre_ball(g: GraphOfGroups, base, radius: int) -> BassSerreBall:
         levels.append(len(state))
     unexplored = [v for v in range(levels[-2], levels[-1]) if kids[state[v]]]
     labels = list(map(over.__getitem__, state))
-    entries = list(map((oriented + [None]).__getitem__, state))
+    entries = [None] + state[1:]
     return BassSerreBall(g, base, radius, labels, parents, entries, levels,
                          unexplored)
 

@@ -5,8 +5,6 @@ all a RootedTree.  String names such as "t.0.2" serve only input and
 output, and `from_parents` is the one place that reads their structure.
 """
 
-from collections.abc import Set
-
 
 class RootedTree:
     """A rooted tree on vertices 0..n-1, the root 0, each after its parent.
@@ -84,8 +82,8 @@ class RootedTree:
                 for name, p in zip(self.names, self.parent)}
 
     def subtree(self, v):
-        """v and its descendants, as a set view of v's interval."""
-        return Subtree(self, v)
+        """v and its descendants, in pre-order: pre[tin[v]:tout[v]]."""
+        return self.pre[self.tin[v]:self.tout[v]]
 
     def levels(self):
         """Vertex ids grouped by depth, each level in id order."""
@@ -93,29 +91,6 @@ class RootedTree:
         for v, d in enumerate(self.depth):
             out[d].append(v)
         return out
-
-
-class Subtree(Set):
-    """The vertices at pre-order positions start..stop-1, without a copy:
-    u is a member when start <= tin[u] < stop, and iteration runs depth
-    first from the subtree's root."""
-
-    def __init__(self, tree, v):
-        self.tree, self.start, self.stop = tree, tree.tin[v], tree.tout[v]
-
-    def __contains__(self, u):
-        return (isinstance(u, int) and 0 <= u < len(self.tree)
-                and self.start <= self.tree.tin[u] < self.stop)
-
-    def __iter__(self):
-        return iter(self.tree.pre[self.start:self.stop])
-
-    def __len__(self):
-        return self.stop - self.start
-
-    @classmethod
-    def _from_iterable(cls, ids):  # results of set operations
-        return frozenset(ids)
 
 
 def _name_key(name):

@@ -302,6 +302,15 @@ class TestBuildApprox:
         with pytest.raises(ValueError, match="without"):
             build_approx([weird], 1, 1, 0.5)
 
+    @pytest.mark.parametrize("depth, branching, message", [
+        (True, 1, "depth must be a non-negative integer"),
+        (1, True, "branching must be a positive integer"),
+        (True, True, "depth must be a non-negative integer"),
+    ], ids=["bool-depth", "bool-branching", "both-bool"])
+    def test_bools_are_not_counts(self, depth, branching, message):
+        with pytest.raises(ValueError, match=message):
+            build_approx([TWO], depth, branching, 0.3)
+
     def test_point_counts_example(self):
         a = build_approx([TWO], 1, 2, 1 / 3)
         assert len(a.space.points) == 3 * 2 + 2

@@ -409,8 +409,10 @@ class TestMalformedTrees:
     @pytest.mark.parametrize("field, value", [
         ("depth", 0.0), ("depth", 3), ("scale", 0.0), ("scale", 10 ** 30),
         ("mu", 2), ("r0", 10 ** 400), ("branching", 10 ** 400),
+        ("depth", True),
     ], ids=["float-depth", "other-depth", "zero-scale", "huge-scale",
-            "mu-above-1", "r0-beyond-float", "branching-beyond-float"])
+            "mu-above-1", "r0-beyond-float", "branching-beyond-float",
+            "bool-depth"])
     def test_approx_check_refuses_unusable_recipe_numbers(self, tmp_path,
                                                           capsys, field,
                                                           value):

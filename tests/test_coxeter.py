@@ -44,15 +44,9 @@ from conftest import (
 def system(names, **orders):
     """Build a system from edge orders like ab=3; missing pairs default to 2."""
     names = list(names)
-    matrix = {}
-    for s in names:
-        for t in names:
-            if s == t:
-                matrix[(s, t)] = 1
-            else:
-                key = "".join(sorted((s, t)))
-                matrix[(s, t)] = orders.get(key, 2)
-    return CoxeterSystem(names, matrix)
+    return CoxeterSystem(names, [
+        [1 if s == t else orders.get("".join(sorted((s, t))), 2)
+         for t in names] for s in names])
 
 
 D_INF = system("st", st=INF)
@@ -167,6 +161,23 @@ def two_ended_by_names(c):
     return False
 
 
+def maximal_one_ended_subsets(c):
+    """The paper's atoms by their wording: the inclusion-maximal generator
+    subsets T whose special subgroup W_T is one-ended, found by classifying
+    the subsystem on every subset, largest first."""
+    gens = c.generators
+    found = []
+    for size in range(len(gens), 0, -1):
+        for subset in itertools.combinations(gens, size):
+            if any(found_set >= set(subset) for found_set in found):
+                continue
+            sub = CoxeterSystem(subset, [[c.order(s, t) for t in subset]
+                                         for s in subset])
+            if classify_endedness(sub).tag == "one_ended":
+                found.append(frozenset(subset))
+    return set(found)
+
+
 def random_blocks(rng, cap=12):
     """Two or more random systems of 1-4 generators each, on disjoint
     generators, with at most `cap` generators in all."""
@@ -188,9 +199,9 @@ def combined(rng, factors, between):
     owner = {s: f for f in factors for s in f.generators}
     names = list(owner)
     rng.shuffle(names)
-    return CoxeterSystem(names, {
-        (s, t): owner[s].order(s, t) if owner[s] is owner[t] else between
-        for s in names for t in names})
+    return CoxeterSystem(names, [
+        [owner[s].order(s, t) if owner[s] is owner[t] else between
+         for t in names] for s in names])
 
 
 # `coxeter nerve` and `coxeter boundary` stdout on benchmark-shaped systems
@@ -248,6 +259,17 @@ class TestParsing:
             parse_coxeter('{"generators":["s","t"],"m":[[1,2]]}')
         with pytest.raises(CoxeterParseError, match="invalid JSON"):
             parse_coxeter("{")
+
+    @pytest.mark.parametrize("m", [
+        [[1, 2], [2]],
+        [[1, 2]],
+        {("s", "s"): 1, ("s", "t"): 2, ("t", "s"): 2, ("t", "t"): 1},
+    ], ids=["short-row", "missing-row", "keyed-by-pairs"])
+    def test_matrix_that_is_not_rows_of_orders_rejected(self, m):
+        with pytest.raises(CoxeterParseError) as err:
+            CoxeterSystem(["s", "t"], m)
+        assert str(err.value) == "matrix must be 2 rows of 2 orders"
+        assert err.value.location is None
 
     def test_duplicate_generators_rejected(self):
         with pytest.raises(CoxeterParseError, match="duplicate"):
@@ -350,10 +372,9 @@ class TestGramOracle:
     def test_agrees_with_catalogue_rank_three(self):
         entries = [2, 3, 4, 5, 6, INF]
         for ab, ac, bc in itertools.product(entries, repeat=3):
-            c = CoxeterSystem("abc", {("a", "a"): 1, ("b", "b"): 1, ("c", "c"): 1,
-                                      ("a", "b"): ab, ("b", "a"): ab,
-                                      ("a", "c"): ac, ("c", "a"): ac,
-                                      ("b", "c"): bc, ("c", "b"): bc})
+            c = CoxeterSystem("abc", [[1, ab, ac],
+                                      [ab, 1, bc],
+                                      [ac, bc, 1]])
             for r in range(1, 4):
                 for subset in itertools.combinations("abc", r):
                     assert is_finite_type(c, subset) == gram_pd_test(c, subset), (
@@ -619,6 +640,23 @@ class TestBoundaryExpression:
     def test_two_disjoint_four_cycles_amalgam(self):
         assert boundary_expression(two_disjoint_cycles()) == normalize(
             Amalgam((Atom("bd[a,b,c,d]"), Atom("bd[p,q,r,s]"))))
+
+    def test_atoms_are_the_maximal_one_ended_special_subgroups(self):
+        # the abstract: with infinitely many ends, the boundary is the dense
+        # amalgam of the boundaries of the maximal 1-ended special subgroups
+        rng = random.Random(2014)
+        checked = 0
+        for _ in range(1000):
+            n = rng.randint(2, 8)
+            rows = random_coxeter_matrix(rng, n, (2, 2, 2, 3, 4, INF, INF))
+            c = CoxeterSystem([f"g{i}" for i in range(n)], rows)
+            if classify_endedness(c).tag != "infinitely_many_ends":
+                continue
+            l = nerve(c)
+            assert maximal_one_ended_subsets(c) == {
+                frozenset(f) for f in l.terminal_factors() if not l.is_face(f)}
+            checked += 1
+        assert checked >= 400
 
     def test_always_normal(self, rng):
         for _ in range(60):

@@ -22,7 +22,6 @@ from denseamalgam.graphs_of_groups import (
     GogParseError,
     GraphOfGroups,
     GroupDescriptor,
-    OrientedEdge,
     _collapse,
     _trivial,
     ball_counts,
@@ -51,7 +50,7 @@ def degree(g, vertex):
     """Bass-Serre tree degree of any tree vertex over `vertex`: the sum of
     the indices of the oriented edges with that head."""
     total = 0
-    for a in g.oriented_edges():
+    for a in range(2 * len(g.edges)):
         if g.head(a) == vertex:
             idx = g.index(a)
             if idx == INF:
@@ -135,16 +134,17 @@ def trivial_edges(g):
     return _trivial(g.vertex_groups, g.edges)
 
 
-def elementary_collapse(g, e):
-    """Contract a trivial edge; the surviving vertex keeps the tail's group."""
-    if isinstance(e, OrientedEdge):
-        a = e
-        if g.is_loop(a.edge):
+def elementary_collapse(g, e=None, *, oriented=None):
+    """Contract a trivial edge, given as slot `e` or as an `oriented` edge;
+    the surviving vertex keeps the tail's group."""
+    if oriented is not None:
+        a = oriented
+        if g.is_loop(a >> 1):
             raise ValueError("cannot collapse a loop")
         if g.index(a) != 1:
             raise ValueError("edge is not trivial in this orientation")
     else:
-        matches = [t for t in trivial_edges(g) if t.edge == e]
+        matches = [t for t in trivial_edges(g) if t >> 1 == e]
         if not matches:
             raise ValueError(f"edge {e} is not trivial")
         a = matches[0]
@@ -174,19 +174,18 @@ class TestConstruction:
 
     def test_index_and_degree(self):
         g = Z2_Z3
-        a_uw = OrientedEdge(0, 1)  # head w
+        a_uw = 1  # slot 0 toward its end 1, head w
         assert g.head(a_uw) == "w" and g.tail(a_uw) == "u"
         assert g.index(a_uw) == 3
-        assert g.index(g.bar(a_uw)) == 2
+        assert g.index(a_uw ^ 1) == 2
         assert degree(g, "u") == 2 and degree(g, "w") == 3
 
     def test_infinite_index(self):
         g = gg({"u": INF, "w": 2}, [("u", "w", 2)],
                boundaries={"u": Atom("p")})
-        to_u = OrientedEdge(0, 0) if g.head(OrientedEdge(0, 0)) == "u" \
-            else OrientedEdge(0, 1)
+        to_u = 0 if g.head(0) == "u" else 1
         assert g.index(to_u) == INF
-        assert g.index(g.bar(to_u)) == 1
+        assert g.index(to_u ^ 1) == 1
 
 
 class TestTrivialEdges:
@@ -207,7 +206,7 @@ class TestTrivialEdges:
         g = gg({"a": 2, "b": 6, "c": 3}, [("a", "b", 2), ("b", "c", 1)])
         (t,) = trivial_edges(g)
         assert g.head(t) == "a"
-        out = elementary_collapse(g, t)
+        out = elementary_collapse(g, oriented=t)
         assert set(out.vertices) == {"b", "c"}
         assert out.edges == (("b", "c", 1),)
 
@@ -217,7 +216,7 @@ class TestTrivialEdges:
         assert len(found) == 2
         assert all(g.head(a) == "m" for a in found)
         for a in found:
-            out = elementary_collapse(g, a)
+            out = elementary_collapse(g, oriented=a)
             assert set(out.vertices) == {"u", "w"}
             assert out.edges[0][2] == 2
 
@@ -233,7 +232,7 @@ class TestTrivialEdges:
             elementary_collapse(Z2_Z3, 0)
         g = gg({"v": 4}, [("v", "v", 4)])
         with pytest.raises(ValueError, match="loop"):
-            elementary_collapse(g, OrientedEdge(0, 0))
+            elementary_collapse(g, oriented=0)
 
     def test_collapse_can_create_loops(self):
         # two parallel edges u=m, one trivial; collapsing makes the other a loop
@@ -371,6 +370,14 @@ class TestBassSerreBall:
                boundaries={"u": Atom("p")})
         with pytest.raises(ValueError, match="tree not locally finite at u"):
             bass_serre_ball(g, "w", 2)
+
+    @pytest.mark.parametrize("radius", [True, False, 1.0, -1],
+                             ids=["true", "false", "float", "negative"])
+    def test_radius_must_be_a_count(self, radius):
+        with pytest.raises(ValueError, match="radius must be a non-negative"):
+            bass_serre_ball(Z2_Z3, "u", radius)
+        with pytest.raises(ValueError, match="radius must be a non-negative"):
+            ball_counts(Z2_Z3, "u", radius)
 
     def test_radius_cap(self):
         with pytest.raises(ValueError, match="exceeds cap"):
@@ -522,8 +529,8 @@ def ball_separation(ball, g):
         unexplored[u] = True
     before = list(itertools.accumulate(map(unexplored.__getitem__, tree.pre),
                                        initial=0))
-    sub_open = [before[s.stop] - before[s.start]
-                for s in map(ball.subtree_ids, range(n))]
+    sub_open = [before[stop] - before[start]
+                for start, stop in zip(tree.tin, tree.tout)]
     all_open = sub_open[0]
     rest_mask = [0] * n
     for p in range(n):  # parents before children
@@ -644,10 +651,10 @@ def naive_ball(g, base, radius):
             if degree(g, label) - (parent is not None) > 0:
                 unexplored.append(nid)
             continue
-        for a in g.oriented_edges():
+        for a in range(2 * len(g.edges)):
             if g.head(a) == label:
                 for _ in range(g.index(a) - (a == entry)):
-                    nodes.append((g.tail(a), depth + 1, nid, g.bar(a)))
+                    nodes.append((g.tail(a), depth + 1, nid, a ^ 1))
     return nodes, unexplored
 
 
@@ -766,7 +773,8 @@ class TestSeparationOracle:
                 kids = ball.children[stack.pop()]
                 walked.update(kids)
                 stack.extend(kids)
-            assert ball.subtree_ids(nid) == walked
+            ids = ball.subtree_ids(nid)
+            assert set(ids) == walked and len(ids) == len(walked)
 
 
 class TestExactSeparation:

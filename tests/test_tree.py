@@ -75,15 +75,15 @@ class TestQueries:
         assert sorted(tree.pre) == list(range(len(tree)))
         for v in range(len(tree)):
             subtree = tree.subtree(v)
-            assert next(iter(subtree)) == v
-            assert subtree == walk_subtree(tree, v)
-            assert len(subtree) == len(list(subtree))
+            walked = walk_subtree(tree, v)
+            assert subtree[0] == v
+            assert set(subtree) == walked and len(subtree) == len(walked)
             for u in range(len(tree)):
                 inside = tree.tin[v] <= tree.tin[u] < tree.tout[v]
                 assert inside == (u in subtree)
             assert "0" not in subtree and -1 not in subtree
-            assert frozenset(range(len(tree))) - subtree == \
-                frozenset(range(len(tree))) - walk_subtree(tree, v)
+            assert frozenset(range(len(tree))) - set(subtree) == \
+                frozenset(range(len(tree))) - walked
 
     def test_requires_parents_first(self):
         with pytest.raises(ValueError, match="after their parents"):
