@@ -1,56 +1,31 @@
 """Boundary expressions of groups as dense amalgams, their normal-form
 algebra, and finite metric approximations of the amalgam construction.
 
-The group-theory layers (boundary, simplicial, coxeter, graphs_of_groups)
-are imported with the package.  The metric-space layers (metric, approx,
-characterize) are built on numpy; each is imported the first time one of
-its exported names is read, so code that uses only the group-theory names
-never imports numpy.
+Every module loads on first use.  ``import denseamalgam`` imports none of
+them; reading an exported name (``denseamalgam.nerve``) or a submodule
+(``denseamalgam.coxeter``) imports the module that defines it.  So code
+that uses only the group-theory layers (boundary, simplicial, coxeter,
+graphs_of_groups) never imports numpy, and code that uses only the
+metric-space layers (metric, approx, characterize) never imports the
+group-theory ones.
 """
 
 import importlib
-import types
 
-from .boundary import (
-    Amalgam,
-    Atom,
-    BoundaryExpr,
-    CANTOR,
-    Cantor,
-    EMPTY,
-    Empty,
-    POINT_PAIR,
-    PointPair,
-    format_expr,
-    normalize,
-    parse_expr,
-)
-from .simplicial import SimplicialComplex
-from .coxeter import (
-    CoxeterSystem,
-    EndednessClass,
-    classify_endedness,
-    is_finite_type,
-    nerve,
-    parse_coxeter,
-)
-from .coxeter import boundary_expression as coxeter_boundary_expression
-from .graphs_of_groups import (
-    BassSerreBall,
-    GraphOfGroups,
-    GroupDescriptor,
-    ball_counts,
-    bass_serre_ball,
-    check_separation,
-    is_non_elementary,
-    reduce,
-)
-from .graphs_of_groups import boundary_expression as gog_boundary_expression
-
-# exported name -> the numpy-backed module that defines it
-_ON_FIRST_USE = {
-    name: module
+# exported name -> (module, attribute) that defines it
+_EXPORTS = {
+    name: (module, name)
     for module, names in (
+        ("boundary", ("Amalgam", "Atom", "BoundaryExpr", "CANTOR", "Cantor",
+                      "EMPTY", "Empty", "POINT_PAIR", "PointPair",
+                      "format_expr", "normalize", "parse_expr")),
+        ("simplicial", ("SimplicialComplex",)),
+        ("coxeter", ("CoxeterSystem", "EndednessClass", "classify_endedness",
+                     "is_finite_type", "nerve", "parse_coxeter")),
+        ("graphs_of_groups", ("BassSerreBall", "GraphOfGroups",
+                              "GroupDescriptor", "ball_counts",
+                              "bass_serre_ball", "check_separation",
+                              "is_non_elementary", "reduce")),
         ("metric", ("FiniteMetricSpace", "disjoint_union", "read_matrix_csv",
                     "space_from_json", "write_matrix_csv")),
         ("approx", ("AmalgamApprox", "ConditionReport", "ConditionTolerances",
@@ -64,28 +39,34 @@ _ON_FIRST_USE = {
                           "save_structure", "verify_labelling")),
     )
     for name in names
+} | {
+    "coxeter_boundary_expression": ("coxeter", "boundary_expression"),
+    "gog_boundary_expression": ("graphs_of_groups", "boundary_expression"),
 }
 
-# the names imported above, and those loaded on first use
-__all__ = sorted(
-    [name for name, value in globals().items()
-     if not name.startswith("_") and not isinstance(value, types.ModuleType)]
-    + list(_ON_FIRST_USE))
+_SUBMODULES = frozenset((
+    "_json", "_kernels", "approx", "boundary", "characterize", "cli",
+    "coxeter", "graphs_of_groups", "metric", "simplicial", "tree"))
+
+__all__ = sorted(_EXPORTS)
 
 
 def __getattr__(name):
-    """Import the module of a metric-space name and keep the name here, so
-    later reads are plain attribute lookups (PEP 562)."""
-    module = _ON_FIRST_USE.get(name)
-    if module is None:
+    """Import a submodule, or the module of an exported name and keep the
+    name here, so later reads are plain attribute lookups (PEP 562)."""
+    if name in _SUBMODULES:
+        # the import sets the package attribute, so this runs once per name
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _EXPORTS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module, attribute = _EXPORTS[name]
     value = globals()[name] = getattr(
-        importlib.import_module(f".{module}", __name__), name)
+        importlib.import_module(f".{module}", __name__), attribute)
     return value
 
 
 def __dir__():
-    return sorted(globals().keys() | _ON_FIRST_USE.keys())
+    return sorted(globals().keys() | _EXPORTS.keys() | _SUBMODULES)
 
 
 __version__ = "0.1.0"

@@ -1,4 +1,5 @@
-"""The JSON reader shared by every input format, and its shape checks.
+"""The JSON reader shared by every input format, its shape checks, and the
+DOT ID quoting shared by the DOT writers.
 
 A reader checks its document's keys with `document` and each field's JSON
 type with `require`, in its own exception type and words; whether a value
@@ -55,3 +56,8 @@ def require(value, shape, error, *args):
     if not SHAPES[shape](value):
         raise error(*args)
     return value
+
+
+def dot_id(name) -> str:
+    """`name` as a quoted DOT ID, with backslash and double quote escaped."""
+    return '"' + str(name).replace("\\", "\\\\").replace('"', '\\"') + '"'

@@ -580,7 +580,8 @@ def check_conditions(a: AmalgamApprox, tol: ConditionTolerances = None) -> Condi
     # tree's depth, ratios in (0, 1] and numbers within a float's range
     big = sys.float_info.max
     if not (type(a.depth) is int and a.depth == levels - 1
-            and 0 < a.r0 <= big and 1 <= a.branching <= big
+            and 0 < a.r0 <= big
+            and type(a.branching) is int and 1 <= a.branching <= big
             and 0 < a.scale <= 1 and 0 < a.mu <= 1):
         raise ValueError("depth, branching, scale, r0 and mu do not fit a "
                          f"tree of depth {levels - 1}")

@@ -12,10 +12,14 @@ cannot be read or parsed (a machine-readable error object goes to stdout).
 All output is a pure function of (inputs, flags, seed), so repeated runs
 are byte-identical.
 
-The approximation, regularity and labelling commands read their
-numpy-backed names (`load_bundle`, `check_regularity`, ...) from the
-package, which imports their modules on first use; the group-theory
-commands never import numpy.
+Importing this module imports no other module of the package.  Each
+handler reads what it calls from the package at call time: the
+group-theory functions through their modules (``_package.coxeter.nerve``),
+the numpy-backed ones by their exported names (``_package.load_bundle``).
+The package imports a module the first time one of its names is read, so
+a command loads only the layers it runs: the group-theory commands never
+import numpy, and the approximation, regularity and labelling commands
+never import the group-theory layers.
 """
 
 from __future__ import annotations
@@ -32,9 +36,6 @@ import sys
 import denseamalgam as _package
 
 from . import __version__
-from . import boundary as _boundary
-from . import coxeter as _coxeter
-from . import graphs_of_groups as _gog
 
 
 class _InputError(Exception):
@@ -175,8 +176,8 @@ def _condition_result(rep, config, **extra):
 
 # ---------------------------------------------------------------------------
 # command handlers: (args, config) -> (exit code, report, stdout text).
-# They reach library functions at call time: the group-theory ones through
-# their modules, the numpy-backed ones through the package.
+# They reach library functions at call time, through the package: the
+# group-theory ones through their modules, the numpy-backed ones by name.
 
 
 def _check_matrix(args, config, load, check):
@@ -188,19 +189,21 @@ def _check_matrix(args, config, load, check):
 
 
 def _expression_result(config, expr):
-    out = _boundary.format_expr(expr)
+    out = _package.boundary.format_expr(expr)
     return 0, {"config": config, "expression": out}, out + "\n"
 
 
 def _cmd_coxeter_classify(args, config):
-    e = _coxeter.classify_endedness(_load(_coxeter.parse_coxeter, args.input))
+    coxeter = _package.coxeter
+    e = coxeter.classify_endedness(_load(coxeter.parse_coxeter, args.input))
     report = {"config": config, "tag": e.tag, "virtually_free": e.virtually_free}
     text = e.tag + (" (virtually free)\n" if e.virtually_free else "\n")
     return 0, report, text
 
 
 def _cmd_coxeter_nerve(args, config):
-    n = _coxeter.nerve(_load(_coxeter.parse_coxeter, args.input))
+    coxeter = _package.coxeter
+    n = coxeter.nerve(_load(coxeter.parse_coxeter, args.input))
     faces = sorted(sorted(f) for f in n.maximal_faces)
     flag = n.is_flag()
     infinity_large = flag and n.is_chordal()  # is_infinity_large(), reusing flag
@@ -218,7 +221,7 @@ def _cmd_coxeter_nerve(args, config):
 
 
 def _cmd_nerve_decompose(args, config):
-    n = _load(_coxeter.SimplicialComplex.from_json, args.input)
+    n = _load(_package.simplicial.SimplicialComplex.from_json, args.input)
     listed = sorted(sorted(f) for f in n.terminal_factors())
     infinity_large = n.is_infinity_large()
     report = {"config": config, "factors": listed,
@@ -230,8 +233,9 @@ def _cmd_nerve_decompose(args, config):
 
 
 def _cmd_gog_reduce(args, config):
-    g = _load(_gog.from_json, args.input)
-    doc = _gog.to_json(_gog.reduce(g, rng=random.Random(args.seed)))
+    gog = _package.graphs_of_groups
+    g = _load(gog.from_json, args.input)
+    doc = gog.to_json(gog.reduce(g, rng=random.Random(args.seed)))
     report = {"config": config, "graph": json.loads(doc)}
     return 0, report, doc + ("\n" if not doc.endswith("\n") else "")
 
@@ -239,11 +243,12 @@ def _cmd_gog_reduce(args, config):
 def _ball_for(args):
     """The graph, the base vertex and the ball's size from level counts,
     after the ball's refusals: the cap is checked before any ball is built."""
-    g = _load(_gog.from_json, args.input)
+    gog = _package.graphs_of_groups
+    g = _load(gog.from_json, args.input)
     if args.base is not None and args.base not in g.vertex_groups:
         raise _InputError(f"base vertex {args.base!r} is not in the graph")
     base = args.base if args.base is not None else sorted(g.vertex_groups)[0]
-    size = sum(_gog.ball_counts(g, base, args.radius))
+    size = sum(gog.ball_counts(g, base, args.radius))
     cap = args.cap_vertices
     if cap is not None and size > cap:
         raise _InputError(
@@ -253,8 +258,9 @@ def _ball_for(args):
 
 def _cmd_gog_check(args, config):
     g, base, size = _ball_for(args)
-    sep = _gog.check_separation(g)
-    non_elementary = _gog.is_non_elementary(g)
+    gog = _package.graphs_of_groups
+    sep = gog.check_separation(g)
+    non_elementary = gog.is_non_elementary(g)
     report = {"config": config, "base": base, "radius": args.radius,
               "separation": sep, "non_elementary": non_elementary}
     lines = [f"base: {base}", f"ball size: {size}",
@@ -267,7 +273,7 @@ def _cmd_gog_check(args, config):
 
 def _cmd_gog_ball(args, config):
     g, base, _ = _ball_for(args)
-    ball = _gog.bass_serre_ball(g, base, args.radius)
+    ball = _package.graphs_of_groups.bass_serre_ball(g, base, args.radius)
     counts = ball.counts_by_depth()
     sizes = list(itertools.accumulate(counts))
     report = {"config": config, "base": base, "radius": args.radius,
@@ -432,8 +438,8 @@ _COMMANDS = dict((
                   help="write the nerve skeleton as DOT")),
     _command("coxeter", "boundary", "normalized boundary expression",
              lambda args, config: _expression_result(
-                 config, _coxeter.boundary_expression(
-                     _load(_coxeter.parse_coxeter, args.input))),
+                 config, _package.coxeter.boundary_expression(
+                     _load(_package.coxeter.parse_coxeter, args.input))),
              _COXETER_INPUT),
     _command("nerve", "decompose", "terminal join factors of a complex",
              _cmd_nerve_decompose,
@@ -448,13 +454,14 @@ _COMMANDS = dict((
                   help="write the ball as DOT")),
     _command("gog", "boundary", "normalized boundary expression",
              lambda args, config: _expression_result(
-                 config, _gog.boundary_expression(
-                     _load(_gog.from_json, args.input))),
+                 config, _package.graphs_of_groups.boundary_expression(
+                     _load(_package.graphs_of_groups.from_json,
+                           args.input))),
              _GOG_INPUT),
     _command("amalgam", "normalize", "normalize a boundary expression",
              lambda args, config: _expression_result(
-                 config, _boundary.normalize(
-                     _parse_with(_boundary.parse_expr, args.expression))),
+                 config, _package.boundary.normalize(_parse_with(
+                     _package.boundary.parse_expr, args.expression))),
              _arg("params", "expression",
                   help="expression text, e.g. 'Amalgam(Empty)'")),
     _command("approx", "build", "build a finite approximation",

@@ -126,15 +126,12 @@ def parse_coxeter(text: str) -> CoxeterSystem:
     doc = document(loads(text, error), error, ("generators", "m"))
     generators = require(doc["generators"], "strings", error,
                          "'generators' must be a list of strings")
-    n = len(generators)
-    shape = f"'m' must be a {n}x{n} matrix (row-major)"
-    if len(require(doc["m"], "list", error, shape)) != n:
-        raise error(shape)
-    for i, row in enumerate(doc["m"]):
-        if len(require(row, "list", error, shape, f"row {i}")) != n:
-            raise error(shape, f"row {i}")
+    shape = "'m' must be a list of lists"
+    rows = [require(row, "list", error, shape, f"row {i}")
+            for i, row in enumerate(require(doc["m"], "list", error, shape))]
+    # the row and column counts are checked by CoxeterSystem
     return CoxeterSystem(generators, [[INF if value == "inf" else value
-                                       for value in row] for row in doc["m"]])
+                                       for value in row] for row in rows])
 
 
 # ---------------------------------------------------------------------------

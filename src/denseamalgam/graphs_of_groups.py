@@ -27,7 +27,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from ._json import SHAPES, document, loads, require
+from ._json import SHAPES, document, dot_id, loads, require
 from .boundary import (
     Amalgam,
     BoundaryExpr,
@@ -37,7 +37,6 @@ from .boundary import (
     normalize,
     parse_expr,
 )
-from .simplicial import dot_id
 from .tree import RootedTree
 
 INF = math.inf

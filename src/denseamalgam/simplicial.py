@@ -32,7 +32,7 @@ from __future__ import annotations
 import functools
 import json
 
-from ._json import document, loads, require
+from ._json import document, dot_id, loads, require
 
 
 def component(rows, mask: int, seed: int) -> int:
@@ -56,11 +56,6 @@ def components(rows, mask: int):
         comps.append(comp)
         mask &= ~comp
     return comps
-
-
-def dot_id(name) -> str:
-    """`name` as a quoted DOT ID, with backslash and double quote escaped."""
-    return '"' + str(name).replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def _maximal_masks(masks):
@@ -354,8 +349,10 @@ class SimplicialComplex:
 
     def is_infinity_large(self) -> bool:
         """Flag and chordal: every terminal factor of every full subcomplex is
-        a simplex exactly under these two 1-skeleton conditions."""
-        return self.is_flag() and self.is_chordal()
+        a simplex exactly under these two 1-skeleton conditions.  Chordality
+        is tested first: it is the cheap test, and a complex that fails it
+        needs no clique search."""
+        return self.is_chordal() and self.is_flag()
 
     # -- serialization -------------------------------------------------------
 

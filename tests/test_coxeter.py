@@ -255,10 +255,17 @@ class TestParsing:
     def test_shape_errors(self):
         with pytest.raises(CoxeterParseError, match="missing key"):
             parse_coxeter('{"generators":["s"]}')
-        with pytest.raises(CoxeterParseError, match="2x2"):
-            parse_coxeter('{"generators":["s","t"],"m":[[1,2]]}')
         with pytest.raises(CoxeterParseError, match="invalid JSON"):
             parse_coxeter("{")
+
+    @pytest.mark.parametrize("m, location", [
+        ({"s": [1, 2]}, None), ([[1, 2], "t"], "row 1"), ([2, 1], "row 0"),
+    ], ids=["object", "text-row", "number-rows"])
+    def test_matrix_that_is_not_a_list_of_lists_rejected(self, m, location):
+        with pytest.raises(CoxeterParseError) as err:
+            parse_coxeter(json.dumps({"generators": ["s", "t"], "m": m}))
+        assert str(err.value).startswith("'m' must be a list of lists")
+        assert err.value.location == location
 
     @pytest.mark.parametrize("m", [
         [[1, 2], [2]],
@@ -270,6 +277,19 @@ class TestParsing:
             CoxeterSystem(["s", "t"], m)
         assert str(err.value) == "matrix must be 2 rows of 2 orders"
         assert err.value.location is None
+
+    @pytest.mark.parametrize("m", [
+        [[1, 2], [2]], [[1, 2]], [[1, 2], [2, 1], [2, 2]], [[1, 2, 2], [2, 1]],
+    ], ids=["short-row", "missing-row", "extra-row", "long-row"])
+    def test_parser_and_constructor_refuse_a_non_square_matrix_alike(self, m):
+        messages = []
+        for build in (lambda: CoxeterSystem(["s", "t"], m),
+                      lambda: parse_coxeter(json.dumps(
+                          {"generators": ["s", "t"], "m": m}))):
+            with pytest.raises(CoxeterParseError) as err:
+                build()
+            messages.append(str(err.value))
+        assert messages == ["matrix must be 2 rows of 2 orders"] * 2
 
     def test_duplicate_generators_rejected(self):
         with pytest.raises(CoxeterParseError, match="duplicate"):
@@ -685,10 +705,11 @@ class TestBoundaryExpression:
         monkeypatch.setattr(SimplicialComplex, "is_flag", refuse)
         assert boundary_expression(two_disjoint_cycles()) == normalize(
             Amalgam((Atom("bd[a,b,c,d]"), Atom("bd[p,q,r,s]"))))
-        assert boundary_expression(
-            system("abc", ab=3, bc=3, ac=INF)) == CANTOR
+        path = system("abc", ab=3, bc=3, ac=INF)  # nerve: the path a-b-c
+        assert boundary_expression(path) == CANTOR
+        # a chordal nerve, so that the flag test is not cut short
         with pytest.raises(AssertionError, match="is_flag called"):
-            classify_endedness(two_disjoint_cycles())
+            classify_endedness(path)
 
     def test_atom_name_uses_generator_order(self):
         c = system("cab")  # declaration order c, a, b

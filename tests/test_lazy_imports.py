@@ -1,7 +1,8 @@
-"""The numpy-backed layers (metric, approx, characterize) load on first use:
-the package exports every name as before, the group-theory commands run in
-a fresh interpreter without importing numpy, and the metric-space commands
-give the same output there as in-process."""
+"""Every module of the package loads on first use: the package exports
+every name as before, a fresh `import denseamalgam` loads no submodule,
+each command loads only the modules it runs, the group-theory commands run
+in a fresh interpreter without importing numpy, and the metric-space
+commands give the same output there as in-process."""
 
 import importlib
 import json
@@ -9,7 +10,10 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import denseamalgam
+from denseamalgam import cli as cli_module
 from denseamalgam.cli import main
 
 SRC = os.path.dirname(os.path.dirname(denseamalgam.__file__))
@@ -30,6 +34,122 @@ def fresh_python(code, cwd):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return done.stdout
+
+
+def loaded_after(code, cwd):
+    """The package's modules loaded in a fresh interpreter after code."""
+    return set(json.loads(fresh_python(
+        code + "\nimport json, sys\n"
+        "print(json.dumps([m for m in sys.modules\n"
+        "                  if m.partition('.')[0] == 'denseamalgam']))\n",
+        cwd)))
+
+
+def package_modules(*names):
+    return {"denseamalgam"} | {f"denseamalgam.{name}" for name in names}
+
+
+def test_importing_the_package_loads_no_submodule(tmp_path):
+    assert loaded_after("import denseamalgam", tmp_path) == package_modules()
+
+
+def test_importing_the_cli_loads_only_the_cli(tmp_path):
+    assert loaded_after("import denseamalgam.cli",
+                        tmp_path) == package_modules("cli")
+
+
+def test_a_submodule_is_an_attribute_of_a_plain_import(tmp_path):
+    assert loaded_after(
+        "import denseamalgam\n"
+        "assert denseamalgam.coxeter.nerve is denseamalgam.nerve\n",
+        tmp_path) == package_modules("coxeter", "simplicial", "boundary",
+                                     "_json")
+
+
+def test_every_submodule_is_an_attribute(tmp_path):
+    names = sorted(name[:-3] for name in os.listdir(denseamalgam.__path__[0])
+                   if name.endswith(".py") and name != "__init__.py")
+    assert loaded_after(
+        "import denseamalgam, importlib\n"
+        f"for name in {names!r}:\n"
+        "    module = getattr(denseamalgam, name)\n"
+        "    assert module is importlib.import_module('denseamalgam.' + name)\n"
+        "    assert name in dir(denseamalgam)\n",
+        tmp_path) == package_modules(*names)
+
+
+_APPROX = ("approx", "metric", "_kernels", "tree", "_json")
+
+# group -> the modules each of its commands loads, besides the package and
+# the cli
+LOADED_BY_GROUP = {
+    "amalgam": ("boundary",),
+    "coxeter": ("coxeter", "simplicial", "boundary", "_json"),
+    "nerve": ("simplicial", "_json"),
+    "gog": ("graphs_of_groups", "boundary", "tree", "_json"),
+    "approx": _APPROX,
+    "regular": _APPROX + ("characterize",),
+    "label": _APPROX + ("characterize",),
+}
+
+# (group, action) -> the rest of an argv that runs it to exit code 0 on the
+# files `command_inputs` writes
+LEAF_ARGS = {
+    ("amalgam", "normalize"): ["Amalgam(Cantor, Cantor)"],
+    ("coxeter", "classify"): ["cox.json"],
+    ("coxeter", "nerve"): ["cox.json", "--dot", "nerve.dot"],
+    ("coxeter", "boundary"): ["cox.json"],
+    ("nerve", "decompose"): ["complex.json"],
+    ("gog", "reduce"): ["gog.json", "--seed", "1"],
+    ("gog", "check"): ["gog.json", "--radius", "3"],
+    ("gog", "ball"): ["gog.json", "--radius", "3", "--dot", "ball.dot"],
+    ("gog", "boundary"): ["gog.json"],
+    ("approx", "build"): ["--spaces", "two.json", "--depth", "1",
+                          "--branching", "2", "--scale", "0.3",
+                          "--out-matrix", "built.csv",
+                          "--out-meta", "built.json"],
+    ("approx", "check"): ["m.csv", "m.json"],
+    ("regular", "check"): ["s.csv", "s.json"],
+    ("regular", "merge"): ["s.csv", "s.json", "--out-matrix", "mm.csv",
+                           "--out-meta", "mm.json"],
+    ("label", "build"): ["s.csv", "s.json", "--max-depth", "8"],
+    ("label", "verify"): ["s.csv", "s.json", "lab.json"],
+}
+
+
+@pytest.fixture(scope="module")
+def command_inputs(tmp_path_factory):
+    work = tmp_path_factory.mktemp("inputs")
+    for name, text in (("cox.json", SQUARE), ("gog.json", GOG_23),
+                       ("complex.json", COMPLEX), ("two.json", TWO_SPACE)):
+        (work / name).write_text(text)
+    two = [denseamalgam.space_from_json(TWO_SPACE),
+           denseamalgam.space_from_json(TWO_SPACE_B)]
+    denseamalgam.save_bundle(denseamalgam.build_approx(two[:1], 1, 2, 0.3),
+                             str(work / "m.csv"), str(work / "m.json"))
+    structure = denseamalgam.as_regular_structure(
+        denseamalgam.build_approx(two, 1, 3, 1 / 3))
+    denseamalgam.save_structure(structure, str(work / "s.csv"),
+                                str(work / "s.json"))
+    (work / "lab.json").write_text(denseamalgam.labelling_to_json(
+        denseamalgam.build_t_labelling(structure, 8)))
+    return work
+
+
+def test_every_leaf_command_has_declared_modules():
+    assert set(LEAF_ARGS) == set(cli_module._COMMANDS)
+    assert {group for group, _ in LEAF_ARGS} == set(LOADED_BY_GROUP)
+
+
+@pytest.mark.parametrize("leaf", sorted(LEAF_ARGS), ids=" ".join)
+def test_a_command_loads_only_its_modules(command_inputs, leaf):
+    argv = [*leaf, *LEAF_ARGS[leaf]]
+    loaded = loaded_after(
+        "import contextlib, io\n"
+        "from denseamalgam import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main({argv!r}) == 0\n", command_inputs)
+    assert loaded == package_modules("cli", *LOADED_BY_GROUP[leaf[0]])
 
 
 def test_every_export_is_its_module_object():

@@ -495,6 +495,12 @@ class TestInfinityLarge:
             all_simplices = all(c.is_face(f) for f in c.terminal_factors())
             assert c.is_infinity_large() == all_simplices
 
+    def test_non_chordal_complex_runs_no_clique_search(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("is_flag called")
+        monkeypatch.setattr(SimplicialComplex, "is_flag", refuse)
+        assert not four_cycle().is_infinity_large()
+
 
 class TestSerialization:
     def test_json_round_trip(self, rng):
